@@ -20,6 +20,7 @@ problem in the paper) or an explicit candidate set.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -47,22 +48,21 @@ class LoadSummary:
             raise ConfigurationError(
                 f"certified max load must be non-negative, got {self.max_load}"
             )
-        if self.loads is not None:
-            for load in self.loads:
-                if not (0 <= load <= self.max_load):
-                    # effective_load()'s "never above the max" guarantee —
-                    # and cost_at's pricing invariants — rest on this.
-                    raise ConfigurationError(
-                        f"per-reducer load {load} outside [0, max_load="
-                        f"{self.max_load}]"
-                    )
+        loads, top = self.loads, self.max_load
+        if loads and not (0 <= min(loads) and max(loads) <= top):
+            # effective_load()'s "never above the max" guarantee — and
+            # cost_at's pricing invariants — rest on this.
+            load = next(load for load in loads if not (0 <= load <= top))
+            raise ConfigurationError(
+                f"per-reducer load {load} outside [0, max_load={top}]"
+            )
 
     @property
     def has_profile(self) -> bool:
         """Whether a full per-reducer load profile is available."""
         return self.loads is not None and len(self.loads) > 0
 
-    @property
+    @functools.cached_property
     def total_load(self) -> float:
         if not self.has_profile:
             return self.max_load
@@ -75,13 +75,20 @@ class LoadSummary:
         in: equals the common size under perfect balance and is at most
         ``max_load``, so pricing processor work by it is never more
         pessimistic than pricing by the maximum.  Falls back to
-        ``max_load`` when no per-reducer profile exists.
+        ``max_load`` when no per-reducer profile exists.  Summed once per
+        summary: ranking prices every candidate by it on each (re-)plan.
         """
+        return self._effective_load
+
+    @functools.cached_property
+    def _effective_load(self) -> float:
         if not self.has_profile:
             return self.max_load
         total = self.total_load
         if total <= 0:
             return 0.0
+        # Builtin ``sum`` over the tuple, not numpy's pairwise sum, which
+        # rounds differently and could reorder near-tied candidates.
         return float(sum(load * load for load in self.loads)) / total
 
 

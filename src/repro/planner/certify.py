@@ -33,6 +33,7 @@ cardinality bounds into an otherwise statistics-agnostic optimizer.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
@@ -142,29 +143,36 @@ def high_probability_certification(
     )
 
 
+@functools.lru_cache(maxsize=1 << 14, typed=True)
+def _value_hash(attribute: str, value: Hashable) -> int:
+    # ``typed``: 1 and 1.0 are equal as cache keys but hash differently.
+    return stable_hash((attribute, value))
+
+
 def attribute_bucket(attribute: str, value: Hashable, share: int) -> int:
     """The hash bucket of a value within an attribute's share.
 
     Single source of truth shared with
     :meth:`~repro.schemas.join_shares.SharesSchema.bucket_of`: certification
     is only sound if the certifier and the executing schema hash values to
-    buckets identically.
+    buckets identically.  The hash does not depend on the share, so it is
+    memoized per value and only the modulus is taken per share.
     """
     if share <= 1:
         return 0
-    return stable_hash((attribute, value)) % share
+    return _value_hash(attribute, value) % share
 
 
 class ProfileWeightOracle:
     """Answers the weight queries schemas pose while bounding their loads.
 
-    ``bucket_weight`` upper-bounds the number of a relation's rows whose
-    value on one attribute falls in one hash bucket; ``value_weight``
-    upper-bounds one value's frequency.  Exact-histogram attributes answer
-    exactly; sampled attributes answer from the reservoir inflated by the
-    per-attribute Hoeffding term in ``epsilons`` (0 during the recording
-    pass) and remember every consulted cell in :attr:`sampled_cells` so the
-    caller can size the union bound.
+    ``bucket_weights`` upper-bounds, per hash bucket of one attribute's
+    share, the number of a relation's rows whose value falls in that
+    bucket; ``value_weight`` upper-bounds one value's frequency.
+    Exact-histogram attributes answer exactly; sampled attributes answer
+    from the reservoir inflated by the per-attribute Hoeffding term in
+    ``epsilons`` (0 during the recording pass) and remember every consulted
+    cell in :attr:`sampled_cells` so the caller can size the union bound.
 
     ``bucket_cache`` optionally shares one bucket-weight table across
     *epsilon-free* oracles over the same profile — the share optimizer
@@ -196,12 +204,13 @@ class ProfileWeightOracle:
     def _epsilon(self, relation: str, attribute: str) -> float:
         return self.epsilons.get((relation, attribute), 0.0)
 
-    def _bucket_weights(
+    # -- queries schemas pose ------------------------------------------
+    def bucket_weights(
         self,
         relation: str,
         attribute: str,
         share: int,
-        exclude: FrozenSet[Hashable],
+        exclude: FrozenSet[Hashable] = frozenset(),
     ) -> Tuple[float, ...]:
         key = (relation, attribute, share, exclude)
         stats = self._attribute(relation, attribute)
@@ -263,20 +272,6 @@ class ProfileWeightOracle:
         self._bucket_cache[key] = result
         return result
 
-    # -- queries schemas pose ------------------------------------------
-    def relation_rows(self, relation: str) -> int:
-        return self.profile.relation(relation).total_rows
-
-    def bucket_weight(
-        self,
-        relation: str,
-        attribute: str,
-        share: int,
-        bucket: int,
-        exclude: FrozenSet[Hashable] = frozenset(),
-    ) -> float:
-        return self._bucket_weights(relation, attribute, share, exclude)[bucket]
-
     def max_bucket_weight(
         self,
         relation: str,
@@ -284,7 +279,7 @@ class ProfileWeightOracle:
         share: int,
         exclude: FrozenSet[Hashable] = frozenset(),
     ) -> float:
-        return max(self._bucket_weights(relation, attribute, share, exclude))
+        return max(self.bucket_weights(relation, attribute, share, exclude))
 
     def value_weight(self, relation: str, attribute: str, value: Hashable) -> float:
         stats = self._attribute(relation, attribute)
@@ -330,7 +325,7 @@ def certify_max_reducer_load(
     # Recording pass: exact answers are final, sampled answers are optimistic
     # (epsilon 0) but tell us how many estimates the union bound must cover.
     recorder = ProfileWeightOracle(profile, bucket_cache=bucket_cache)
-    exact_loads = [float(load) for load in loads_fn(recorder)]
+    exact_loads = tuple(map(float, loads_fn(recorder)))
     optimistic = max(exact_loads, default=0.0)
     if not recorder.sampled_cells:
         # The per-reducer profile is only attached when the bounds really
@@ -342,9 +337,7 @@ def certify_max_reducer_load(
         return exact_certification(
             optimistic,
             detail="per-bucket maxima from full histograms",
-            load=LoadSummary(
-                optimistic, loads=tuple(exact_loads) if enumerated else None
-            ),
+            load=LoadSummary(optimistic, loads=exact_loads if enumerated else None),
             method="per-bucket-histogram",
         )
     if not (0.0 < delta < 1.0):

@@ -24,6 +24,7 @@ import itertools
 import math
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -52,7 +53,7 @@ from repro.problems.joins import JoinQuery, MultiwayJoinProblem
 GridPoint = Tuple[int, ...]
 
 #: Above this many reducers, certification falls back to one coarse bound
-#: (valid for every grid point) instead of enumerating the full grid.
+#: (valid for every grid point) instead of bounding each point of the grid.
 _CERTIFICATION_GRID_LIMIT = 4096
 
 
@@ -241,7 +242,7 @@ class SharesSchema(SchemaFamily):
     # ------------------------------------------------------------------
     # Profile-based certification hook
     # ------------------------------------------------------------------
-    def reducer_load_bounds(self, oracle) -> Iterator[float]:
+    def reducer_load_bounds(self, oracle) -> Tuple[float, ...]:
         """Upper bound on the input load of every reducer of this schema.
 
         ``oracle`` answers bucket-weight queries from a dataset profile (see
@@ -250,38 +251,30 @@ class SharesSchema(SchemaFamily):
         tuples at a grid point all agree with the point's coordinate on each
         of the relation's own attributes, so the *minimum* over those
         attributes of the bucket weights bounds the relation's contribution;
-        summing over relations bounds the reducer.  Grids larger than
+        summing over relations bounds the reducer.  Bounds come in
+        ``itertools.product`` order of the grid points; grids larger than
         ``_CERTIFICATION_GRID_LIMIT`` yield a single coarse bound (max
         bucket weight per attribute) valid for every point.
         """
-        if self.num_reducers > _CERTIFICATION_GRID_LIMIT:
-            load = 0.0
-            for relation in self.query.relations:
-                load += min(
-                    oracle.max_bucket_weight(
-                        relation.name, attribute, self.shares[attribute]
-                    )
-                    for attribute in relation.attributes
-                )
-            yield load
-            return
-        attributes = self.query.attributes
-        for point in itertools.product(
-            *(range(self.shares[attribute]) for attribute in attributes)
-        ):
-            coordinates = dict(zip(attributes, point))
-            load = 0.0
-            for relation in self.query.relations:
-                load += min(
-                    oracle.bucket_weight(
-                        relation.name,
-                        attribute,
-                        self.shares[attribute],
-                        coordinates[attribute],
-                    )
-                    for attribute in relation.attributes
-                )
-            yield load
+        return self._main_grid_loads(oracle, {})
+
+    def _main_grid_loads(
+        self, oracle, excluded: Mapping[str, FrozenSet[Any]]
+    ) -> Tuple[float, ...]:
+        """Main-grid bounds; ``excluded`` values never reach an attribute."""
+        coarse = math.prod(self.shares.values()) > _CERTIFICATION_GRID_LIMIT
+
+        def weights(relation: str, attribute: str) -> Sequence[float]:
+            return _bucket_weights(
+                oracle,
+                relation,
+                attribute,
+                self.shares[attribute],
+                coarse,
+                excluded.get(attribute, frozenset()),
+            )
+
+        return _separable_loads(self.query, self.query.attributes, weights)
 
     # ------------------------------------------------------------------
     # Executable job over real relation instances
@@ -555,91 +548,83 @@ class SkewAwareSharesSchema(SharesSchema):
     # ------------------------------------------------------------------
     # Profile-based certification hook
     # ------------------------------------------------------------------
-    def reducer_load_bounds(self, oracle) -> Iterator[float]:
-        heavy = self.heavy_values
-        attributes = self.query.attributes
+    def reducer_load_bounds(self, oracle) -> Tuple[float, ...]:
         # Main grid: relations containing the skew attribute only send their
         # non-heavy tuples there, so heavy values are excluded from that
         # attribute's bucket weights.
-        def main_terms(relation, weight):
-            terms = []
-            for attribute in relation.attributes:
-                exclude = heavy if attribute == self.skew_attribute else frozenset()
-                terms.append(weight(relation.name, attribute, self.shares[attribute], exclude))
-            return terms
-
-        if super().num_reducers > _CERTIFICATION_GRID_LIMIT:
-            load = 0.0
-            for relation in self.query.relations:
-                load += min(
-                    main_terms(
-                        relation,
-                        lambda name, a, share, exclude: oracle.max_bucket_weight(
-                            name, a, share, exclude=exclude
-                        ),
-                    )
-                )
-            yield load
-        else:
-            for point in itertools.product(
-                *(range(self.shares[attribute]) for attribute in attributes)
-            ):
-                coordinates = dict(zip(attributes, point))
-                load = 0.0
-                for relation in self.query.relations:
-                    load += min(
-                        main_terms(
-                            relation,
-                            lambda name, a, share, exclude: oracle.bucket_weight(
-                                name, a, share, coordinates[a], exclude=exclude
-                            ),
-                        )
-                    )
-                yield load
+        main = self._main_grid_loads(
+            oracle, {self.skew_attribute: self.heavy_values}
+        )
         # Heavy sub-grids: one grid over the remaining attributes per heavy
-        # value.  A relation with the skew attribute contributes at most its
-        # count of tuples carrying that exact value.
-        coarse_sub = self.sub_grid_size > _CERTIFICATION_GRID_LIMIT
-        for value in self._ordered_heavy_values():
-            sub_points: Iterable[Tuple[int, ...]]
-            if coarse_sub:
-                sub_points = [()]
-            else:
-                sub_points = itertools.product(
-                    *(range(self.heavy_shares[a]) for a in self.sub_attributes)
-                )
-            for point in sub_points:
-                coordinates = dict(zip(self.sub_attributes, point))
-                load = 0.0
-                for relation in self.query.relations:
-                    terms = []
-                    if self.skew_attribute in relation.attributes:
-                        terms.append(
-                            oracle.value_weight(
-                                relation.name, self.skew_attribute, value
-                            )
-                        )
-                    for attribute in relation.attributes:
-                        if attribute == self.skew_attribute:
-                            continue
-                        share = self.heavy_shares[attribute]
-                        if coarse_sub:
-                            terms.append(
-                                oracle.max_bucket_weight(
-                                    relation.name, attribute, share
-                                )
-                            )
-                        else:
-                            terms.append(
-                                oracle.bucket_weight(
-                                    relation.name,
-                                    attribute,
-                                    share,
-                                    coordinates[attribute],
-                                )
-                            )
-                    load += min(terms)
-                yield load
+        # value — the heavy values are the leading axis, so the bounds come
+        # sub-grid by sub-grid.  A relation with the skew attribute
+        # contributes at most its count of tuples carrying that exact value.
+        heavy = self._ordered_heavy_values()
+        coarse = self.sub_grid_size > _CERTIFICATION_GRID_LIMIT
+
+        def weights(relation: str, attribute: str) -> Sequence[float]:
+            if attribute == self.skew_attribute:
+                return [
+                    oracle.value_weight(relation, attribute, value)
+                    for value in heavy
+                ]
+            return _bucket_weights(
+                oracle, relation, attribute, self.heavy_shares[attribute], coarse
+            )
+
+        return main + _separable_loads(
+            self.query, (self.skew_attribute,) + self.sub_attributes, weights
+        )
+
+
+def _bucket_weights(
+    oracle,
+    relation: str,
+    attribute: str,
+    share: int,
+    coarse: bool,
+    exclude: FrozenSet[Any] = frozenset(),
+) -> Sequence[float]:
+    """One attribute's weight per bucket of its share, for its grid axis.
+
+    A ``coarse`` grid (past ``_CERTIFICATION_GRID_LIMIT``) collapses the
+    axis to its heaviest bucket, which bounds every bucket of the share.
+    """
+    if coarse:
+        return (oracle.max_bucket_weight(relation, attribute, share, exclude),)
+    return oracle.bucket_weights(relation, attribute, share, exclude)
+
+
+def _separable_loads(
+    query: JoinQuery,
+    axes: Sequence[str],
+    weights: Callable[[str, str], Sequence[float]],
+) -> Tuple[float, ...]:
+    """``Σ_rel min_{A ∈ rel} weights(rel, A)[c_A]`` at every grid point ``c``.
+
+    The grid has one axis per attribute of ``axes`` (which must cover the
+    query's attributes), as long as that attribute's weight vector.  A
+    relation's bound is separable over the relation's own axes, so each
+    vector is laid along its axis and broadcasting evaluates the whole grid
+    from ``Σ_rel arity`` vectors; the bounds come back in C order, the
+    ``itertools.product`` order of the grid points.  Float ``min`` is exact
+    and the relation terms are added in ``query.relations`` order from
+    ``0.0``, so every bound carries the bits of the scalar sum
+    ``((0.0 + t₁) + t₂) + …``.
+    """
+    np = require_numpy()
+    loads = 0.0
+    for relation in query.relations:
+        bound = None
+        for attribute in relation.attributes:
+            dims = [1] * len(axes)
+            dims[axes.index(attribute)] = -1
+            operand = np.asarray(
+                weights(relation.name, attribute), dtype=np.float64
+            ).reshape(dims)
+            bound = operand if bound is None else np.minimum(bound, operand)
+        loads = loads + bound
+    return tuple(loads.ravel().tolist())
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
 from repro.mapreduce import ClusterConfig, MapReduceEngine
+from repro.pipeline.execute import RoundWork
 from repro.problems import (
     HammingDistanceProblem,
     MatrixMultiplicationProblem,
@@ -61,3 +63,30 @@ def matmul4() -> MatrixMultiplicationProblem:
 def rng() -> random.Random:
     """A seeded random generator for deterministic sampled instances."""
     return random.Random(20260614)
+
+
+@pytest.fixture
+def hold_rounds(monkeypatch):
+    """``hold_rounds(from_index=0)``: gate real pipeline rounds on an event.
+
+    Every round with ``index >= from_index`` waits on the returned event
+    before it executes.  A test that needs a service state to land while
+    rounds are mid-flight (rounds queued behind a running one, a close
+    sweeping them) waits for that state and then sets the event, instead
+    of assuming planning or execution is slow enough for the state to
+    occur.  Set on teardown.
+    """
+    gate = threading.Event()
+    run_round = RoundWork.execute
+
+    def hold(from_index: int = 0) -> threading.Event:
+        def gated_execute(work):
+            if work.index >= from_index:
+                assert gate.wait(timeout=60), "round gate never released"
+            return run_round(work)
+
+        monkeypatch.setattr(RoundWork, "execute", gated_execute)
+        return gate
+
+    yield hold
+    gate.set()

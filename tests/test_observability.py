@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -494,6 +495,13 @@ class TestExporters:
 # ----------------------------------------------------------------------
 # Service wiring (observer=..., starvation metric)
 # ----------------------------------------------------------------------
+def _wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "service never reached the state"
+        time.sleep(0.005)
+
+
 def _chain_plan(q: float = 200.0):
     relations = skewed_chain_join_instance(3, 60, 24, skew=1.2, seed=7)
     problem = MultiwayJoinProblem(JoinQuery.chain(3), domain_size=24)
@@ -561,9 +569,10 @@ class TestServiceObservability:
         assert snap["engine_jobs_total"]["series"][0]["value"] == 3.0
         assert "max_queued_wait_by_priority" in described["rounds"]
 
-    def test_starvation_metric_under_tight_capacity(self):
-        # Capacity fits one round at a time: later queries must queue,
-        # and the max-queued-wait gauge has to witness the wait.
+    def test_starvation_metric_under_tight_capacity(self, hold_rounds):
+        # Capacity fits one round at a time: later queries must queue
+        # (the first round holds on the gate until one has), and the
+        # max-queued-wait gauge has to witness the wait.
         plan, records = _chain_plan()
         price = max(
             r.certified_load
@@ -571,16 +580,20 @@ class TestServiceObservability:
             else plan.q_budget
             for r in plan.rounds
         )
+        gate = hold_rounds()
         obs = Observability.collecting()
         service = QueryService(capacity=price * 1.05, observer=obs)
         try:
             handles = [
                 service.submit(plan, records, priority=1.0) for _ in range(4)
             ]
+            _wait_until(lambda: service.describe()["rounds"]["queued"] >= 1)
+            gate.set()
             for handle in handles:
                 handle.result(120)
             described = service.describe()
         finally:
+            gate.set()
             service.close()
         waits = described["rounds"]["max_queued_wait_by_priority"]
         assert waits.get("1", 0.0) > 0.0
@@ -650,18 +663,24 @@ class TestQueryOutcomeBreakdowns:
         assert statuses[(("status", "failed"),)] == 1.0
         assert statuses[(("status", "ok"),)] == 1.0
 
-    def test_close_mid_flight_queries_recorded(self):
+    def test_close_mid_flight_queries_recorded(self, hold_rounds):
         plan, records = _chain_plan()
         price = max(
             r.certified_load if r.certified_load is not None else plan.q_budget
             for r in plan.rounds
         )
+        gate = hold_rounds()
         obs = Observability.collecting()
-        # Capacity fits one round: later submissions queue, then the
-        # immediate close sweeps them.
+        # Capacity fits one round: later submissions queue behind the gated
+        # first round, so the close lands mid-flight however fast planning
+        # is, and sweeps them.
         service = QueryService(capacity=price * 1.05, observer=obs)
-        handles = [service.submit(plan, records) for _ in range(3)]
-        service.close(wait=False)
+        try:
+            handles = [service.submit(plan, records) for _ in range(3)]
+            _wait_until(lambda: service.describe()["rounds"]["queued"] == 2)
+            service.close(wait=False)
+        finally:
+            gate.set()
         outcomes = []
         for handle in handles:
             try:
@@ -669,7 +688,8 @@ class TestQueryOutcomeBreakdowns:
                 outcomes.append("ok")
             except AdmissionError:
                 outcomes.append("failed")
-        assert "failed" in outcomes  # queued queries cannot survive
+        # The running round completes; the two queued behind it cannot.
+        assert sorted(outcomes) == ["failed", "failed", "ok"]
         rows = query_phase_rows(obs.tracer)
         assert len(rows) == 3
         assert sorted(row["status"] for row in rows) == sorted(outcomes)

@@ -302,7 +302,7 @@ class TestQueryService:
         assert sorted(run_left.outputs) == sorted(oracle)
         assert sorted(run_bushy.outputs) == sorted(oracle)
 
-    def test_capacity_never_exceeded_and_deferrals_recorded(self):
+    def test_capacity_never_exceeded_and_deferrals_recorded(self, hold_rounds):
         """Distinct queries (nothing shareable) under a tight capacity:
         rounds serialize, the peak in-flight load stays within q, and at
         least one round had to wait."""
@@ -317,7 +317,15 @@ class TestQueryService:
         )
         capacity = max_load * 1.25  # roomy enough for one round, not two big ones
         with QueryService(capacity=capacity) as service:
-            handles = [service.submit(p, r) for p, r in plans]
+            # The cheap first rounds all fit at once; no two second rounds
+            # do, so the first one admitted holds its reservation on the
+            # gate until another has queued behind it.
+            gate = hold_rounds(from_index=1)
+            try:
+                handles = [service.submit(p, r) for p, r in plans]
+                _wait_until(lambda: service.describe()["rounds"]["queued"] >= 1)
+            finally:
+                gate.set()
             for handle in handles:
                 handle.result(timeout=120)
             admission = service.admission.stats()
