@@ -18,7 +18,7 @@ Run with:  python examples/quickstart.py [--executor serial|parallel]
 
 The execution step honours ``--executor parallel`` (a process pool with
 ``--workers`` workers) and produces bit-identical results to the default
-serial backend — the CI parallel-smoke job runs exactly that.
+serial backend — the CI execution-smoke job runs exactly that.
 
 ``--profiled-join`` appends the statistics-and-certification walkthrough:
 profile a Zipf-skewed chain join, watch the expectation-only Shares

@@ -12,8 +12,6 @@ from repro.mapreduce.columnar import (
     BatchEncodingError,
     BatchKernel,
     ColumnBatch,
-    ColumnarExecutor,
-    EncodedInput,
     EncodedRun,
     SpilledRows,
     numpy_available,
@@ -66,8 +64,6 @@ __all__ = [
     "BatchKernel",
     "ClusterConfig",
     "ColumnBatch",
-    "ColumnarExecutor",
-    "EncodedInput",
     "EncodedRun",
     "Executor",
     "GreedyLoadBalancingPartitioner",

@@ -54,20 +54,22 @@ class ClusterConfig:
         like Hadoop's input-split size does.  Under the parallel executor a
         map task is also the unit of work shipped to one worker process.
     executor:
-        Execution backend the engine uses for this cluster: ``"serial"``
-        (everything in-process, the default), ``"parallel"`` (a process
-        pool sized by ``num_workers``), or a pre-built
-        :class:`~repro.mapreduce.executor.Executor` instance.  Both
-        backends produce bit-identical outputs and metrics.
+        The *runner* — who runs the map and reduce task bodies:
+        ``"serial"`` (inline in the calling thread, the default),
+        ``"parallel"`` (a warm process pool sized by ``num_workers``; a job
+        that cannot be shipped to it runs inline, counted and warned), or a
+        pre-built :class:`~repro.mapreduce.executor.Executor` instance.
     data_plane:
-        Representation records take through map → shuffle → reduce:
-        ``"records"`` streams one Python record at a time (the seed
-        behaviour); ``"columnar"`` routes jobs that carry a batch kernel
-        through vectorized numpy kernels, falling back transparently to the
-        record path for jobs without one (or when numpy is unavailable, the
-        job has a combiner, the executor is parallel, or the shuffle
-        backend cannot hold encoded batches).  Both planes produce
-        bit-identical outputs and metrics.
+        The *plane* — how records are represented through map → shuffle →
+        reduce, independently of the runner: ``"records"`` streams one
+        Python record at a time (the seed behaviour); ``"columnar"`` asks
+        for vectorized numpy batches.  One check
+        (:func:`~repro.mapreduce.columnar.choose_plane`) decides per run and
+        may decline — no numpy, no batch kernel, a combiner, a shuffle
+        backend without encoded batches, the pool runner, or inputs the
+        kernel cannot encode — in which case the job runs on records and
+        the run is counted in ``plane_declined_total{reason}``.  Every
+        runner × plane cell produces bit-identical outputs and metrics.
     tracer:
         Span tracer the engine (and everything running on this cluster)
         reports to — see :mod:`repro.obs`.  ``None`` resolves to the

@@ -16,9 +16,10 @@ This module provides the columnar alternative:
 * :class:`EncodedRun` — a block of shuffled groups in global stable-hash
   order, pair-aligned, as produced by the shuffle backends'
   ``encoded_runs``;
-* :class:`ColumnarExecutor` — an :class:`~repro.mapreduce.executor.Executor`
-  that runs kernel-carrying jobs on batches and transparently delegates
-  everything else to a record-path fallback executor.
+* :func:`choose_plane`, :func:`map_batch` and :func:`reduce_runs` — the
+  plane decision and the two batch phases that
+  :meth:`~repro.mapreduce.executor.Executor.execute` calls in place of a
+  runner's record phases.
 
 Bit-identity contract
 ---------------------
@@ -33,10 +34,10 @@ guarantee this:
 * within a group, pair arrival order is preserved (stable sorts only);
 * metric accounting goes through the same
   :class:`~repro.mapreduce.executor._ReduceBookkeeper` as the record
-  executors, fed the same sizes in the same order.
+  plane, fed the same sizes in the same order.
 
-numpy is imported guardedly: this module is importable without it, and the
-executor falls back to the record path when it is missing.
+numpy is imported guardedly: this module is importable without it, and
+:func:`choose_plane` declines to the record plane when it is missing.
 """
 
 from __future__ import annotations
@@ -44,11 +45,9 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -61,16 +60,8 @@ from typing import (
 
 from repro.exceptions import ConfigurationError, ExecutionError
 from repro.mapreduce.cluster import ClusterConfig
-from repro.mapreduce.executor import (
-    ExecutionOutcome,
-    Executor,
-    SerialExecutor,
-    _guarded_iteration,
-    _ReduceBookkeeper,
-    _TimedGroups,
-)
+from repro.mapreduce.executor import _ReduceBookkeeper, _reduce_group
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.metrics import PhaseTimings
 from repro.mapreduce.shuffle import ShuffleBackend, _group_order_key
 
 try:  # pragma: no cover - exercised by environment, not by branches
@@ -98,8 +89,8 @@ def require_numpy():
 class BatchEncodingError(Exception):
     """Raised by a kernel's ``encode`` when records do not fit its layout.
 
-    This is a *decline*, not a failure: the columnar executor catches it
-    and runs the job on the record path instead.  Kernels raise it for
+    This is a *decline*, not a failure: :func:`choose_plane` catches it
+    and the job runs on the record plane instead.  Kernels raise it for
     inputs outside their typed schema (wrong arity, non-integer fields,
     values overflowing the column dtype, ...).
     """
@@ -368,8 +359,7 @@ class BatchKernel:
     A kernel must be *behaviourally identical* to the scalar functions of
     the job that carries it: same reduce keys, same per-key value
     multisets in the same arrival order, same outputs in the same order.
-    The columnar executor treats the record path as the oracle; the
-    equivalence tests enforce it.
+    The record plane is the oracle; the equivalence tests enforce it.
 
     Subclasses implement:
 
@@ -418,31 +408,6 @@ class BatchKernel:
 
     def decode_records(self, values: ColumnBatch) -> List[Any]:
         return values.to_tuples()
-
-
-class EncodedInput:
-    """A pre-encoded input batch paired with its scalar records.
-
-    Produced by callers that already hold inputs in columnar form (e.g. a
-    pipeline feeding one round's output to the next).  The columnar
-    executor reuses ``batch`` directly when the consuming job carries the
-    same kernel instance; every record-path consumer just iterates the
-    scalar records, so the wrapper is transparent to the rest of the
-    engine.
-    """
-
-    def __init__(
-        self, batch: ColumnBatch, records: Sequence[Any], kernel: Optional[Any] = None
-    ) -> None:
-        self.batch = batch
-        self.records = records
-        self.kernel = kernel
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 # ----------------------------------------------------------------------
@@ -547,9 +512,14 @@ class SpilledRows:
         handle, path = tempfile.mkstemp(
             prefix="repro-intermediate-", suffix=".cols", dir=directory
         )
-        with os.fdopen(handle, "wb") as sink:
-            sink.write(table.tobytes())
-        return cls(path, table.shape[0], table.shape[1])
+        spilled = cls(path, table.shape[0], table.shape[1])
+        try:
+            with os.fdopen(handle, "wb") as sink:
+                sink.write(table.tobytes())
+        except BaseException:
+            spilled.close()  # no half-written file outlives a failed spill
+            raise
+        return spilled
 
     def __len__(self) -> int:
         return self.num_rows
@@ -571,121 +541,81 @@ class SpilledRows:
 
 
 # ----------------------------------------------------------------------
-# The columnar executor
+# The batch plane: decision, map phase, reduce phase
 # ----------------------------------------------------------------------
-class ColumnarExecutor(Executor):
-    """Runs kernel-carrying jobs on column batches; delegates the rest.
+def choose_plane(
+    job: MapReduceJob,
+    inputs: Iterable[Any],
+    backend: ShuffleBackend,
+    config: ClusterConfig,
+    runner_carries_batches: bool,
+) -> Tuple[Iterable[Any], Optional[ColumnBatch], Optional[str]]:
+    """Decide, once per run, whether ``job`` runs on encoded batches.
 
-    The vectorized path applies only when *all* of these hold — otherwise
-    the job runs on ``fallback`` unchanged, so enabling
-    ``data_plane="columnar"`` is always safe:
-
-    * numpy is importable;
-    * the job carries a ``batch_kernel`` and no combiner (combiners are a
-      record-path construct: they re-group inside map tasks, which the
-      single-pass encoded shuffle has no equivalent for);
-    * the shuffle backend supports encoded batches;
-    * the fallback is the serial executor (under the parallel executor
-      the process pool is the optimization; batching inside it is future
-      work);
-    * the kernel accepts the inputs (``encode`` may raise
-      :class:`BatchEncodingError` to decline).
-
-    Unlike the record path, the columnar path materializes the input
-    iterable (encoding needs the records twice on a declined encode).
+    Returns ``(inputs, batch, reason)``: the encoded ``batch`` when the
+    batch plane applies, else ``None`` with the ``reason`` it was declined
+    — which is also counted in ``plane_declined_total{reason}``.  A decline
+    is never an error: the record plane runs the job unchanged, so asking
+    for ``data_plane="columnar"`` is always safe.  Encoding needs the
+    records twice on a declined encode, so ``inputs`` comes back
+    materialized whenever encoding was attempted.
     """
-
-    name = "columnar"
-
-    def __init__(self, fallback: Optional[Executor] = None) -> None:
-        self.fallback = fallback if fallback is not None else SerialExecutor()
-
-    def execute(
-        self,
-        job: MapReduceJob,
-        inputs: Iterable[Any],
-        backend: ShuffleBackend,
-        config: ClusterConfig,
-        reducer_cost: Optional[Callable[[int], float]] = None,
-    ) -> ExecutionOutcome:
-        if (
-            np is None
-            or job.batch_kernel is None
-            or job.combiner is not None
-            or not getattr(backend, "supports_encoded", False)
-            or not isinstance(self.fallback, SerialExecutor)
-        ):
-            return self.fallback.execute(job, inputs, backend, config, reducer_cost)
-        kernel = job.batch_kernel
-        map_start = time.perf_counter()
-        if isinstance(inputs, EncodedInput) and inputs.kernel is kernel:
-            records: Sequence[Any] = inputs.records
-            batch = inputs.batch
-        else:
-            records = inputs if isinstance(inputs, (list, tuple)) else list(inputs)
-            try:
-                batch = kernel.encode(records)
-            except BatchEncodingError:
-                return self.fallback.execute(
-                    job, records, backend, config, reducer_cost
-                )
-        num_inputs = len(records)
-        codes, row_indices, values = self._map_batch(job, kernel, batch)
-        keys_by_code = {
-            code: kernel.key_of_code(code) for code in np.unique(codes).tolist()
-        }
-        map_seconds = time.perf_counter() - map_start
-        write_start = time.perf_counter()
-        backend.add_encoded(codes, row_indices, values, keys_by_code)
-        write_seconds = time.perf_counter() - write_start
-        outcome = self._reduce_phase(
-            job, kernel, backend, config, reducer_cost, num_inputs
-        )
-        assert outcome.timings is not None
-        outcome.timings.map_seconds = map_seconds
-        outcome.timings.shuffle_seconds += write_seconds
-        return outcome
-
-    @staticmethod
-    def _map_batch(job: MapReduceJob, kernel: BatchKernel, batch: ColumnBatch):
+    batch: Optional[ColumnBatch] = None
+    reason: Optional[str] = None
+    if np is None:
+        reason = "no-numpy"
+    elif job.batch_kernel is None:
+        reason = "no-kernel"
+    elif job.combiner is not None:
+        # Combiners re-group inside map tasks, which the single-pass
+        # encoded shuffle has no equivalent for.
+        reason = "combiner"
+    elif not getattr(backend, "supports_encoded", False):
+        reason = "backend-not-encoded"
+    elif not runner_carries_batches:
+        reason = "pool-runner"
+    else:
+        if not isinstance(inputs, (list, tuple)):
+            inputs = list(inputs)
         try:
-            return kernel.map_batch(batch)
-        except Exception as error:
-            raise ExecutionError(
-                f"batch kernel of job {job.name!r} failed in map_batch: {error}"
-            ) from error
+            batch = job.batch_kernel.encode(inputs)
+        except BatchEncodingError:
+            reason = "encoding"
+    if reason is not None and config.metrics.enabled:
+        config.metrics.counter(
+            "plane_declined_total",
+            "Runs that asked for the columnar plane and ran on records",
+        ).inc(reason=reason)
+    return inputs, batch, reason
 
-    def _reduce_phase(
-        self,
-        job: MapReduceJob,
-        kernel: BatchKernel,
-        backend: ShuffleBackend,
-        config: ClusterConfig,
-        reducer_cost: Optional[Callable[[int], float]],
-        num_inputs: int,
-    ) -> ExecutionOutcome:
-        bookkeeper = _ReduceBookkeeper(job, config, reducer_cost)
-        outputs: List[Any] = []
-        phase_start = time.perf_counter()
-        runs = _TimedGroups(backend.encoded_runs())
-        for run in runs:
-            # Observe every group of the run first (in global order):
-            # capacity violations must surface at the same key, with the
-            # same already-accounted prefix, as the record path.
-            for key, size in zip(run.keys, run.sizes.tolist()):
-                bookkeeper.observe_size(key, size)
-            outputs.extend(self._reduce_run(job, kernel, run))
-        phase_seconds = time.perf_counter() - phase_start
-        outcome = bookkeeper.outcome(num_inputs, outputs)
-        outcome.timings = PhaseTimings(
-            shuffle_seconds=runs.seconds,
-            reduce_seconds=max(0.0, phase_seconds - runs.seconds),
-        )
-        return outcome
 
-    def _reduce_run(
-        self, job: MapReduceJob, kernel: BatchKernel, run: EncodedRun
-    ) -> List[Any]:
+def map_batch(job: MapReduceJob, batch: ColumnBatch, backend: ShuffleBackend) -> None:
+    """The whole map phase as array arithmetic, written to ``backend``."""
+    kernel = job.batch_kernel
+    try:
+        codes, row_indices, values = kernel.map_batch(batch)
+    except Exception as error:
+        raise ExecutionError(
+            f"batch kernel of job {job.name!r} failed in map_batch: {error}"
+        ) from error
+    keys_by_code = {
+        code: kernel.key_of_code(code) for code in np.unique(codes).tolist()
+    }
+    backend.add_encoded(codes, row_indices, values, keys_by_code)
+
+
+def reduce_runs(
+    job: MapReduceJob, runs: Iterable[EncodedRun], bookkeeper: _ReduceBookkeeper
+) -> List[Any]:
+    """The reduce phase over encoded runs, by the kernel's best strategy."""
+    kernel = job.batch_kernel
+    outputs: List[Any] = []
+    for run in runs:
+        # Observe every group of the run first (in global order): capacity
+        # violations must surface at the same key, with the same
+        # already-accounted prefix, as the record plane.
+        for key, size in zip(run.keys, run.sizes.tolist()):
+            bookkeeper.observe_size(key, size)
         try:
             produced = kernel.reduce_groups(run)
         except Exception as error:
@@ -694,8 +624,8 @@ class ColumnarExecutor(Executor):
                 f"{error}"
             ) from error
         if produced is not None:
-            return produced
-        outputs: List[Any] = []
+            outputs.extend(produced)
+            continue
         code_list = run.codes.tolist()
         for index, key in enumerate(run.keys):
             values = run.group_values(index)
@@ -708,31 +638,26 @@ class ColumnarExecutor(Executor):
                 ) from error
             if group_out is not None:
                 outputs.extend(group_out)
-                continue
-            # Final fallback: the job's own scalar reducer on decoded
-            # records — always exact, with the record path's error shape.
-            described = f"reducer of job {job.name!r} failed on key {key!r}"
-            try:
-                scalar_out = job.reducer(key, kernel.decode_records(values))
-            except Exception as error:
-                raise ExecutionError(f"{described}: {error}") from error
-            if scalar_out is not None:
-                outputs.extend(_guarded_iteration(scalar_out, described))
-        return outputs
+            else:
+                # Final strategy: the job's own scalar reducer on decoded
+                # records — always exact, with the record plane's error shape.
+                _reduce_group(job, key, kernel.decode_records(values), outputs)
+    return outputs
 
 
 __all__ = [
     "BatchEncodingError",
     "BatchKernel",
     "ColumnBatch",
-    "ColumnarExecutor",
-    "EncodedInput",
     "EncodedRun",
     "SpilledRows",
     "build_encoded_run",
+    "choose_plane",
+    "map_batch",
     "numpy_available",
     "pack_encoded_chunk",
     "pairs_within_groups",
+    "reduce_runs",
     "require_numpy",
     "unique_sorted_within_groups",
     "unpack_encoded_chunks",

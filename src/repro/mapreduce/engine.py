@@ -8,15 +8,17 @@ modelled exactly: every key-value pair crossing the map → reduce boundary is
 counted as one unit of communication, pairs are grouped by key, and each
 group is handed to the reduce function.
 
-The engine owns *what* an execution means — the phase structure, the shuffle
-lifecycle and metrics assembly — and delegates *where* the work runs to a
-pluggable :class:`~repro.mapreduce.executor.Executor`:
+The engine owns *what* an execution means — the shuffle lifecycle, metrics
+assembly and observation — and hands the two phases to the execution core
+in :mod:`repro.mapreduce.executor`: one phase template driven by a *runner*
+(inline, or a warm process pool) on a *plane* (Python records, or encoded
+numpy batches), every cell bit-identical to the serial record run:
 
 * **Streaming map phase.**  Inputs are consumed one record at a time (or one
-  ``map_batch_size`` chunk at a time under the parallel executor) and mapper
+  ``map_batch_size`` chunk at a time under the pool runner) and mapper
   emissions flow straight into a pluggable
-  :class:`~repro.mapreduce.shuffle.ShuffleBackend`; the input list is never
-  materialized by the engine, so generators of arbitrary length work.
+  :class:`~repro.mapreduce.shuffle.ShuffleBackend`; on the record plane the
+  input list is never materialized, so generators of arbitrary length work.
 * **Faithful combiners.**  A combiner runs per simulated map task (a
   contiguous batch of ``ClusterConfig.map_batch_size`` input records), i.e.
   *before* pairs cross the shuffle boundary — exactly where Hadoop runs it.
@@ -25,12 +27,16 @@ pluggable :class:`~repro.mapreduce.executor.Executor`:
 * **Incremental metrics.**  Reducer sizes, worker loads and compute cost are
   collected while groups stream out of the shuffle backend, never from a
   fully materialized intermediate dictionary.
-* **Pluggable executors.**  :class:`~repro.mapreduce.executor.SerialExecutor`
-  runs everything in-process (the seed behaviour);
+* **Runner × plane.**  :class:`~repro.mapreduce.executor.SerialExecutor`
+  runs the task bodies inline (the seed behaviour);
   :class:`~repro.mapreduce.executor.ParallelExecutor` fans map chunks and
-  reduce blocks out to a process pool while producing bit-identical outputs
-  and metrics.  Select one via ``ClusterConfig.executor``, the engine's
-  ``executor=`` argument, or per ``run`` call.
+  reduce blocks out to a warm process pool, running a job it cannot ship
+  inline instead.  Select the runner via ``ClusterConfig.executor``, the
+  engine's ``executor=`` argument, or per ``run`` call.  Independently,
+  ``ClusterConfig.data_plane="columnar"`` asks for the batch plane; one
+  check (:func:`~repro.mapreduce.columnar.choose_plane`) decides per run,
+  and a decline is counted in ``plane_declined_total{reason}`` and runs on
+  records.
 
 Determinism matters for reproducibility of the benchmarks: reduce keys are
 processed in sorted order of their stable hash (falling back to ``repr``
@@ -185,7 +191,7 @@ class MapReduceEngine:
     def close(self) -> None:
         """Release executor-held resources (e.g. a warm worker pool).
 
-        The parallel executor keeps its fork pool alive across ``run`` /
+        The parallel executor keeps its worker pool alive across ``run`` /
         ``run_chain`` calls; closing the engine shuts those workers down.
         Serial execution holds nothing, so this is always safe to call.
         The engine stays usable afterwards — the next parallel run simply
@@ -234,8 +240,6 @@ class MapReduceEngine:
         """
         backend = shuffle if shuffle is not None else self.shuffle_factory()
         active = resolve_executor(executor) if executor is not None else self.executor
-        if self.config.data_plane == "columnar":
-            active = self._columnar_wrap(active)
         tracer = self.config.tracer
         try:
             with tracer.span("job", job=job.name) as span:
@@ -338,25 +342,6 @@ class MapReduceEngine:
                 phase_seconds.inc(metrics.timings.map_seconds, phase="map")
                 phase_seconds.inc(metrics.timings.shuffle_seconds, phase="shuffle")
                 phase_seconds.inc(metrics.timings.reduce_seconds, phase="reduce")
-
-    @staticmethod
-    def _columnar_wrap(active: Executor) -> Executor:
-        """Route a record executor through the columnar data plane.
-
-        The wrapper decides per job whether the vectorized path applies
-        (the job carries a batch kernel, numpy is importable, the shuffle
-        backend holds encoded batches, ...) and otherwise delegates to the
-        wrapped executor unchanged, so ``data_plane="columnar"`` is always
-        safe to enable.
-        """
-        # Imported lazily: the columnar module needs numpy only on the
-        # vectorized path itself, and engines on the record plane must not
-        # pay for (or depend on) it.
-        from repro.mapreduce.columnar import ColumnarExecutor
-
-        if isinstance(active, ColumnarExecutor):
-            return active
-        return ColumnarExecutor(fallback=active)
 
     # ------------------------------------------------------------------
     # Multi-round execution

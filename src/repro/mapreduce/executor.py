@@ -1,51 +1,51 @@
-"""Pluggable execution backends: who runs the map and reduce work.
+"""The execution core: one phase template driven by one of two runners.
 
 The engine in :mod:`repro.mapreduce.engine` owns *what* a job execution
-means — streaming inputs through the mapper into a shuffle backend, then
-streaming groups through the reducer while metrics are collected.  The
-:class:`Executor` layer owns *where* that work runs:
+means — the shuffle lifecycle and metrics assembly.  This module owns how
+the two phases run, along two independent axes:
 
-* :class:`SerialExecutor` — everything in the calling process, one record /
-  one group at a time.  This is the seed behaviour, bit for bit.
-* :class:`ParallelExecutor` — map tasks run over input chunks in worker
-  processes (a :class:`concurrent.futures.ProcessPoolExecutor` using the
-  ``fork`` start method), each chunk with its own per-task combiner, and the
-  reduce phase runs worker-parallel over blocks of shuffle groups.  Results
-  are merged in task-submission order, so outputs, communication metrics and
-  worker statistics are identical to the serial executor's.
+* the **runner** — *who* runs the task bodies.  :class:`SerialExecutor`
+  runs them inline in the calling thread, streaming one pair / one group at
+  a time (the seed behaviour, and the oracle every other cell is compared
+  against).  :class:`ParallelExecutor` ships map chunks and reduce blocks
+  to a warm process pool and merges results in submission order.
+* the **plane** — *how* records are represented: Python objects, or the
+  encoded numpy batches of :mod:`repro.mapreduce.columnar`.  The plane is
+  decided once per run by :func:`~repro.mapreduce.columnar.choose_plane`.
 
-Determinism contract (both executors, any worker count):
+:meth:`Executor.execute` is the only map → reduce → timings skeleton: it
+picks the plane, times the map phase, streams the shuffle's groups through
+the reduce phase under the shared :class:`_ReduceBookkeeper` and attaches
+:class:`~repro.mapreduce.metrics.PhaseTimings`.  The runners share one
+definition each of the map-task body (:func:`_map_task`) and the
+reduce-one-group body (:func:`_reduce_group`); they differ only in where
+those bodies run and how results are batched.
+
+Determinism contract (every runner × plane cell, any worker count):
 
 * the shuffle backend receives exactly the same multiset of post-combiner
   pairs, with the same per-key value order, so ``num_pairs`` and every
-  reducer size match the serial run;
-* outputs appear in stable-hash group order (blocks are collected FIFO);
+  reducer size match the serial record run;
+* outputs appear in stable-hash group order (pool blocks are collected
+  FIFO);
 * partitioner worker assignments are computed in the parent while groups
   stream by in stable-hash order, so even *stateful* partitioners
-  (round-robin, greedy) see the exact key sequence the serial executor
-  shows them.
+  (round-robin, greedy) see the exact key sequence the serial run shows
+  them.
 
 Jobs are built from closures (every schema family's ``job()`` is), which
-plain ``pickle`` cannot ship to a ``spawn``-started process.  The parallel
-executor therefore requires the ``fork`` start method.  Jobs reach the
-workers one of two ways:
-
-* **warm path** (default): the job — closures included — is packed with
-  :mod:`repro.mapreduce.serialization` and attached to each task, so the
-  executor's process pool stays **warm across runs**: the first ``execute``
-  forks it lazily, later ``execute`` / ``run_chain`` rounds reuse the live
-  workers (each caches recently unpacked jobs by version, so concurrent
-  jobs interleaving on one pool stay cheap).  Call
-  :meth:`ParallelExecutor.close` (or use the executor / engine as a context
-  manager) to release the workers; they are also reclaimed when the
-  executor is garbage-collected.
-* **fork-publication fallback**: jobs whose callables fall outside the
-  serializer's envelope are published in a module-level slot just before a
-  run-scoped pool forks, exactly the pre-warm behaviour, then the pool is
-  torn down with the run.
-
-On platforms without ``fork`` the executor raises a clear
-:class:`~repro.exceptions.ConfigurationError` at construction time.
+plain ``pickle`` cannot ship to a ``spawn``-started process, so the pool
+runner requires the ``fork`` start method and raises a clear
+:class:`~repro.exceptions.ConfigurationError` at construction time on
+platforms without it.  Each task carries the job packed by
+:mod:`repro.mapreduce.serialization`, so the pool stays **warm across
+runs**: the first ``execute`` forks it lazily, later ``execute`` /
+``run_chain`` rounds reuse the live workers (each caches recently unpacked
+jobs by version, so concurrent jobs interleaving on one pool stay cheap).
+Call :meth:`ParallelExecutor.close` (or use the executor / engine as a
+context manager) to release the workers.  A job the serializer cannot pack
+runs on the inline runner instead — still correct, counted in
+``fallback_runs`` and announced with a :class:`WarmPoolFallbackWarning`.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
@@ -92,6 +93,9 @@ from repro.mapreduce.types import ensure_key_value
 logger = logging.getLogger(__name__)
 
 
+# ----------------------------------------------------------------------
+# Task bodies (shared by both runners)
+# ----------------------------------------------------------------------
 def _guarded_iteration(iterable: Iterable[Any], described: str) -> Iterable[Any]:
     """Re-wrap exceptions raised *while iterating* a user callable's result.
 
@@ -121,10 +125,30 @@ def _emit(job: MapReduceJob, record: Any) -> Iterable[Any]:
     return _guarded_iteration(pairs, described)
 
 
-def _combine_buffer(
-    job: MapReduceJob, buffer: Dict[Hashable, List[Any]]
-) -> Iterator[Tuple[Hashable, Any]]:
-    """Run the combiner over one map task's buffered emissions."""
+def _map_task(
+    job: MapReduceJob,
+    records: Iterable[Any],
+    sink: Callable[[Hashable, Any], None],
+) -> int:
+    """The body of one map task: the mapper, then the per-task combiner.
+
+    ``sink(key, value)`` is called once per pair *leaving* the task, so with
+    a combiner the mapper's emissions are buffered per key (first-emission
+    order) and only the combined pairs reach it — the pairs that would
+    really cross the network.  Returns the number of records consumed.
+    """
+    buffer: Dict[Hashable, List[Any]] = {}
+
+    def buffered(key: Hashable, value: Any) -> None:
+        buffer.setdefault(key, []).append(value)
+
+    emit = sink if job.combiner is None else buffered
+    consumed = 0
+    for record in records:
+        consumed += 1
+        for item in _emit(job, record):
+            pair = ensure_key_value(item)
+            emit(pair.key, pair.value)
     for key, values in buffer.items():
         described = f"combiner of job {job.name!r} failed on key {key!r}"
         try:
@@ -133,13 +157,27 @@ def _combine_buffer(
             raise ExecutionError(f"{described}: {error}") from error
         for item in _guarded_iteration(combined, described):
             pair = ensure_key_value(item)
-            yield pair.key, pair.value
+            sink(pair.key, pair.value)
+    return consumed
+
+
+def _reduce_group(
+    job: MapReduceJob, key: Hashable, values: List[Any], outputs: List[Any]
+) -> None:
+    """The body of one reducer call: append the group's outputs to ``outputs``."""
+    described = f"reducer of job {job.name!r} failed on key {key!r}"
+    try:
+        produced = job.reducer(key, values)
+    except Exception as error:
+        raise ExecutionError(f"{described}: {error}") from error
+    if produced is not None:
+        outputs.extend(_guarded_iteration(produced, described))
 
 
 class _ReduceBookkeeper:
-    """Per-group metric accounting shared by every executor.
+    """Per-group metric accounting shared by every runner and plane.
 
-    Both executors observe groups in the same stable-hash order; keeping the
+    Every cell observes groups in the same stable-hash order; keeping the
     bookkeeping (reducer sizes, capacity enforcement, partitioner
     assignment, compute cost) in one place is what guarantees their metrics
     cannot drift apart.
@@ -166,10 +204,10 @@ class _ReduceBookkeeper:
     def observe_size(self, key: Hashable, size: int) -> None:
         """Account for one group given only its size.
 
-        The columnar executor holds group values as array slices, never as
-        Python lists; routing its accounting through the same code path as
-        the record executors is what keeps the two planes' metrics
-        bit-identical by construction.
+        The batch plane holds group values as array slices, never as Python
+        lists; routing its accounting through the same code path as the
+        record plane is what keeps the two planes' metrics bit-identical by
+        construction.
         """
         self.reducer_sizes[key] = size
         if self._enforce and size > self._capacity:
@@ -183,15 +221,6 @@ class _ReduceBookkeeper:
         )
         if self._reducer_cost is not None:
             self.compute_cost += float(self._reducer_cost(size))
-
-    def outcome(self, num_inputs: int, outputs: List[Any]) -> "ExecutionOutcome":
-        return ExecutionOutcome(
-            num_inputs=num_inputs,
-            outputs=outputs,
-            reducer_sizes=self.reducer_sizes,
-            workers=self.workers,
-            reducer_compute_cost=self.compute_cost,
-        )
 
 
 @dataclass
@@ -235,12 +264,366 @@ class _TimedGroups:
             self.seconds += time.perf_counter() - start
 
 
+# ----------------------------------------------------------------------
+# The phase template
+# ----------------------------------------------------------------------
+class Executor(ABC):
+    """The phase template; a subclass chooses the runner that drives it.
+
+    A runner is any object with ``map_records(job, inputs, backend, config)
+    -> num_inputs``, ``reduce_groups(job, groups, bookkeeper) -> outputs``
+    and a ``carries_batches`` flag saying whether the batch plane can run
+    on it.
+    """
+
+    #: Short name used by ``ClusterConfig.executor`` string resolution.
+    name: str = "abstract"
+
+    @abstractmethod
+    def _runner(self, job: MapReduceJob, config: ClusterConfig) -> Any:
+        """Context manager yielding the runner for one ``execute`` call."""
+
+    def execute(
+        self,
+        job: MapReduceJob,
+        inputs: Iterable[Any],
+        backend: ShuffleBackend,
+        config: ClusterConfig,
+        reducer_cost: Optional[Callable[[int], float]] = None,
+    ) -> ExecutionOutcome:
+        """Run ``job`` over ``inputs`` through ``backend`` and return results.
+
+        Capacity is enforced as groups stream by, so with
+        ``enforce_capacity`` the reducers of groups ordered before an
+        oversized key (in stable-hash order) have already run when the
+        :class:`ReducerCapacityExceededError` aborts the job — a deliberate
+        consequence of never materializing the full shuffle.
+        """
+        with self._runner(job, config) as runner:
+            bookkeeper = _ReduceBookkeeper(job, config, reducer_cost)
+            map_start = time.perf_counter()
+            batch = None
+            if config.data_plane == "columnar":
+                # Imported lazily: the columnar module imports this one.
+                from repro.mapreduce import columnar
+
+                inputs, batch, _ = columnar.choose_plane(
+                    job, inputs, backend, config, runner.carries_batches
+                )
+            if batch is not None:
+                num_inputs = len(inputs)
+                columnar.map_batch(job, batch, backend)
+                groups = _TimedGroups(backend.encoded_runs())
+                reduce = columnar.reduce_runs
+            else:
+                num_inputs = runner.map_records(job, inputs, backend, config)
+                groups = _TimedGroups(backend.groups())
+                reduce = runner.reduce_groups
+            reduce_start = time.perf_counter()
+            outputs = reduce(job, groups, bookkeeper)
+            reduce_seconds = time.perf_counter() - reduce_start - groups.seconds
+        return ExecutionOutcome(
+            num_inputs=num_inputs,
+            outputs=outputs,
+            reducer_sizes=bookkeeper.reducer_sizes,
+            workers=bookkeeper.workers,
+            reducer_compute_cost=bookkeeper.compute_cost,
+            timings=PhaseTimings(
+                map_seconds=reduce_start - map_start,
+                shuffle_seconds=groups.seconds,
+                reduce_seconds=max(0.0, reduce_seconds),
+            ),
+        )
+
+
+# ----------------------------------------------------------------------
+# The inline runner (the seed behaviour)
+# ----------------------------------------------------------------------
+class _InlineRunner:
+    """Runs the task bodies in the calling thread, streaming.
+
+    Mapper emissions flow into ``backend.add`` one pair at a time and the
+    reducer is called once per group as it leaves the shuffle: nothing is
+    chunked or grouped on the way, which is what keeps jobs with tens of
+    thousands of tiny groups cheap.
+    """
+
+    carries_batches = True
+
+    @staticmethod
+    def map_records(
+        job: MapReduceJob,
+        inputs: Iterable[Any],
+        backend: ShuffleBackend,
+        config: ClusterConfig,
+    ) -> int:
+        # A map task is ``map_batch_size`` consecutive records.  Without a
+        # combiner task boundaries are unobservable, so one task takes the
+        # whole stream.
+        task_size = config.map_batch_size if job.combiner is not None else None
+        iterator = iter(inputs)
+        num_inputs = 0
+        while True:
+            consumed = _map_task(
+                job, itertools.islice(iterator, task_size), backend.add
+            )
+            num_inputs += consumed
+            if task_size is None or consumed < task_size:
+                return num_inputs
+
+    @staticmethod
+    def reduce_groups(
+        job: MapReduceJob,
+        groups: Iterable[Tuple[Hashable, List[Any]]],
+        bookkeeper: _ReduceBookkeeper,
+    ) -> List[Any]:
+        outputs: List[Any] = []
+        for key, values in groups:
+            bookkeeper.observe(key, values)
+            _reduce_group(job, key, values, outputs)
+        return outputs
+
+
+_INLINE = _InlineRunner()
+
+
+class SerialExecutor(Executor):
+    """Runs everything in the calling process, streaming record by record."""
+
+    name = "serial"
+
+    @contextmanager
+    def _runner(self, job: MapReduceJob, config: ClusterConfig) -> Iterator[Any]:
+        yield _INLINE
+
+
+# ----------------------------------------------------------------------
+# The warm-pool runner
+# ----------------------------------------------------------------------
+#: Worker-side cache of recently unpacked jobs, keyed by version token.
+#: Several entries are kept because concurrent executes (the query service
+#: runs rounds of many jobs on one shared pool) interleave tasks of
+#: different versions on the same worker; a single-entry cache would thrash
+#: — unpack on every task flip — while staying correct.  The bound caps
+#: worker memory; eviction drops the oldest version (tokens are monotonic).
+_JOB_CACHE: Dict[int, MapReduceJob] = {}
+_JOB_CACHE_LIMIT = 16
+
+#: Parent-side version tokens for shipped jobs, unique per process.
+_JOB_VERSIONS = itertools.count(1)
+
+#: At most this many tasks per worker are in flight at once; beyond that the
+#: parent drains the oldest task first.  Bounds parent-side memory (chunks
+#: and blocks are materialized while in flight) without stalling the pool.
+_MAX_PENDING_PER_WORKER = 4
+
+
+def _cached_job(version: int, packed: bytes) -> MapReduceJob:
+    """The job a worker task should run: unpacked on first sight of a
+    version, served from cache afterwards."""
+    job = _JOB_CACHE.get(version)
+    if job is None:
+        try:
+            job = unpack_job(packed)
+        except Exception as error:
+            raise ExecutionError(
+                f"worker failed to deserialize job (version {version}): {error}"
+            ) from error
+        while len(_JOB_CACHE) >= _JOB_CACHE_LIMIT:
+            del _JOB_CACHE[min(_JOB_CACHE)]
+        _JOB_CACHE[version] = job
+    return job
+
+
+def _worker_map_chunk(
+    version: int, packed: bytes, records: Sequence[Any]
+) -> Tuple[int, List[Tuple[Hashable, List[Any]]]]:
+    """Run one map task in a worker, returning its pairs grouped per key.
+
+    One chunk *is* one simulated map task — the parent cuts chunks of
+    exactly ``map_batch_size`` records — so combiner scope matches the
+    inline runner's.  Grouping per key (first-emission order) preserves
+    per-key value order while letting the parent merge whole value lists
+    instead of pair-at-a-time.
+    """
+    grouped: Dict[Hashable, List[Any]] = {}
+    consumed = _map_task(
+        _cached_job(version, packed),
+        records,
+        lambda key, value: grouped.setdefault(key, []).append(value),
+    )
+    return consumed, list(grouped.items())
+
+
+def _worker_reduce_block(
+    version: int, packed: bytes, block: Sequence[Tuple[Hashable, List[Any]]]
+) -> List[Any]:
+    """Run the reducer over one block of shuffle groups, returning outputs."""
+    job = _cached_job(version, packed)
+    outputs: List[Any] = []
+    for key, values in block:
+        _reduce_group(job, key, values, outputs)
+    return outputs
+
+
+
+
+class _PoolRunner:
+    """Ships the task bodies of one run to the pool, merging results FIFO."""
+
+    #: Pool × batches is not built (ROADMAP item 2): an explicit, counted
+    #: decline in :func:`~repro.mapreduce.columnar.choose_plane`.
+    carries_batches = False
+
+    def __init__(
+        self,
+        pool: ProcessPoolExecutor,
+        workers: int,
+        block_size: int,
+        packed: bytes,
+        registry: Any,
+    ) -> None:
+        version = next(_JOB_VERSIONS)
+        self._pool = pool
+        self._registry = registry
+        self._max_pending = _MAX_PENDING_PER_WORKER * workers
+        self._block_size = block_size
+        self._map_task = partial(_worker_map_chunk, version, packed)
+        self._reduce_task = partial(_worker_reduce_block, version, packed)
+
+    def map_records(
+        self,
+        job: MapReduceJob,
+        inputs: Iterable[Any],
+        backend: ShuffleBackend,
+        config: ClusterConfig,
+    ) -> int:
+        """Fan map chunks out to the pool, merge results in submission order.
+
+        Chunks are cut at ``map_batch_size`` records — the same map-task
+        boundary the inline runner gives the combiner — and their grouped
+        emissions enter the shuffle backend in chunk order, so the backend
+        sees the same per-key value order as a serial run.
+        """
+        batch_size = config.map_batch_size
+        registry = self._registry
+        # Per-task wait histogram: how long the coordinating thread blocked
+        # on each map task's result.  Resolved once per phase, not per task.
+        waits = (
+            registry.histogram(
+                "executor_map_task_wait_seconds",
+                "Seconds the coordinator blocked awaiting one map task",
+            )
+            if registry.enabled
+            else None
+        )
+        pending: deque = deque()
+        tasks = 0
+        num_inputs = 0
+
+        def drain() -> int:
+            wait_start = time.perf_counter()
+            consumed, grouped = pending.popleft().result()
+            if waits is not None:
+                waits.observe(time.perf_counter() - wait_start)
+            for key, values in grouped:
+                backend.add_group(key, values)
+            return consumed
+
+        iterator = iter(inputs)
+        chunk: List[Any] = []
+        input_error: Optional[BaseException] = None
+        while True:
+            try:
+                chunk.append(next(iterator))
+            except StopIteration:
+                break
+            except Exception as error:
+                # The input iterable itself failed.  Every record pulled
+                # before this point was mapped by the inline runner before
+                # it could hit the same failure, so map them here too (the
+                # trailing partial chunk included) and let any mapper error
+                # among them win — exactly the serial error order.
+                input_error = error
+                break
+            if len(chunk) >= batch_size:
+                if len(pending) >= self._max_pending:
+                    num_inputs += drain()
+                pending.append(self._pool.submit(self._map_task, chunk))
+                tasks += 1
+                chunk = []
+        if chunk:
+            pending.append(self._pool.submit(self._map_task, chunk))
+            tasks += 1
+        while pending:
+            num_inputs += drain()
+        if registry.enabled:
+            registry.counter(
+                "executor_map_tasks_total",
+                "Map tasks shipped to the worker pool",
+            ).inc(tasks)
+        if input_error is not None:
+            raise input_error
+        return num_inputs
+
+    def reduce_groups(
+        self,
+        job: MapReduceJob,
+        groups: Iterable[Tuple[Hashable, List[Any]]],
+        bookkeeper: _ReduceBookkeeper,
+    ) -> List[Any]:
+        """Dispatch blocks of groups to the pool, collecting outputs FIFO.
+
+        All bookkeeping happens in the parent while groups stream by in
+        stable-hash order — exactly the sequence the inline runner
+        processes — so stateful partitioners and capacity errors behave
+        identically.  Only the reducer calls travel to the workers.
+        """
+        outputs: List[Any] = []
+        pending: deque = deque()
+        blocks = 0
+        block: List[Tuple[Hashable, List[Any]]] = []
+        for key, values in groups:
+            try:
+                bookkeeper.observe(key, values)
+            except Exception:
+                # By the time the inline runner detects a capacity
+                # violation at this key, every earlier key's reducer has
+                # already run — and a reducer error among them would have
+                # surfaced *instead*.  Finish the earlier work (in-flight
+                # blocks plus the partial one) so its errors take
+                # precedence here too.
+                if block:
+                    pending.append(self._pool.submit(self._reduce_task, block))
+                while pending:
+                    pending.popleft().result()
+                raise
+            block.append((key, values))
+            if len(block) >= self._block_size:
+                if len(pending) >= self._max_pending:
+                    outputs.extend(pending.popleft().result())
+                pending.append(self._pool.submit(self._reduce_task, block))
+                blocks += 1
+                block = []
+        if block:
+            pending.append(self._pool.submit(self._reduce_task, block))
+            blocks += 1
+        while pending:
+            outputs.extend(pending.popleft().result())
+        if self._registry.enabled:
+            self._registry.counter(
+                "executor_reduce_blocks_total",
+                "Reduce blocks shipped to the worker pool",
+            ).inc(blocks)
+        return outputs
+
+
 @dataclass(frozen=True)
 class WarmPoolStats:
     """Atomic snapshot of one executor's warm-vs-fallback accounting.
 
     Taken under the executor's lock, so ``warm_runs + fallback_runs`` always
-    equals the number of executes whose path decision has been recorded —
+    equals the number of executes whose runner decision has been recorded —
     concurrent submitters can never observe a half-updated pair, which the
     individual attribute reads cannot promise.
     """
@@ -259,262 +642,26 @@ class WarmPoolFallbackWarning(UserWarning):
     """A job could not be shipped to the warm worker pool.
 
     Raised as a :mod:`warnings` category (not an error): the run still
-    succeeds on the run-scoped fork-publication pool, but it pays a fresh
-    pool fork and the persistent workers sit idle.  Filterable with the
-    standard warnings machinery — which also means Python's default
-    ``"default"`` action may display repeated identical warnings only once
-    per process; :attr:`ParallelExecutor.used_warm_pool` and the
-    ``warm_runs`` / ``fallback_runs`` counters are the authoritative
-    per-run channel, updated on every execute regardless of filters.
+    succeeds, inline in the calling process, but gets no parallelism and
+    the persistent workers sit idle.  Filterable with the standard warnings
+    machinery — which also means Python's default ``"default"`` action may
+    display repeated identical warnings only once per process;
+    :attr:`ParallelExecutor.used_warm_pool` and the ``warm_runs`` /
+    ``fallback_runs`` counters are the authoritative per-run channel,
+    updated on every execute regardless of filters.
     """
-
-
-class Executor(ABC):
-    """Strategy for running a job's map and reduce phases.
-
-    Executors are stateless between ``execute`` calls and may be shared by
-    many engines; any per-run resources (process pools) live inside one
-    ``execute`` invocation.
-    """
-
-    #: Short name used by ``ClusterConfig.executor`` string resolution.
-    name: str = "abstract"
-
-    @abstractmethod
-    def execute(
-        self,
-        job: MapReduceJob,
-        inputs: Iterable[Any],
-        backend: ShuffleBackend,
-        config: ClusterConfig,
-        reducer_cost: Optional[Callable[[int], float]] = None,
-    ) -> ExecutionOutcome:
-        """Run ``job`` over ``inputs`` through ``backend`` and return results."""
-
-
-# ----------------------------------------------------------------------
-# Serial execution (the seed behaviour)
-# ----------------------------------------------------------------------
-class SerialExecutor(Executor):
-    """Runs everything in the calling process, streaming record by record."""
-
-    name = "serial"
-
-    def execute(
-        self,
-        job: MapReduceJob,
-        inputs: Iterable[Any],
-        backend: ShuffleBackend,
-        config: ClusterConfig,
-        reducer_cost: Optional[Callable[[int], float]] = None,
-    ) -> ExecutionOutcome:
-        map_start = time.perf_counter()
-        num_inputs = self._map_phase(job, inputs, backend, config)
-        map_seconds = time.perf_counter() - map_start
-        outcome = self._reduce_phase(job, backend, config, reducer_cost, num_inputs)
-        if outcome.timings is not None:
-            outcome.timings.map_seconds = map_seconds
-        return outcome
-
-    # -- map phase ------------------------------------------------------
-    def _map_phase(
-        self,
-        job: MapReduceJob,
-        inputs: Iterable[Any],
-        backend: ShuffleBackend,
-        config: ClusterConfig,
-    ) -> int:
-        """Stream inputs through the mapper into the shuffle backend.
-
-        Returns the number of input records consumed.  When the job has a
-        combiner, mapper emissions are buffered per map task (a contiguous
-        batch of ``map_batch_size`` records) and combined before entering
-        the shuffle, so the recorded communication is post-combiner — the
-        pairs that would really cross the network.
-        """
-        if job.combiner is None:
-            return self._map_streaming(job, inputs, backend)
-        return self._map_with_combiner(job, inputs, backend, config)
-
-    @staticmethod
-    def _map_streaming(
-        job: MapReduceJob, inputs: Iterable[Any], backend: ShuffleBackend
-    ) -> int:
-        num_inputs = 0
-        for record in inputs:
-            num_inputs += 1
-            for item in _emit(job, record):
-                pair = ensure_key_value(item)
-                backend.add(pair.key, pair.value)
-        return num_inputs
-
-    @staticmethod
-    def _map_with_combiner(
-        job: MapReduceJob,
-        inputs: Iterable[Any],
-        backend: ShuffleBackend,
-        config: ClusterConfig,
-    ) -> int:
-        batch_size = config.map_batch_size
-        buffer: Dict[Hashable, List[Any]] = {}
-        in_batch = 0
-        num_inputs = 0
-        for record in inputs:
-            num_inputs += 1
-            for item in _emit(job, record):
-                pair = ensure_key_value(item)
-                buffer.setdefault(pair.key, []).append(pair.value)
-            in_batch += 1
-            if in_batch >= batch_size:
-                for key, value in _combine_buffer(job, buffer):
-                    backend.add(key, value)
-                buffer = {}
-                in_batch = 0
-        if buffer:
-            for key, value in _combine_buffer(job, buffer):
-                backend.add(key, value)
-        return num_inputs
-
-    # -- reduce phase ---------------------------------------------------
-    @staticmethod
-    def _reduce_phase(
-        job: MapReduceJob,
-        backend: ShuffleBackend,
-        config: ClusterConfig,
-        reducer_cost: Optional[Callable[[int], float]],
-        num_inputs: int,
-    ) -> ExecutionOutcome:
-        """Stream groups out of the backend through the reducer.
-
-        Capacity is enforced as groups stream by, so with
-        ``enforce_capacity`` the reducers of groups ordered before an
-        oversized key (in stable-hash order) have already run when the
-        :class:`ReducerCapacityExceededError` aborts the job — a deliberate
-        consequence of never materializing the full shuffle.
-        """
-        bookkeeper = _ReduceBookkeeper(job, config, reducer_cost)
-        outputs: List[Any] = []
-        phase_start = time.perf_counter()
-        groups = _TimedGroups(backend.groups())
-        for key, values in groups:
-            bookkeeper.observe(key, values)
-            described = f"reducer of job {job.name!r} failed on key {key!r}"
-            try:
-                produced = job.reducer(key, values)
-            except Exception as error:
-                raise ExecutionError(f"{described}: {error}") from error
-            if produced is not None:
-                outputs.extend(_guarded_iteration(produced, described))
-        phase_seconds = time.perf_counter() - phase_start
-        outcome = bookkeeper.outcome(num_inputs, outputs)
-        outcome.timings = PhaseTimings(
-            shuffle_seconds=groups.seconds,
-            reduce_seconds=max(0.0, phase_seconds - groups.seconds),
-        )
-        return outcome
-
-
-# ----------------------------------------------------------------------
-# Process-pool execution
-# ----------------------------------------------------------------------
-#: Slot the parent fills before forking a fallback pool; workers inherit the
-#: job through it.  Keyed storage (not a bare global) so a traceback in one
-#: run cannot leave a stale job visible as "the" job of the next run.
-_FORK_STATE: Dict[str, MapReduceJob] = {}
-
-#: Serializes fallback-path executes process-wide.  Fallback workers are
-#: forked lazily (one per submit), so the job slot must stay stable for the
-#: whole pool lifetime; two concurrent executes would otherwise race on it
-#: and could fork workers holding the *other* run's job.
-_FORK_STATE_LOCK = threading.Lock()
-
-#: Worker-side cache of recently unpacked jobs, keyed by version token.
-#: Several entries are kept because concurrent warm executes (the query
-#: service runs rounds of many jobs on one shared pool) interleave tasks of
-#: different versions on the same worker; a single-entry cache would thrash
-#: — unpack on every task flip — while staying correct.  The bound caps
-#: worker memory; eviction drops the oldest version (tokens are monotonic).
-_JOB_CACHE: Dict[int, MapReduceJob] = {}
-_JOB_CACHE_LIMIT = 16
-
-#: Parent-side version tokens for warm-path jobs, unique per process.
-_JOB_VERSIONS = itertools.count(1)
-
-
-def _cached_job(version: int, packed: Optional[bytes]) -> MapReduceJob:
-    """The job a worker task should run.
-
-    Warm-path tasks carry ``(version, packed job)``: the worker unpacks on
-    first sight of a version and serves later tasks from cache.  Fallback
-    tasks carry ``packed=None`` and read the fork-inherited slot.
-    """
-    if packed is None:
-        return _FORK_STATE["job"]
-    job = _JOB_CACHE.get(version)
-    if job is None:
-        try:
-            unpacked = unpack_job(packed)
-        except Exception as error:
-            raise ExecutionError(
-                f"worker failed to deserialize job (version {version}): {error}"
-            ) from error
-        while len(_JOB_CACHE) >= _JOB_CACHE_LIMIT:
-            del _JOB_CACHE[min(_JOB_CACHE)]
-        _JOB_CACHE[version] = unpacked
-        job = unpacked
-    return job
-
-
-def _worker_map_chunk(
-    version: int, packed: Optional[bytes], records: Sequence[Any]
-) -> Tuple[int, List[Tuple[Hashable, List[Any]]]]:
-    """Run the mapper (and per-task combiner) over one input chunk.
-
-    One chunk *is* one simulated map task — the parent cuts chunks of
-    exactly ``map_batch_size`` records — so combiner scope matches the
-    serial executor's.  Emissions are grouped per key (first-emission
-    order), which preserves per-key value order while letting the parent
-    merge whole value lists instead of pair-at-a-time.
-    """
-    job = _cached_job(version, packed)
-    grouped: Dict[Hashable, List[Any]] = {}
-    if job.combiner is None:
-        for record in records:
-            for item in _emit(job, record):
-                pair = ensure_key_value(item)
-                grouped.setdefault(pair.key, []).append(pair.value)
-    else:
-        buffer: Dict[Hashable, List[Any]] = {}
-        for record in records:
-            for item in _emit(job, record):
-                pair = ensure_key_value(item)
-                buffer.setdefault(pair.key, []).append(pair.value)
-        for key, value in _combine_buffer(job, buffer):
-            grouped.setdefault(key, []).append(value)
-    return len(records), list(grouped.items())
-
-
-def _worker_reduce_block(
-    version: int,
-    packed: Optional[bytes],
-    block: Sequence[Tuple[Hashable, List[Any]]],
-) -> List[Any]:
-    """Run the reducer over one block of shuffle groups, returning outputs."""
-    job = _cached_job(version, packed)
-    outputs: List[Any] = []
-    for key, values in block:
-        described = f"reducer of job {job.name!r} failed on key {key!r}"
-        try:
-            produced = job.reducer(key, values)
-        except Exception as error:
-            raise ExecutionError(f"{described}: {error}") from error
-        if produced is not None:
-            outputs.extend(_guarded_iteration(produced, described))
-    return outputs
 
 
 class ParallelExecutor(Executor):
     """Process-pool execution of the map and reduce phases.
+
+    One lazily-created pool is reused across ``execute`` calls (and
+    therefore across ``MapReduceEngine.run`` / ``run_chain`` calls on an
+    engine holding this executor); release it with :meth:`close` or a
+    ``with`` block.  A job :func:`~repro.mapreduce.serialization.pack_job`
+    cannot ship runs on the inline runner for that one execute, emitting a
+    :class:`WarmPoolFallbackWarning` and recording the outcome in
+    :attr:`used_warm_pool` / the run counters.
 
     Parameters
     ----------
@@ -526,31 +673,12 @@ class ParallelExecutor(Executor):
         Shuffle groups dispatched to a worker per reduce task.  Larger
         blocks amortize pickling; smaller blocks balance better when
         reducer sizes are skewed.
-    max_pending_factor:
-        At most ``max_pending_factor * num_workers`` tasks are in flight at
-        once; beyond that the parent drains the oldest task first.  This
-        bounds parent-side memory (chunks and blocks are materialized while
-        in flight) without stalling the pool.
-    keep_warm:
-        Reuse one lazily-created process pool across ``execute`` calls
-        (and therefore across ``MapReduceEngine.run`` / ``run_chain`` calls
-        on an engine holding this executor).  Jobs are shipped per task via
-        :mod:`repro.mapreduce.serialization`; a job the serializer cannot
-        handle uses a run-scoped fork-publication pool instead, emitting a
-        :class:`WarmPoolFallbackWarning` and recording the outcome in
-        :attr:`used_warm_pool` / the run counters.  Release the pool with
-        :meth:`close` or a ``with`` block.  Set False to fork a fresh pool
-        per run (the pre-warm behaviour; explicit, so no warning).
     """
 
     name = "parallel"
 
     def __init__(
-        self,
-        num_workers: Optional[int] = None,
-        reduce_block_size: int = 64,
-        max_pending_factor: int = 4,
-        keep_warm: bool = True,
+        self, num_workers: Optional[int] = None, reduce_block_size: int = 64
     ) -> None:
         if num_workers is not None and num_workers <= 0:
             raise ConfigurationError(
@@ -560,10 +688,6 @@ class ParallelExecutor(Executor):
             raise ConfigurationError(
                 f"reduce_block_size must be positive, got {reduce_block_size}"
             )
-        if max_pending_factor <= 0:
-            raise ConfigurationError(
-                f"max_pending_factor must be positive, got {max_pending_factor}"
-            )
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ConfigurationError(
                 "ParallelExecutor requires the 'fork' start method (jobs are "
@@ -572,24 +696,20 @@ class ParallelExecutor(Executor):
             )
         self.num_workers = num_workers
         self.reduce_block_size = reduce_block_size
-        self.max_pending_factor = max_pending_factor
-        self.keep_warm = keep_warm
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_workers: Optional[int] = None
         self._lock = threading.Lock()
-        #: Warm-path executes currently in flight on the shared pool.  The
-        #: pool is only resized (torn down and re-forked) when this is
-        #: zero: a resize mid-run would shut the pool down under the other
-        #: run's feet.
+        #: Pool executes currently in flight.  The pool is only resized
+        #: (torn down and re-forked) when this is zero: a resize mid-run
+        #: would shut the pool down under the other run's feet.
         self._active_runs = 0
         #: Whether the most recent ``execute`` *decision* chose the warm
-        #: pool (``None`` until the first run).  ``False`` means the run
-        #: used a run-scoped fork pool — either ``keep_warm=False`` or a
-        #: job the serializer could not ship (the latter also warns).
-        #: Under concurrent executes this single slot is last-writer-wins;
+        #: pool (``None`` until the first run).  ``False`` means the job
+        #: could not be shipped and ran inline (which also warns).  Under
+        #: concurrent executes this single slot is last-writer-wins;
         #: :meth:`warm_stats` gives the consistent counter snapshot.
         self.used_warm_pool: Optional[bool] = None
-        #: Lifetime counters of warm-path and fallback executions.
+        #: Lifetime counters of pool and inline-fallback executions.
         self.warm_runs: int = 0
         self.fallback_runs: int = 0
 
@@ -597,7 +717,7 @@ class ParallelExecutor(Executor):
         """Consistent snapshot of the warm/fallback counters.
 
         The decision and its counter update happen in one critical section
-        (see :meth:`execute`), and this read takes the same lock — so the
+        (see :meth:`_runner`), and this read takes the same lock — so the
         snapshot's ``total_runs`` exactly counts decided executes even while
         other threads are mid-submission.
         """
@@ -649,8 +769,8 @@ class ParallelExecutor(Executor):
         """Shut the persistent pool down; the next execute re-forks one.
 
         Intended to be called when no executes are in flight; closing
-        under a concurrent warm run makes that run's remaining submissions
-        fail (the pool refuses work after shutdown).
+        under a concurrent run makes that run's remaining submissions fail
+        (the pool refuses work after shutdown).
         """
         with self._lock:
             self._release_pool(wait=True)
@@ -669,111 +789,66 @@ class ParallelExecutor(Executor):
             except Exception:
                 pass
 
-    # -- execution ------------------------------------------------------
-    def execute(
-        self,
-        job: MapReduceJob,
-        inputs: Iterable[Any],
-        backend: ShuffleBackend,
-        config: ClusterConfig,
-        reducer_cost: Optional[Callable[[int], float]] = None,
-    ) -> ExecutionOutcome:
+    # -- runner selection -----------------------------------------------
+    @contextmanager
+    def _runner(self, job: MapReduceJob, config: ClusterConfig) -> Iterator[Any]:
+        """The pool runner for a shippable job, else the inline runner.
+
+        The executor lock is held only while deciding and acquiring the
+        pool, not for the duration of the run: concurrent executes from
+        different threads (the query service schedules many jobs' rounds
+        onto one shared executor) overlap on the same process pool.  Each
+        run drains its own futures FIFO and every task carries its own
+        versioned job, so interleaved jobs stay bit-identical to their
+        serial runs.
+        """
+        workers = self.effective_workers(config)
+        unshippable: Optional[JobSerializationError] = None
         packed: Optional[bytes] = None
-        fallback_error: Optional[JobSerializationError] = None
-        if self.keep_warm:
-            try:
-                packed = pack_job(job)
-            except JobSerializationError as error:
-                fallback_error = error
-                packed = None
-        # The path decision and its counter update form one critical
-        # section: concurrent executes on one executor are supported, and
+        try:
+            packed = pack_job(job)
+        except JobSerializationError as error:
+            unshippable = error
+        # The decision and its counter update form one critical section:
         # a decision recorded separately from its counter would let another
         # job interleave between them, making the pair inconsistent to any
         # observer (warm_stats() reads under the same lock).
         with self._lock:
             self.used_warm_pool = packed is not None
-            if packed is not None:
-                self.warm_runs += 1
-            else:
+            if packed is None:
                 self.fallback_runs += 1
+            else:
+                self.warm_runs += 1
+                pool = self._ensure_pool(workers)
+                self._active_runs += 1
         registry = config.metrics
-        if registry.enabled:
-            if packed is not None:
+        if packed is None:
+            if registry.enabled:
+                registry.counter(
+                    "executor_fallback_runs_total",
+                    "Executions run inline because the job could not be "
+                    "shipped to the warm worker pool",
+                ).inc()
+            message = (
+                f"job {job.name!r} cannot be shipped to the warm worker pool "
+                f"({unshippable}); running it inline in the calling process"
+            )
+            logger.warning(message)
+            # Correct but serial — make it observable instead of silent.
+            # Emitted outside the lock: warning filters can run arbitrary
+            # user hooks.  stacklevel 4 = the caller of ``execute``.
+            warnings.warn(message, WarmPoolFallbackWarning, stacklevel=4)
+            yield _INLINE
+            return
+        try:
+            if registry.enabled:
                 registry.counter(
                     "executor_warm_runs_total",
                     "Executions shipped to the persistent warm worker pool",
                 ).inc()
-            else:
-                registry.counter(
-                    "executor_fallback_runs_total",
-                    "Executions on a run-scoped fork pool (warm path "
-                    "unavailable or disabled)",
-                ).inc()
-        if fallback_error is not None:
-            logger.warning(
-                "job %r cannot be shipped to the warm worker pool (%s); "
-                "falling back to a run-scoped fork pool",
-                job.name,
-                fallback_error,
+            yield _PoolRunner(
+                pool, workers, self.reduce_block_size, packed, registry
             )
-            # The fallback is correct but costly (a fresh pool fork per
-            # run, idle warm workers) — make it observable instead of
-            # silent.  keep_warm=False reaches the same path by explicit
-            # configuration and therefore does not warn.  Emitted outside
-            # the lock: warning filters can run arbitrary user hooks.
-            warnings.warn(
-                f"job {job.name!r} cannot be shipped to the warm worker "
-                f"pool ({fallback_error}); falling back to a run-scoped "
-                f"fork pool",
-                WarmPoolFallbackWarning,
-                stacklevel=2,
-            )
-        if packed is not None:
-            return self._execute_warm(
-                job, packed, inputs, backend, config, reducer_cost
-            )
-        return self._execute_forked(job, inputs, backend, config, reducer_cost)
-
-    def _execute_warm(
-        self,
-        job: MapReduceJob,
-        packed: bytes,
-        inputs: Iterable[Any],
-        backend: ShuffleBackend,
-        config: ClusterConfig,
-        reducer_cost: Optional[Callable[[int], float]],
-    ) -> ExecutionOutcome:
-        """Run on the persistent pool; tasks carry the packed job.
-
-        The executor lock is held only while acquiring the pool, not for
-        the duration of the run: concurrent executes from different threads
-        (the query service schedules many jobs' rounds onto one shared
-        executor) overlap on the same process pool.  Each run drains its
-        own futures FIFO and every task carries its own versioned job, so
-        interleaved jobs stay bit-identical to their serial runs; the
-        workers' multi-entry job cache keeps the interleaving cheap.
-        """
-        workers = self.effective_workers(config)
-        version = next(_JOB_VERSIONS)
-        with self._lock:
-            pool = self._ensure_pool(workers)
-            self._active_runs += 1
-        map_task = partial(_worker_map_chunk, version, packed)
-        reduce_task = partial(_worker_reduce_block, version, packed)
-        try:
-            map_start = time.perf_counter()
-            num_inputs = self._map_phase(
-                inputs, backend, config, pool, workers, map_task
-            )
-            map_seconds = time.perf_counter() - map_start
-            outcome = self._reduce_phase(
-                job, backend, config, reducer_cost, num_inputs, pool,
-                workers, reduce_task,
-            )
-            if outcome.timings is not None:
-                outcome.timings.map_seconds = map_seconds
-            return outcome
         except BrokenProcessPool as error:
             # A dead worker poisons the whole pool; drop it so the next
             # execute forks a healthy one (unless a concurrent run already
@@ -789,216 +864,6 @@ class ParallelExecutor(Executor):
             with self._lock:
                 self._active_runs -= 1
 
-    def _execute_forked(
-        self,
-        job: MapReduceJob,
-        inputs: Iterable[Any],
-        backend: ShuffleBackend,
-        config: ClusterConfig,
-        reducer_cost: Optional[Callable[[int], float]],
-    ) -> ExecutionOutcome:
-        """Fallback: run-scoped pool inheriting the job through a fork slot.
-
-        Workers fork lazily (one per submit), so the published job must
-        stay stable for the whole pool lifetime; the global lock keeps a
-        concurrent fallback execute (engines shared across threads) from
-        swapping it mid-run.  Concurrent fallback executes therefore
-        serialize.
-        """
-        workers = self.effective_workers(config)
-        map_task = partial(_worker_map_chunk, 0, None)
-        reduce_task = partial(_worker_reduce_block, 0, None)
-        with _FORK_STATE_LOCK:
-            # The job must be visible *before* the pool forks its workers.
-            _FORK_STATE["job"] = job
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-            try:
-                map_start = time.perf_counter()
-                num_inputs = self._map_phase(
-                    inputs, backend, config, pool, workers, map_task
-                )
-                map_seconds = time.perf_counter() - map_start
-                outcome = self._reduce_phase(
-                    job, backend, config, reducer_cost, num_inputs, pool,
-                    workers, reduce_task,
-                )
-                if outcome.timings is not None:
-                    outcome.timings.map_seconds = map_seconds
-                return outcome
-            except BrokenProcessPool as error:
-                raise ExecutionError(
-                    f"worker pool died while executing job {job.name!r} "
-                    f"(a worker process was killed or crashed): {error}"
-                ) from error
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-                _FORK_STATE.pop("job", None)
-
-    # -- map phase ------------------------------------------------------
-    def _map_phase(
-        self,
-        inputs: Iterable[Any],
-        backend: ShuffleBackend,
-        config: ClusterConfig,
-        pool: ProcessPoolExecutor,
-        workers: int,
-        map_task: Callable[[Sequence[Any]], Any],
-    ) -> int:
-        """Fan map chunks out to the pool, merge results in submission order.
-
-        Chunks are cut at ``map_batch_size`` records — the same map-task
-        boundary the serial executor gives the combiner — and their grouped
-        emissions enter the shuffle backend in chunk order, so the backend
-        sees the same per-key value order as a serial run.  ``map_task`` is
-        the worker callable carrying the job (packed bytes on the warm
-        path, the fork-slot sentinel on the fallback path).
-        """
-        max_pending = self.max_pending_factor * workers
-        batch_size = config.map_batch_size
-        registry = config.metrics
-        # Per-task wait histogram: how long the coordinating thread blocked
-        # on each map task's result.  Resolved once per phase (not per
-        # task); ``None`` keeps the uninstrumented path allocation-free.
-        waits = (
-            registry.histogram(
-                "executor_map_task_wait_seconds",
-                "Seconds the coordinator blocked awaiting one map task",
-            )
-            if registry.enabled
-            else None
-        )
-        tasks = 0
-        pending: deque = deque()
-        num_inputs = 0
-        iterator = iter(inputs)
-        chunk: List[Any] = []
-        input_error: Optional[BaseException] = None
-        while True:
-            try:
-                record = next(iterator)
-            except StopIteration:
-                break
-            except Exception as error:
-                # The input iterable itself failed.  Every record pulled
-                # before this point was mapped by the serial executor before
-                # it could hit the same failure, so map them here too (the
-                # trailing partial chunk included) and let any mapper error
-                # among them win — exactly the serial error order.
-                input_error = error
-                break
-            chunk.append(record)
-            if len(chunk) >= batch_size:
-                if len(pending) >= max_pending:
-                    num_inputs += self._drain_map_result(
-                        pending, backend, waits
-                    )
-                pending.append(pool.submit(map_task, chunk))
-                tasks += 1
-                chunk = []
-        if chunk:
-            pending.append(pool.submit(map_task, chunk))
-            tasks += 1
-        while pending:
-            num_inputs += self._drain_map_result(pending, backend, waits)
-        if registry.enabled:
-            registry.counter(
-                "executor_map_tasks_total",
-                "Map tasks shipped to the worker pool",
-            ).inc(tasks)
-        if input_error is not None:
-            raise input_error
-        return num_inputs
-
-    @staticmethod
-    def _drain_map_result(
-        pending: deque, backend: ShuffleBackend, waits: Any = None
-    ) -> int:
-        future = pending.popleft()
-        if waits is not None:
-            wait_start = time.perf_counter()
-            chunk_size, grouped = future.result()
-            waits.observe(time.perf_counter() - wait_start)
-        else:
-            chunk_size, grouped = future.result()
-        for key, values in grouped:
-            backend.add_group(key, values)
-        return chunk_size
-
-    # -- reduce phase ---------------------------------------------------
-    def _reduce_phase(
-        self,
-        job: MapReduceJob,
-        backend: ShuffleBackend,
-        config: ClusterConfig,
-        reducer_cost: Optional[Callable[[int], float]],
-        num_inputs: int,
-        pool: ProcessPoolExecutor,
-        workers: int,
-        reduce_task: Callable[[Sequence[Tuple[Hashable, List[Any]]]], List[Any]],
-    ) -> ExecutionOutcome:
-        """Dispatch blocks of groups to the pool, collecting outputs FIFO.
-
-        All metric bookkeeping (reducer sizes, capacity enforcement,
-        partitioner assignment, compute cost) happens in the parent while
-        groups stream by in stable-hash order — exactly the sequence the
-        serial executor processes (the accounting itself is shared via
-        :class:`_ReduceBookkeeper`) — so stateful partitioners and capacity
-        errors behave identically.  Only the reducer calls travel to the
-        workers, through ``reduce_task`` (which carries the job as packed
-        bytes on the warm path, or reads the fork slot on the fallback).
-        """
-        bookkeeper = _ReduceBookkeeper(job, config, reducer_cost)
-        outputs: List[Any] = []
-        max_pending = self.max_pending_factor * workers
-        pending: deque = deque()
-        blocks = 0
-        block: List[Tuple[Hashable, List[Any]]] = []
-        phase_start = time.perf_counter()
-        groups = _TimedGroups(backend.groups())
-        for key, values in groups:
-            try:
-                bookkeeper.observe(key, values)
-            except Exception:
-                # By the time the serial executor detects a capacity
-                # violation at this key, every earlier key's reducer has
-                # already run — and a reducer error among them would have
-                # surfaced *instead*.  Finish the earlier work (in-flight
-                # blocks plus the partial one) so its errors take
-                # precedence here too.
-                if block:
-                    pending.append(pool.submit(reduce_task, block))
-                while pending:
-                    pending.popleft().result()
-                raise
-            block.append((key, values))
-            if len(block) >= self.reduce_block_size:
-                if len(pending) >= max_pending:
-                    outputs.extend(pending.popleft().result())
-                pending.append(pool.submit(reduce_task, block))
-                blocks += 1
-                block = []
-        if block:
-            pending.append(pool.submit(reduce_task, block))
-            blocks += 1
-        while pending:
-            outputs.extend(pending.popleft().result())
-        phase_seconds = time.perf_counter() - phase_start
-        registry = config.metrics
-        if registry.enabled:
-            registry.counter(
-                "executor_reduce_blocks_total",
-                "Reduce blocks shipped to the worker pool",
-            ).inc(blocks)
-        outcome = bookkeeper.outcome(num_inputs, outputs)
-        outcome.timings = PhaseTimings(
-            shuffle_seconds=groups.seconds,
-            reduce_seconds=max(0.0, phase_seconds - groups.seconds),
-        )
-        return outcome
-
 
 # ----------------------------------------------------------------------
 # Resolution from configuration
@@ -1006,19 +871,9 @@ class ParallelExecutor(Executor):
 #: What ``ClusterConfig.executor`` / ``MapReduceEngine(executor=...)`` accept.
 ExecutorSpec = Union[str, Executor, None]
 
-def _columnar_executor_factory() -> Executor:
-    # Imported lazily: the columnar module imports this one (and degrades
-    # gracefully when numpy is missing — jobs then take its record-path
-    # fallback).
-    from repro.mapreduce.columnar import ColumnarExecutor
-
-    return ColumnarExecutor()
-
-
 _EXECUTOR_NAMES: Dict[str, Callable[[], Executor]] = {
     "serial": SerialExecutor,
     "parallel": ParallelExecutor,
-    "columnar": _columnar_executor_factory,
 }
 
 
@@ -1060,5 +915,14 @@ def resolve_executor(spec: ExecutorSpec) -> Executor:
 
 
 def default_parallel_workers(cap: int = 8) -> int:
-    """A sensible process count for benchmarks: available cores, capped."""
-    return max(1, min(cap, os.cpu_count() or 1))
+    """A sensible process count for benchmarks: *usable* cores, capped.
+
+    CPU affinity and cgroup pinning can leave fewer cores than
+    ``os.cpu_count()`` reports, so the affinity mask is preferred where the
+    platform exposes it.
+    """
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:
+        usable = os.cpu_count() or 1
+    return max(1, min(cap, usable))

@@ -2,12 +2,11 @@
 
 Every schema family builds its :class:`~repro.mapreduce.job.MapReduceJob`
 from closures (the mapper captures the schema object), which stock
-``pickle`` refuses to serialize.  The original parallel executor therefore
-forked a fresh pool per run, publishing the job in parent memory just
-before the fork so workers inherit it — correct, but the pool can never be
-reused: an already-forked worker would keep serving the *old* job.
+``pickle`` refuses to serialize — and a long-lived worker can only be
+handed a job by value: one it inherited at fork time would keep serving the
+*old* job.
 
-This module removes that restriction with a small, self-contained function
+This module ships jobs with a small, self-contained function
 serializer: plain functions (including nested closures and lambdas) are
 packed as ``(marshal'd code object, module name, defaults, packed closure
 cells)`` and rebuilt in the worker with :class:`types.FunctionType`; cell
@@ -19,8 +18,8 @@ fork time).
 
 Anything outside that envelope — builtin-method callables, closures over
 unpicklable non-function objects — raises :class:`JobSerializationError`,
-and the executor falls back to the original fork-publication path for that
-run.  No third-party serializer (cloudpickle & co.) is required.
+and the pool executor runs that job inline in the calling process instead.
+No third-party serializer (cloudpickle & co.) is required.
 """
 
 from __future__ import annotations
@@ -160,8 +159,8 @@ def pack_job(job: MapReduceJob) -> bytes:
     """Serialize a job (closures included) for shipment to a live worker.
 
     Raises :class:`JobSerializationError` when some callable or captured
-    value falls outside the supported envelope; callers treat that as "use
-    the fork-publication path instead".
+    value falls outside the supported envelope; callers treat that as "run
+    this job inline instead".
     """
     payload = {
         "mapper": _pack_callable(job.mapper),

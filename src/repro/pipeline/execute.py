@@ -329,6 +329,8 @@ def drive_rounds(rounds: RoundGenerator) -> PipelineRunResult:
             work = rounds.send(work.execute())
     except StopIteration as stop:
         return stop.value
+    finally:
+        rounds.close()  # a failed round must still release the coroutine's spills
 
 
 def pipeline_rounds(
@@ -610,213 +612,217 @@ def _cascade_rounds(
     executed: List[ExecutedRound] = []
     events: List[ReplanEvent] = []
     certified_loads: List[Optional[float]] = []
-    for index, round_ in enumerate(rounds):
-        op = round_.op
-        assert isinstance(op, BinaryJoinOp)
-        final_certification = round_.certification
-        replanned = False
-        consumes_intermediate = any(
-            not isinstance(child, RelationLeaf) for child in (op.left, op.right)
-        )
-        if consumes_intermediate:
-            # Assemble the freshest profile of this round's actual inputs.
-            relations = {}
-            for child in (op.left, op.right):
-                child_profile = _child_profile(plan, child, observed_profiles)
-                if child_profile is not None:
-                    relations[child.schema.name] = child_profile
-            if len(relations) == 2:
-                observed_profile = DatasetProfile(relations=relations)
-                with tracer.span(
-                    "re-certify", node=op.schema.name, round=index
-                ):
-                    observed_cert = _fingerprinted_certification(
-                        round_, observed_profile
-                    )
-                estimated = round_.certified_load
-                trigger: Optional[str] = None
-                if estimated is not None:
-                    if observed_cert.bound > estimated:
-                        trigger = "certificate-violated"
-                    elif observed_cert.bound <= replan_factor * estimated:
-                        trigger = "certificate-improved"
-                final_certification = observed_cert
-                if replan and trigger is not None:
-                    with tracer.span(
-                        "replan",
-                        node=op.schema.name,
-                        round=index,
-                        reason=trigger,
-                    ):
-                        try:
-                            new_round = replan_round(
-                                round_, plan, observed_profile
-                            )
-                        except PlanningError:
-                            # Nothing fits the budget on the observed data;
-                            # the original (still sound) plan keeps running.
-                            # Still recorded below — with the old plan's
-                            # name and observed bound, i.e. certified no
-                            # better — so the wasted planning work is a
-                            # scorable loss for the adaptive replan_factor
-                            # tuner.
-                            new_round = None
-                    event = ReplanEvent(
-                        round_index=index,
-                        node=op.schema.name,
-                        reason=trigger,
-                        estimated_bound=float(estimated),
-                        observed_bound=observed_cert.bound,
-                        old_plan=round_.name,
-                        new_plan=(
-                            new_round.name if new_round is not None else round_.name
-                        ),
-                        new_bound=(
-                            new_round.certified_load
-                            if new_round is not None
-                            else observed_cert.bound
-                        ),
-                    )
-                    events.append(event)
-                    logger.info(
-                        "replan round %d (%s) on %s: plan %s -> %s, "
-                        "bound %.6g -> %s (%s)",
-                        index,
-                        op.schema.name,
-                        trigger,
-                        event.old_plan,
-                        event.new_plan,
-                        event.observed_bound,
-                        event.new_bound,
-                        "win" if event.won else "loss",
-                    )
-                    if registry.enabled:
-                        registry.counter(
-                            "pipeline_replans_total",
-                            "Mid-flight re-planning decisions, by trigger",
-                        ).inc(reason=trigger)
-                        if event.won:
-                            registry.counter(
-                                "pipeline_replan_wins_total",
-                                "Re-plans whose new certificate beat the "
-                                "observed bound",
-                            ).inc()
-                        else:
-                            registry.counter(
-                                "pipeline_replan_losses_total",
-                                "Re-plans certified no better than the "
-                                "running plan",
-                            ).inc()
-                    if replan_observer is not None:
-                        replan_observer(event)
-                    if new_round is not None:
-                        rounds[index] = round_ = new_round
-                        final_certification = round_.certification
-                        replanned = True
-        # Gather this round's input records: base relations verbatim,
-        # intermediates from the previous rounds' materialized outputs.
-        input_records: List[Any] = []
-        for child in (op.left, op.right):
-            if isinstance(child, RelationLeaf):
-                input_records.extend(base_records[child.relation.name])
-            else:
-                input_records.extend(
-                    (child.schema.name, row)
-                    for row in node_outputs[child.schema.name]
-                )
-        round_token: Optional[Tuple] = None
-        if reuse_keys:
-            # Built after re-planning settled, so the token names the plan
-            # that will actually run.
-            child_tokens = tuple(
-                _leaf_token(child, fingerprints)
-                if isinstance(child, RelationLeaf)
-                else node_tokens[child.schema.name]
-                for child in (op.left, op.right)
+    try:
+        for index, round_ in enumerate(rounds):
+            op = round_.op
+            assert isinstance(op, BinaryJoinOp)
+            final_certification = round_.certification
+            replanned = False
+            consumes_intermediate = any(
+                not isinstance(child, RelationLeaf) for child in (op.left, op.right)
             )
-            round_token = ("join", child_tokens, _plan_token(round_))
-        work = RoundWork(
-            index=index,
-            label=op.label(),
-            plan_name=round_.name,
-            certification=final_certification,
-            admission_load=(
-                final_certification.bound
-                if final_certification is not None
-                else plan.q_budget
-            ),
-            reuse_key=(
-                ("shared-intermediate", round_token) if reuse_keys else None
-            ),
-            _runner=(
-                lambda records_=input_records, plan_=round_.plan: plan_.execute(
-                    records_, engine=engine
+            if consumes_intermediate:
+                # Assemble the freshest profile of this round's actual inputs.
+                relations = {}
+                for child in (op.left, op.right):
+                    child_profile = _child_profile(plan, child, observed_profiles)
+                    if child_profile is not None:
+                        relations[child.schema.name] = child_profile
+                if len(relations) == 2:
+                    observed_profile = DatasetProfile(relations=relations)
+                    with tracer.span(
+                        "re-certify", node=op.schema.name, round=index
+                    ):
+                        observed_cert = _fingerprinted_certification(
+                            round_, observed_profile
+                        )
+                    estimated = round_.certified_load
+                    trigger: Optional[str] = None
+                    if estimated is not None:
+                        if observed_cert.bound > estimated:
+                            trigger = "certificate-violated"
+                        elif observed_cert.bound <= replan_factor * estimated:
+                            trigger = "certificate-improved"
+                    final_certification = observed_cert
+                    if replan and trigger is not None:
+                        with tracer.span(
+                            "replan",
+                            node=op.schema.name,
+                            round=index,
+                            reason=trigger,
+                        ):
+                            try:
+                                new_round = replan_round(
+                                    round_, plan, observed_profile
+                                )
+                            except PlanningError:
+                                # Nothing fits the budget on the observed data;
+                                # the original (still sound) plan keeps running.
+                                # Still recorded below — with the old plan's
+                                # name and observed bound, i.e. certified no
+                                # better — so the wasted planning work is a
+                                # scorable loss for the adaptive replan_factor
+                                # tuner.
+                                new_round = None
+                        event = ReplanEvent(
+                            round_index=index,
+                            node=op.schema.name,
+                            reason=trigger,
+                            estimated_bound=float(estimated),
+                            observed_bound=observed_cert.bound,
+                            old_plan=round_.name,
+                            new_plan=(
+                                new_round.name if new_round is not None else round_.name
+                            ),
+                            new_bound=(
+                                new_round.certified_load
+                                if new_round is not None
+                                else observed_cert.bound
+                            ),
+                        )
+                        events.append(event)
+                        logger.info(
+                            "replan round %d (%s) on %s: plan %s -> %s, "
+                            "bound %.6g -> %s (%s)",
+                            index,
+                            op.schema.name,
+                            trigger,
+                            event.old_plan,
+                            event.new_plan,
+                            event.observed_bound,
+                            event.new_bound,
+                            "win" if event.won else "loss",
+                        )
+                        if registry.enabled:
+                            registry.counter(
+                                "pipeline_replans_total",
+                                "Mid-flight re-planning decisions, by trigger",
+                            ).inc(reason=trigger)
+                            if event.won:
+                                registry.counter(
+                                    "pipeline_replan_wins_total",
+                                    "Re-plans whose new certificate beat the "
+                                    "observed bound",
+                                ).inc()
+                            else:
+                                registry.counter(
+                                    "pipeline_replan_losses_total",
+                                    "Re-plans certified no better than the "
+                                    "running plan",
+                                ).inc()
+                        if replan_observer is not None:
+                            replan_observer(event)
+                        if new_round is not None:
+                            rounds[index] = round_ = new_round
+                            final_certification = round_.certification
+                            replanned = True
+            # Gather this round's input records: base relations verbatim,
+            # intermediates from the previous rounds' materialized outputs.
+            input_records: List[Any] = []
+            for child in (op.left, op.right):
+                if isinstance(child, RelationLeaf):
+                    input_records.extend(base_records[child.relation.name])
+                else:
+                    input_records.extend(
+                        (child.schema.name, row)
+                        for row in node_outputs[child.schema.name]
+                    )
+            round_token: Optional[Tuple] = None
+            if reuse_keys:
+                # Built after re-planning settled, so the token names the plan
+                # that will actually run.
+                child_tokens = tuple(
+                    _leaf_token(child, fingerprints)
+                    if isinstance(child, RelationLeaf)
+                    else node_tokens[child.schema.name]
+                    for child in (op.left, op.right)
                 )
-            ),
-        )
-        received = yield work
-        job = received.job
-        assert isinstance(job, JobResult)
-        job_results.append(job)
-        if received.reused and received.rows is not None:
-            # Another pipeline materialized (and profiled) this identical
-            # intermediate; adopt its rows and observation verbatim.
-            rows = received.rows
-            finished_profile = received.profile
-            stored: Any = rows
-        else:
-            # Profile the intermediate in-stream while it is collected for
-            # the next round — one pass, no second copy.
-            with tracer.span(
-                "profile-intermediate", node=op.schema.name, round=index
-            ):
-                profiler = StreamingRelationProfiler(
-                    op.schema.name, op.schema.attributes
-                )
-                rows = list(profiler.wrap(job.outputs))
-                finished_profile = profiler.finish()
-            # Publish rows and profile on the outcome so a sharing driver
-            # can feed other consumers of the same sub-tree.
-            received.rows = rows
-            received.profile = finished_profile
-            stored = rows
-            if spill_threshold is not None and len(rows) >= spill_threshold:
-                spilled = SpilledRows.try_spill(rows)
-                if spilled is not None:
-                    spilled_blocks.append(spilled)
-                    stored = spilled
-        node_outputs[op.schema.name] = stored
-        if round_token is not None:
-            node_tokens[op.schema.name] = round_token
-        if finished_profile is not None:
-            observed_profiles[op.schema.name] = finished_profile
-        certified_loads.append(
-            final_certification.bound if final_certification is not None else None
-        )
-        executed.append(
-            ExecutedRound(
+                round_token = ("join", child_tokens, _plan_token(round_))
+            work = RoundWork(
                 index=index,
-                op_label=op.label(),
+                label=op.label(),
                 plan_name=round_.name,
                 certification=final_certification,
-                estimated_inputs=round_.estimated_inputs,
-                observed_inputs=job.metrics.shuffle.num_inputs,
-                estimated_output=round_.estimated_output,
-                observed_output=len(rows),
-                observed_max_load=job.metrics.shuffle.max_reducer_size,
-                replanned=replanned,
-                reused=received.reused,
-                estimate_method=round_.estimate_method,
-                admission_price=work.admission_load,
-                seconds=received.seconds,
+                admission_load=(
+                    final_certification.bound
+                    if final_certification is not None
+                    else plan.q_budget
+                ),
+                reuse_key=(
+                    ("shared-intermediate", round_token) if reuse_keys else None
+                ),
+                _runner=(
+                    lambda records_=input_records, plan_=round_.plan: plan_.execute(
+                        records_, engine=engine
+                    )
+                ),
             )
-        )
-    final_rows = node_outputs[plan.op.schema.name]
-    if not isinstance(final_rows, list):
-        final_rows = list(final_rows)
-    outputs = _reorder_outputs(plan, final_rows)
-    for spilled in spilled_blocks:
-        spilled.close()
+            received = yield work
+            job = received.job
+            assert isinstance(job, JobResult)
+            job_results.append(job)
+            if received.reused and received.rows is not None:
+                # Another pipeline materialized (and profiled) this identical
+                # intermediate; adopt its rows and observation verbatim.
+                rows = received.rows
+                finished_profile = received.profile
+                stored: Any = rows
+            else:
+                # Profile the intermediate in-stream while it is collected for
+                # the next round — one pass, no second copy.
+                with tracer.span(
+                    "profile-intermediate", node=op.schema.name, round=index
+                ):
+                    profiler = StreamingRelationProfiler(
+                        op.schema.name, op.schema.attributes
+                    )
+                    rows = list(profiler.wrap(job.outputs))
+                    finished_profile = profiler.finish()
+                # Publish rows and profile on the outcome so a sharing driver
+                # can feed other consumers of the same sub-tree.
+                received.rows = rows
+                received.profile = finished_profile
+                stored = rows
+                if spill_threshold is not None and len(rows) >= spill_threshold:
+                    spilled = SpilledRows.try_spill(rows)
+                    if spilled is not None:
+                        spilled_blocks.append(spilled)
+                        stored = spilled
+            node_outputs[op.schema.name] = stored
+            if round_token is not None:
+                node_tokens[op.schema.name] = round_token
+            if finished_profile is not None:
+                observed_profiles[op.schema.name] = finished_profile
+            certified_loads.append(
+                final_certification.bound if final_certification is not None else None
+            )
+            executed.append(
+                ExecutedRound(
+                    index=index,
+                    op_label=op.label(),
+                    plan_name=round_.name,
+                    certification=final_certification,
+                    estimated_inputs=round_.estimated_inputs,
+                    observed_inputs=job.metrics.shuffle.num_inputs,
+                    estimated_output=round_.estimated_output,
+                    observed_output=len(rows),
+                    observed_max_load=job.metrics.shuffle.max_reducer_size,
+                    replanned=replanned,
+                    reused=received.reused,
+                    estimate_method=round_.estimate_method,
+                    admission_price=work.admission_load,
+                    seconds=received.seconds,
+                )
+            )
+        final_rows = node_outputs[plan.op.schema.name]
+        if not isinstance(final_rows, list):
+            final_rows = list(final_rows)
+        outputs = _reorder_outputs(plan, final_rows)
+    finally:
+        # Also reached when a round fails: the driver closes (or drops) the
+        # coroutine, and no spilled intermediate may outlive it.
+        for spilled in spilled_blocks:
+            spilled.close()
     result = PipelineResult(
         outputs=outputs,
         metrics=PipelineMetrics(

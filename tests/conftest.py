@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import threading
 
 import pytest
 
-from repro.mapreduce import ClusterConfig, MapReduceEngine
+from repro.mapreduce import (
+    BatchEncodingError,
+    ClusterConfig,
+    MapReduceEngine,
+    ParallelExecutor,
+    SerialExecutor,
+)
+from repro.obs import MetricsRegistry
 from repro.pipeline.execute import RoundWork
 from repro.problems import (
     HammingDistanceProblem,
@@ -90,3 +98,151 @@ def hold_rounds(monkeypatch):
 
     yield hold
     gate.set()
+
+
+#: Every (runner, plane) cell of the execution core.
+EXECUTION_CELLS = (
+    ("inline", "records"),
+    ("pool", "records"),
+    ("inline", "batches"),
+    ("pool", "batches"),
+)
+
+
+class ExecutionCell:
+    """One (runner, plane) cell: its executor, its registry, its engines.
+
+    The serial record cell is the oracle; every other cell must reproduce
+    its outputs, metrics and errors exactly.  Each cell counts into its own
+    collecting registry so a test can see which plane a run really took.
+    """
+
+    def __init__(self, runner: str, plane: str, workers: int = 2) -> None:
+        self.runner = runner
+        self.plane = plane
+        self.registry = MetricsRegistry()
+        self.executor = (
+            SerialExecutor()
+            if runner == "inline"
+            else ParallelExecutor(num_workers=workers, reduce_block_size=4)
+        )
+
+    def engine(self, shuffle_factory=None, **config) -> MapReduceEngine:
+        return MapReduceEngine(
+            ClusterConfig(
+                data_plane="columnar" if self.plane == "batches" else "records",
+                metrics=self.registry,
+                **config,
+            ),
+            shuffle_factory=shuffle_factory,
+            executor=self.executor,
+        )
+
+    def declined(self) -> dict:
+        """``plane_declined_total`` so far, as ``{reason: count}``."""
+        series = self.registry.snapshot().get("plane_declined_total", {"series": []})
+        return {row["labels"]["reason"]: int(row["value"]) for row in series["series"]}
+
+    def expected_decline(self, job, inputs):
+        """The reason this cell must decline ``job`` over ``inputs``, or None."""
+        if self.plane == "records":
+            return None
+        if job.batch_kernel is None:
+            return "no-kernel"
+        if job.combiner is not None:
+            return "combiner"
+        if self.runner == "pool":
+            return "pool-runner"
+        try:
+            job.batch_kernel.encode(list(inputs))
+        except BatchEncodingError:
+            return "encoding"
+        return None
+
+    def run(self, job, inputs, shuffle_factory=None, **config):
+        """Run one job in this cell, asserting the plane it took."""
+        before = self.declined()
+        result = self.engine(shuffle_factory, **config).run(job, inputs)
+        reason = self.expected_decline(job, inputs)
+        expected = dict(before)
+        if reason is not None:
+            expected[reason] = expected.get(reason, 0) + 1
+        assert self.declined() == expected
+        return result
+
+
+@pytest.fixture
+def make_cell():
+    """``make_cell(runner, plane, workers=2)``; pools are closed on teardown.
+
+    Asking twice for the same cell returns the same object, so the examples
+    of a hypothesis test share one warm pool instead of forking per example.
+    """
+    cells = {}
+
+    def make(runner: str, plane: str, workers: int = 2) -> ExecutionCell:
+        if runner == "pool" and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the pool runner requires the fork start method")
+        key = (runner, plane, workers)
+        if key not in cells:
+            cells[key] = ExecutionCell(runner, plane, workers)
+        return cells[key]
+
+    yield make
+    for cell in cells.values():
+        if cell.runner == "pool":
+            cell.executor.close()
+
+
+@pytest.fixture(params=EXECUTION_CELLS, ids="-".join)
+def execution_cell(request, make_cell) -> ExecutionCell:
+    """Each (runner, plane) cell in turn."""
+    return make_cell(*request.param)
+
+
+class CellMatrix:
+    """Run one job in every cell and hold each to the serial record oracle."""
+
+    def __init__(self, make_cell) -> None:
+        self._make_cell = make_cell
+
+    def cells(self, workers: int = 2) -> list:
+        """All four cells, the serial record oracle first."""
+        return [
+            self._make_cell(runner, plane, workers)
+            for runner, plane in EXECUTION_CELLS
+        ]
+
+    @staticmethod
+    def assert_identical(oracle, result) -> None:
+        """The bit-identity contract: outputs AND every metric reported."""
+        assert result.outputs == oracle.outputs
+        assert result.metrics == oracle.metrics
+        assert result.metrics.summary() == oracle.metrics.summary()
+
+    def run(self, job, inputs, workers=2, shuffle_factory=None, **config):
+        """The oracle's result, after asserting every other cell equals it."""
+        oracle, *others = self.cells(workers)
+        expected = oracle.run(job, inputs, shuffle_factory, **config)
+        for cell in others:
+            self.assert_identical(
+                expected, cell.run(job, inputs, shuffle_factory, **config)
+            )
+        return expected
+
+    def error(self, job, make_inputs, workers=2, **config) -> BaseException:
+        """The oracle's error, after asserting every other cell raises the
+        same type with the same message."""
+        raised = []
+        for cell in self.cells(workers):
+            with pytest.raises(Exception) as info:
+                cell.engine(**config).run(job, make_inputs())
+            raised.append(info.value)
+        for error in raised[1:]:
+            assert (type(error), str(error)) == (type(raised[0]), str(raised[0]))
+        return raised[0]
+
+
+@pytest.fixture
+def cell_matrix(make_cell) -> CellMatrix:
+    return CellMatrix(make_cell)

@@ -121,6 +121,27 @@ class TestSpilledRows:
         spilled.close()
         spilled.close()
 
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        open_descriptor = os.fdopen
+
+        class FailingSink:
+            def __init__(self, descriptor, mode):
+                self._handle = open_descriptor(descriptor, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._handle.close()
+
+            def write(self, data):
+                raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fdopen", FailingSink)
+        with pytest.raises(OSError, match="disk full"):
+            SpilledRows.try_spill([(1, 2), (3, 4)], directory=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "rows",
         [

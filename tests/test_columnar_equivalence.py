@@ -1,13 +1,14 @@
 """Bit-identity of the columnar data plane against the record path.
 
-The record path (``SerialExecutor``) is the oracle: for every kernel-carrying
-schema, running the same job on ``data_plane="columnar"`` must produce the
-*identical* output list (same tuples, same order) and identical metrics —
-reduce-key sizes, worker loads, and the flat summary — because the columnar
-plane is an execution strategy, not a semantics change.  Hypothesis drives
-arbitrary input subsets through every vectorized kernel, on uniform and
-skewed (Zipf) data, through both shuffle backends, and through a planned
-two-round cascade.
+The serial record run is the oracle: for every kernel-carrying schema,
+running the same job on ``data_plane="columnar"`` — on either runner — must
+produce the *identical* output list (same tuples, same order) and identical
+metrics, because the plane is an execution strategy, not a semantics
+change.  Hypothesis drives arbitrary input subsets through every vectorized
+kernel in every (runner, plane) cell (``cell_matrix`` in ``conftest.py``,
+which also asserts the plane each run really took), on uniform and skewed
+(Zipf) data, through both shuffle backends, and through a planned two-round
+cascade.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.datagen.relations import (
@@ -36,28 +37,18 @@ from repro.schemas.triangles import PartitionTriangleSchema
 from repro.schemas.two_paths import TwoPathSchema
 
 
-def run_both_planes(make_job, records, shuffle_factory=None):
-    """Run one job on both data planes; return the two results."""
-    results = []
-    for plane in ("records", "columnar"):
-        engine = MapReduceEngine(
-            config=ClusterConfig(data_plane=plane), shuffle_factory=shuffle_factory
-        )
-        results.append(engine.run(make_job(), records))
-    return results
-
-
-def assert_identical(record_result, columnar_result):
-    """The full bit-identity contract: outputs AND metrics."""
-    assert record_result.outputs == columnar_result.outputs
-    assert record_result.metrics.summary() == columnar_result.metrics.summary()
-    assert (
-        record_result.metrics.shuffle.reducer_sizes
-        == columnar_result.metrics.shuffle.reducer_sizes
+def examples(count: int):
+    """Hypothesis settings; examples share the test's cells (and warm pool)."""
+    return settings(
+        max_examples=count,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    assert (
-        record_result.metrics.workers.values_per_worker
-        == columnar_result.metrics.workers.values_per_worker
+
+
+def spilling(num_partitions: int, buffer_size: int):
+    return lambda: PartitionedShuffle(
+        num_partitions=num_partitions, buffer_size=buffer_size
     )
 
 
@@ -75,48 +66,40 @@ def edge_sets(draw, n: int = 12):
 
 class TestHammingKernels:
     @given(words=word_sets(), segments=st.sampled_from([2, 3, 6]))
-    @settings(max_examples=25, deadline=None)
-    def test_splitting_matches_record_path(self, words, segments):
+    @examples(25)
+    def test_splitting_matches_record_path(self, cell_matrix, words, segments):
         schema = SplittingSchema(6, segments)
-        assert_identical(*run_both_planes(schema.job, words))
+        cell_matrix.run(schema.job(), words)
 
     @given(words=word_sets(bits=5), emit=st.sampled_from([None, 1, 2]))
-    @settings(max_examples=25, deadline=None)
-    def test_ball_two_matches_record_path(self, words, emit):
+    @examples(25)
+    def test_ball_two_matches_record_path(self, cell_matrix, words, emit):
         schema = BallTwoSchema(5)
-        assert_identical(*run_both_planes(lambda: schema.job(emit), words))
+        cell_matrix.run(schema.job(emit), words)
 
     @given(words=word_sets())
-    @settings(max_examples=10, deadline=None)
-    def test_splitting_matches_through_partitioned_shuffle(self, words):
+    @examples(10)
+    def test_splitting_matches_through_partitioned_shuffle(self, cell_matrix, words):
         schema = SplittingSchema(6, 2)
-        assert_identical(
-            *run_both_planes(
-                schema.job,
-                words,
-                shuffle_factory=lambda: PartitionedShuffle(
-                    num_partitions=3, buffer_size=16
-                ),
-            )
-        )
+        cell_matrix.run(schema.job(), words, shuffle_factory=spilling(3, 16))
 
 
 class TestGraphKernels:
     @given(edges=edge_sets(), buckets=st.sampled_from([2, 3]))
-    @settings(max_examples=25, deadline=None)
-    def test_triangles_match_record_path(self, edges, buckets):
+    @examples(25)
+    def test_triangles_match_record_path(self, cell_matrix, edges, buckets):
         schema = PartitionTriangleSchema(12, buckets)
-        assert_identical(*run_both_planes(schema.job, edges))
+        cell_matrix.run(schema.job(), edges)
 
     @given(
         edges=edge_sets(),
         buckets=st.sampled_from([2, 4]),
         hashed=st.booleans(),
     )
-    @settings(max_examples=25, deadline=None)
-    def test_two_paths_match_record_path(self, edges, buckets, hashed):
+    @examples(25)
+    def test_two_paths_match_record_path(self, cell_matrix, edges, buckets, hashed):
         schema = TwoPathSchema(12, buckets, hash_nodes=hashed)
-        assert_identical(*run_both_planes(schema.job, edges))
+        cell_matrix.run(schema.job(), edges)
 
 
 @st.composite
@@ -142,20 +125,18 @@ def join_relations(draw):
 
 class TestSharesKernels:
     @given(instance=join_relations())
-    @settings(max_examples=20, deadline=None)
-    def test_vanilla_shares_match_record_path(self, instance):
+    @examples(20)
+    def test_vanilla_shares_match_record_path(self, cell_matrix, instance):
         relations, _ = instance
         schema = SharesSchema(
             JoinQuery.binary_join(), {"A": 2, "B": 2, "C": 2}, domain_size=10
         )
         records = SharesSchema.input_records(relations)
-        assert_identical(
-            *run_both_planes(lambda: schema.job(relations), records)
-        )
+        cell_matrix.run(schema.job(relations), records)
 
     @given(instance=join_relations())
-    @settings(max_examples=20, deadline=None)
-    def test_skew_aware_shares_match_record_path(self, instance):
+    @examples(20)
+    def test_skew_aware_shares_match_record_path(self, cell_matrix, instance):
         relations, _ = instance
         schema = SkewAwareSharesSchema(
             JoinQuery.binary_join(),
@@ -166,33 +147,25 @@ class TestSharesKernels:
             heavy_shares={"A": 2, "C": 2},
         )
         records = SharesSchema.input_records(relations)
-        assert_identical(
-            *run_both_planes(lambda: schema.job(relations), records)
-        )
+        cell_matrix.run(schema.job(relations), records)
 
     @given(instance=join_relations())
-    @settings(max_examples=8, deadline=None)
-    def test_shares_match_through_partitioned_shuffle(self, instance):
+    @examples(8)
+    def test_shares_match_through_partitioned_shuffle(self, cell_matrix, instance):
         relations, _ = instance
         schema = SharesSchema(
             JoinQuery.binary_join(), {"B": 3}, domain_size=10
         )
         records = SharesSchema.input_records(relations)
-        assert_identical(
-            *run_both_planes(
-                lambda: schema.job(relations),
-                records,
-                shuffle_factory=lambda: PartitionedShuffle(
-                    num_partitions=4, buffer_size=32
-                ),
-            )
+        cell_matrix.run(
+            schema.job(relations), records, shuffle_factory=spilling(4, 32)
         )
 
 
 class TestMatmulKernels:
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=15, deadline=None)
-    def test_one_phase_matches_record_path(self, seed):
+    @examples(15)
+    def test_one_phase_matches_record_path(self, cell_matrix, seed):
         from repro.datagen.matrices import integer_matrix, multiplication_records
 
         n = 6
@@ -200,11 +173,11 @@ class TestMatmulKernels:
             integer_matrix(n, seed=seed), integer_matrix(n, seed=seed + 1)
         )
         schema = OnePhaseTilingSchema(n, 3)
-        assert_identical(*run_both_planes(schema.job, records))
+        cell_matrix.run(schema.job(), records)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=10, deadline=None)
-    def test_two_phase_chain_matches_record_path(self, seed):
+    @examples(10)
+    def test_two_phase_chain_matches_record_path(self, cell_matrix, seed):
         from repro.datagen.matrices import random_matrix, multiplication_records
 
         n = 6
@@ -212,18 +185,17 @@ class TestMatmulKernels:
             random_matrix(n, seed=seed), random_matrix(n, seed=seed + 1)
         )
         algorithm = TwoPhaseMatMulAlgorithm(n, 3, 2)
-        results = []
-        for plane in ("records", "columnar"):
-            engine = MapReduceEngine(ClusterConfig(data_plane=plane))
-            results.append(engine.run_chain(algorithm.chain(), records))
-        record_run, columnar_run = results
-        assert record_run.outputs == columnar_run.outputs
-        assert record_run.metrics.summary() == columnar_run.metrics.summary()
-        record_rounds = record_run.metrics.rounds
-        columnar_rounds = columnar_run.metrics.rounds
-        assert len(record_rounds) == len(columnar_rounds) == 2
-        for record_metrics, columnar_metrics in zip(record_rounds, columnar_rounds):
-            assert record_metrics.summary() == columnar_metrics.summary()
+        oracle, *others = (
+            cell.engine().run_chain(algorithm.chain(), records)
+            for cell in cell_matrix.cells()
+        )
+        assert len(oracle.metrics.rounds) == 2
+        for run in others:
+            assert run.outputs == oracle.outputs
+            assert run.metrics.summary() == oracle.metrics.summary()
+            assert [m.summary() for m in run.metrics.rounds] == [
+                m.summary() for m in oracle.metrics.rounds
+            ]
 
 
 class TestPipelineCascades:
@@ -231,8 +203,8 @@ class TestPipelineCascades:
         seed=st.integers(min_value=0, max_value=10_000),
         zipf=st.booleans(),
     )
-    @settings(max_examples=8, deadline=None)
-    def test_two_round_cascade_matches_record_path(self, seed, zipf):
+    @examples(8)
+    def test_two_round_cascade_matches_record_path(self, cell_matrix, seed, zipf):
         from repro.pipeline import PipelinePlanner
         from repro.planner import CostBasedPlanner
         from repro.problems.joins import MultiwayJoinProblem
@@ -254,24 +226,24 @@ class TestPipelineCascades:
             return
         cascade = cascades[0]
         records = SharesSchema.input_records(relations)
-        runs = {}
-        for plane in ("records", "columnar"):
-            engine = MapReduceEngine(ClusterConfig(data_plane=plane))
-            runs[plane] = cascade.execute(records, engine=engine)
-        assert runs["records"].outputs == runs["columnar"].outputs
-        record_rounds = runs["records"].result.metrics.rounds
-        columnar_rounds = runs["columnar"].result.metrics.rounds
-        assert len(record_rounds) == len(columnar_rounds)
-        for record_metrics, columnar_metrics in zip(record_rounds, columnar_rounds):
-            assert record_metrics.summary() == columnar_metrics.summary()
+        oracle, *others = (
+            cascade.execute(records, engine=cell.engine())
+            for cell in cell_matrix.cells()
+        )
+        for run in others:
+            assert run.outputs == oracle.outputs
+            assert [m.summary() for m in run.result.metrics.rounds] == [
+                m.summary() for m in oracle.result.metrics.rounds
+            ]
 
-    def test_cascade_with_spill_matches_unspilled(self):
-        relations = chain_join_instance(3, 20, 10, seed=42)
+    @staticmethod
+    def _planned_cascade():
         from repro.pipeline import PipelinePlanner
         from repro.planner import CostBasedPlanner
         from repro.problems.joins import MultiwayJoinProblem
         from repro.stats import profile_relations
 
+        relations = chain_join_instance(3, 20, 10, seed=42)
         problem = MultiwayJoinProblem(JoinQuery.chain(3), domain_size=10)
         planner = PipelinePlanner(CostBasedPlanner.min_replication())
         result = planner.plan(
@@ -279,9 +251,36 @@ class TestPipelineCascades:
         )
         cascades = result.cascades()
         assert cascades
-        cascade = cascades[0]
-        records = SharesSchema.input_records(relations)
+        return cascades[0], SharesSchema.input_records(relations)
+
+    def test_cascade_with_spill_matches_unspilled(self):
+        cascade, records = self._planned_cascade()
         engine = MapReduceEngine(ClusterConfig(data_plane="columnar"))
         base = cascade.execute(records, engine=engine)
         spilled = cascade.execute(records, engine=engine, spill_threshold=1)
         assert base.outputs == spilled.outputs
+
+    def test_failed_round_after_a_spill_leaves_no_files(self, tmp_path, monkeypatch):
+        import tempfile
+
+        from repro.exceptions import ExecutionError
+
+        cascade, records = self._planned_cascade()
+        engine = MapReduceEngine()
+        run_job = engine.run
+        rounds = []
+
+        def failing_second_round(job, inputs, **kwargs):
+            rounds.append(job.name)
+            if len(rounds) == 2:
+                # Round 1's intermediate is on disk by now.
+                assert len(list(tmp_path.iterdir())) == 1
+                raise ExecutionError("round 2 failed")
+            return run_job(job, inputs, **kwargs)
+
+        monkeypatch.setattr(engine, "run", failing_second_round)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(ExecutionError, match="round 2 failed"):
+            cascade.execute(records, engine=engine, spill_threshold=1)
+        assert len(rounds) == 2
+        assert list(tmp_path.iterdir()) == []

@@ -1,13 +1,14 @@
-"""Executor equivalence: the parallel backend is bit-identical to serial.
+"""Executor equivalence: every (runner, plane) cell is bit-identical to serial.
 
-The contract under test is the executor layer's determinism guarantee:
-``ParallelExecutor`` with any worker count produces exactly the outputs,
-communication metrics, reducer sizes and worker-load statistics of
-``SerialExecutor`` on the same workload — including the error cases, where
-exceptions raised inside worker processes must surface as the same
-``ExecutionError`` / ``ReducerCapacityExceededError`` the serial engine
-raises.  The property tests drive triangle, Hamming d=1 and Shares join
-workloads through both backends with 1..4 workers.
+The contract under test is the execution core's determinism guarantee: the
+pool runner with any worker count — and the batch plane on either runner —
+produces exactly the outputs, communication metrics, reducer sizes and
+worker-load statistics of the serial record run on the same workload,
+including the error cases, where exceptions raised inside worker processes
+must surface as the same ``ExecutionError`` /
+``ReducerCapacityExceededError`` with the same message.  The property tests
+drive triangle, Hamming d=1 and Shares join workloads through every cell
+(``cell_matrix`` in ``conftest.py``) with 1..4 workers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import multiprocessing
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.datagen import gnm_random_graph
@@ -46,23 +47,13 @@ pytestmark = pytest.mark.skipif(
     reason="ParallelExecutor requires the fork start method",
 )
 
-#: Keep process-pool spin-ups affordable: few, small hypothesis examples.
-QUICK = settings(max_examples=4, deadline=None)
-
-
-def assert_identical(serial, parallel):
-    """Outputs and every metric the engine reports must match exactly."""
-    assert parallel.outputs == serial.outputs
-    assert parallel.metrics == serial.metrics
-
-
-def run_both(job, inputs, workers, config=None, **kwargs):
-    config = config or ClusterConfig(map_batch_size=16)
-    serial = MapReduceEngine(config).run(job, list(inputs), **kwargs)
-    parallel = MapReduceEngine(
-        config, executor=ParallelExecutor(num_workers=workers, reduce_block_size=4)
-    ).run(job, list(inputs), **kwargs)
-    return serial, parallel
+#: Keep process-pool spin-ups affordable: few, small hypothesis examples
+#: (which share the test's cells, hence the suppressed health check).
+QUICK = settings(
+    max_examples=4,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 
 class TestWorkloadEquivalence:
@@ -71,80 +62,83 @@ class TestWorkloadEquivalence:
         workers=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_triangles(self, workers, seed):
+    def test_triangles(self, cell_matrix, workers, seed):
         edges = gnm_random_graph(18, 40, seed=seed)
         family = PartitionTriangleSchema(18, 4)
-        serial, parallel = run_both(family.job(), edges, workers)
-        assert_identical(serial, parallel)
+        cell_matrix.run(family.job(), edges, workers, map_batch_size=16)
 
     @QUICK
     @given(
         workers=st.integers(min_value=1, max_value=4),
         c=st.sampled_from([1, 2, 3, 6]),
     )
-    def test_hamming_d1(self, workers, c):
+    def test_hamming_d1(self, cell_matrix, workers, c):
         words = list(range(2**6))
         family = SplittingSchema(6, c)
-        serial, parallel = run_both(family.job(), words, workers)
-        assert_identical(serial, parallel)
+        cell_matrix.run(family.job(), words, workers, map_batch_size=16)
 
     @QUICK
     @given(
         workers=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_shares_join(self, workers, seed):
+    def test_shares_join(self, cell_matrix, workers, seed):
         problem = MultiwayJoinProblem(JoinQuery.chain(3), domain_size=6)
         relations = chain_join_instance(3, 25, 6, seed=seed)
         records = SharesSchema.input_records(relations)
         plan = CostBasedPlanner.min_replication().plan(problem, q=60).best
-        serial = plan.execute(records, engine=MapReduceEngine())
-        parallel = plan.execute(
-            records,
-            engine=MapReduceEngine(executor=ParallelExecutor(num_workers=workers)),
+        serial, *others = (
+            plan.execute(records, engine=cell.engine())
+            for cell in cell_matrix.cells(workers)
         )
-        assert_identical(serial, parallel)
+        for result in others:
+            cell_matrix.assert_identical(serial, result)
         _, expected = multiway_join_oracle(relations)
-        assert sorted(parallel.outputs) == sorted(expected)
+        assert sorted(serial.outputs) == sorted(expected)
 
-    def test_combiner_and_partitioned_shuffle(self):
-        """Combiner batching and the spilling backend survive the pool."""
+    def test_combiner_and_partitioned_shuffle(self, cell_matrix):
+        """Combiner batching and the spilling backend survive every cell."""
         job = MapReduceJob(
             mapper=lambda x: [(x % 11, 1)],
             reducer=lambda k, v: [(k, sum(v))],
             combiner=lambda k, v: [(k, sum(v))],
             name="combine",
         )
-        config = ClusterConfig(map_batch_size=8)
-        serial = MapReduceEngine(config).run(job, range(500))
-        parallel = MapReduceEngine(
-            config,
+        in_memory = MapReduceEngine(ClusterConfig(map_batch_size=8)).run(
+            job, range(500)
+        )
+        spilled = cell_matrix.run(
+            job,
+            range(500),
+            workers=3,
             shuffle_factory=lambda: PartitionedShuffle(
                 num_partitions=4, buffer_size=8
             ),
-            executor=ParallelExecutor(num_workers=3),
-        ).run(job, range(500))
-        assert_identical(serial, parallel)
+            map_batch_size=8,
+        )
+        cell_matrix.assert_identical(in_memory, spilled)
 
-    def test_stateful_partitioner_sees_identical_key_order(self):
-        """Round-robin worker stats match: group order is executor-invariant."""
+    def test_stateful_partitioner_sees_identical_key_order(self, cell_matrix):
+        """Round-robin worker stats match: group order is cell-invariant."""
         job = MapReduceJob(
             mapper=lambda x: [(x % 17, x)], reducer=lambda k, v: [(k, len(v))]
         )
-        results = []
-        for executor in (SerialExecutor(), ParallelExecutor(num_workers=2)):
-            config = ClusterConfig(
+        results = [
+            # A fresh (stateful) partitioner per cell.
+            cell.run(
+                job,
+                range(300),
                 num_workers=3,
                 partitioner=RoundRobinPartitioner(),
                 map_batch_size=16,
             )
-            results.append(
-                MapReduceEngine(config, executor=executor).run(job, range(300))
-            )
-        assert_identical(results[0], results[1])
+            for cell in cell_matrix.cells()
+        ]
+        for result in results[1:]:
+            cell_matrix.assert_identical(results[0], result)
 
-    def test_run_chain_parallel(self):
-        """Every round of a chain runs through the configured executor."""
+    def test_run_chain_parallel(self, cell_matrix):
+        """Every round of a chain runs through the configured cell."""
         from repro.schemas.matmul_two_phase import TwoPhaseMatMulAlgorithm
         from repro.datagen.matrices import (
             multiplication_records,
@@ -157,21 +151,20 @@ class TestWorkloadEquivalence:
         algorithm = TwoPhaseMatMulAlgorithm(n, 2, 2)
         left, right = random_matrix(n, seed=1), random_matrix(n, seed=2)
         records = multiplication_records(left, right)
-        serial = MapReduceEngine().run_chain(algorithm.chain(), records)
-        parallel = MapReduceEngine(
-            executor=ParallelExecutor(num_workers=2)
-        ).run_chain(algorithm.chain(), records)
-        assert parallel.outputs == serial.outputs
-        assert parallel.metrics == serial.metrics
-        assert np.allclose(
-            records_to_matrix(parallel.outputs, n, n), left @ right
+        serial, *others = (
+            cell.engine().run_chain(algorithm.chain(), records)
+            for cell in cell_matrix.cells()
         )
+        for result in others:
+            assert result.outputs == serial.outputs
+            assert result.metrics == serial.metrics
+        assert np.allclose(records_to_matrix(serial.outputs, n, n), left @ right)
 
 
 class TestErrorPropagation:
     @QUICK
     @given(workers=st.integers(min_value=1, max_value=4))
-    def test_mapper_error_surfaces_identically(self, workers):
+    def test_mapper_error_surfaces_identically(self, cell_matrix, workers):
         def bad_mapper(x):
             if x == 37:
                 raise ValueError("exploding record")
@@ -180,18 +173,15 @@ class TestErrorPropagation:
         job = MapReduceJob(
             mapper=bad_mapper, reducer=lambda k, v: [(k, len(v))], name="bad-map"
         )
-        messages = []
-        for executor in (SerialExecutor(), ParallelExecutor(num_workers=workers)):
-            with pytest.raises(ExecutionError, match="exploding record") as info:
-                MapReduceEngine(
-                    ClusterConfig(map_batch_size=8), executor=executor
-                ).run(job, range(100))
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+        error = cell_matrix.error(
+            job, lambda: range(100), workers, map_batch_size=8
+        )
+        assert isinstance(error, ExecutionError)
+        assert "exploding record" in str(error)
 
     @QUICK
     @given(workers=st.integers(min_value=1, max_value=4))
-    def test_reducer_error_surfaces_identically(self, workers):
+    def test_reducer_error_surfaces_identically(self, cell_matrix, workers):
         def bad_reducer(key, values):
             if key == 2:
                 raise RuntimeError("reducer boom")
@@ -200,36 +190,32 @@ class TestErrorPropagation:
         job = MapReduceJob(
             mapper=lambda x: [(x % 5, x)], reducer=bad_reducer, name="bad-reduce"
         )
-        messages = []
-        for executor in (SerialExecutor(), ParallelExecutor(num_workers=workers)):
-            with pytest.raises(ExecutionError, match="reducer boom") as info:
-                MapReduceEngine(
-                    ClusterConfig(map_batch_size=8), executor=executor
-                ).run(job, range(100))
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
-
-    def test_capacity_error_matches_serial(self):
-        config = ClusterConfig(
-            reducer_capacity=10, enforce_capacity=True, map_batch_size=8
+        error = cell_matrix.error(
+            job, lambda: range(100), workers, map_batch_size=8
         )
+        assert isinstance(error, ExecutionError)
+        assert "reducer boom" in str(error)
+
+    def test_capacity_error_matches_serial(self, cell_matrix):
         job = MapReduceJob(
             mapper=lambda x: [(x % 3, x)], reducer=lambda k, v: [len(v)]
         )
-        errors = []
-        for executor in (SerialExecutor(), ParallelExecutor(num_workers=2)):
-            with pytest.raises(ReducerCapacityExceededError) as info:
-                MapReduceEngine(config, executor=executor).run(job, range(100))
-            errors.append((info.value.reducer_id, info.value.assigned))
-        assert errors[0] == errors[1]
+        error = cell_matrix.error(
+            job,
+            lambda: range(100),
+            reducer_capacity=10,
+            enforce_capacity=True,
+            map_batch_size=8,
+        )
+        assert isinstance(error, ReducerCapacityExceededError)
 
-    def test_earlier_reducer_error_beats_later_capacity_violation(self):
+    def test_earlier_reducer_error_beats_later_capacity_violation(self, cell_matrix):
         """Serial error *order* is preserved, not just the error types.
 
         When an early-hash-order key's reducer fails and a later key
-        violates the enforced capacity, the serial executor surfaces the
+        violates the enforced capacity, the inline runner surfaces the
         reducer error (it runs before the capacity check is ever reached);
-        the parallel executor must not let its deferred draining report the
+        the pool runner must not let its deferred draining report the
         capacity violation instead.
         """
         keys = sorted(range(3), key=lambda k: (stable_hash(k), repr(k)))
@@ -246,15 +232,13 @@ class TestErrorPropagation:
             yield (key, len(values))
 
         job = MapReduceJob(mapper=mapper, reducer=reducer, name="order")
-        config = ClusterConfig(reducer_capacity=10, enforce_capacity=True)
-        errors = []
-        for executor in (SerialExecutor(), ParallelExecutor(num_workers=2)):
-            with pytest.raises(ExecutionError, match="early reducer boom"):
-                MapReduceEngine(config, executor=executor).run(job, range(3))
-            errors.append(True)
-        assert errors == [True, True]
+        error = cell_matrix.error(
+            job, lambda: range(3), reducer_capacity=10, enforce_capacity=True
+        )
+        assert isinstance(error, ExecutionError)
+        assert "early reducer boom" in str(error)
 
-    def test_earlier_mapper_error_beats_input_iterator_error(self):
+    def test_earlier_mapper_error_beats_input_iterator_error(self, cell_matrix):
         """A mapper failure on an early record wins over a later input error."""
 
         def failing_inputs():
@@ -269,24 +253,19 @@ class TestErrorPropagation:
         job = MapReduceJob(
             mapper=bad_mapper, reducer=lambda k, v: [(k, len(v))], name="io"
         )
-        config = ClusterConfig(map_batch_size=4)
-        for executor in (SerialExecutor(), ParallelExecutor(num_workers=2)):
-            with pytest.raises(ExecutionError, match="mapper boom at 10"):
-                MapReduceEngine(config, executor=executor).run(
-                    job, failing_inputs()
-                )
+        error = cell_matrix.error(job, failing_inputs, map_batch_size=4)
+        assert isinstance(error, ExecutionError)
+        assert "mapper boom at 10" in str(error)
         # With no mapper failure, the input iterable's own error surfaces
-        # unchanged from both executors.
+        # unchanged from every cell.
         ok_job = MapReduceJob(
             mapper=lambda x: [(x % 3, x)], reducer=lambda k, v: [(k, len(v))]
         )
-        for executor in (SerialExecutor(), ParallelExecutor(num_workers=2)):
-            with pytest.raises(ValueError, match="input source failed"):
-                MapReduceEngine(config, executor=executor).run(
-                    ok_job, failing_inputs()
-                )
+        error = cell_matrix.error(ok_job, failing_inputs, map_batch_size=4)
+        assert isinstance(error, ValueError)
+        assert str(error) == "input source failed"
 
-    def test_generator_reducer_error_wrapped(self):
+    def test_generator_reducer_error_wrapped(self, cell_matrix):
         def lazy_bad_reducer(key, values):
             yield (key, len(values))
             if key == 1:
@@ -295,9 +274,9 @@ class TestErrorPropagation:
         job = MapReduceJob(
             mapper=lambda x: [(x % 2, x)], reducer=lazy_bad_reducer, name="lazy"
         )
-        for executor in (SerialExecutor(), ParallelExecutor(num_workers=2)):
-            with pytest.raises(ExecutionError, match="late failure"):
-                MapReduceEngine(executor=executor).run(job, range(10))
+        error = cell_matrix.error(job, lambda: range(10))
+        assert isinstance(error, ExecutionError)
+        assert "late failure" in str(error)
 
 
 class TestConfigurationWiring:
@@ -325,10 +304,11 @@ class TestConfigurationWiring:
         engine = MapReduceEngine()  # serial by default
         assert isinstance(engine.executor, SerialExecutor)
         serial = engine.run(job, range(60))
-        parallel = engine.run(
-            job, range(60), executor=ParallelExecutor(num_workers=2)
-        )
-        assert_identical(serial, parallel)
+        with ParallelExecutor(num_workers=2) as executor:
+            parallel = engine.run(job, range(60), executor=executor)
+            assert executor.warm_runs == 1
+        assert parallel.outputs == serial.outputs
+        assert parallel.metrics == serial.metrics
 
     def test_worker_count_defaults_to_cluster(self):
         executor = ParallelExecutor()
@@ -364,5 +344,3 @@ class TestConfigurationWiring:
             ParallelExecutor(num_workers=0)
         with pytest.raises(ConfigurationError):
             ParallelExecutor(reduce_block_size=0)
-        with pytest.raises(ConfigurationError):
-            ParallelExecutor(max_pending_factor=0)

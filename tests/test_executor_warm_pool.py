@@ -1,13 +1,12 @@
-"""Warm-pool executor: pool reuse across runs, job shipping, fallback.
+"""Warm-pool runner: pool reuse across runs, job shipping, inline fallback.
 
-The PR-2 ROADMAP note left one gap in the parallel backend: every ``run``
-forked a fresh pool.  The warm path closes it by serializing jobs (closures
-included) per task, so one pool serves many runs — including runs of
-*different* jobs, which is exactly where a stale fork-inherited job would
-corrupt results.  These tests pin: serializer round trips, pool identity
-across runs and across job changes (with serial-identical results), the
-explicit/contextual close API, pool resizing, and the silent fallback for
-jobs the serializer cannot ship.
+Jobs (closures included) are serialized per task, so one pool serves many
+runs — including runs of *different* jobs, which is exactly where a stale
+job in a long-lived worker would corrupt results.  These tests pin:
+serializer round trips, pool identity across runs and across job changes
+(with serial-identical results), the explicit/contextual close API, pool
+resizing, and the counted, warned inline run of a job the serializer cannot
+ship.
 """
 
 from __future__ import annotations
@@ -198,14 +197,14 @@ class TestFallbackPath:
         job = self._unmarshallable_job()
         executor = ParallelExecutor(num_workers=2)
         try:
-            with pytest.warns(WarmPoolFallbackWarning, match="run-scoped fork pool"):
+            with pytest.warns(WarmPoolFallbackWarning, match="running it inline"):
                 result = MapReduceEngine(executor=executor).run(job, range(60))
-            # Fallback forks a run-scoped pool; no warm pool is retained.
+            # The job ran on the inline runner: no pool was ever forked.
             assert not executor.pool_is_warm
-            plain = MapReduceJob(
-                mapper=lambda x: [(x % 3, x)], reducer=lambda k, v: [(k, len(v))]
-            )
-            assert result.outputs == MapReduceEngine().run(plain, range(60)).outputs
+            assert executor.warm_stats().active_runs == 0
+            reference = MapReduceEngine().run(job, range(60))
+            assert result.outputs == reference.outputs
+            assert result.metrics == reference.metrics
         finally:
             executor.close()
 
@@ -220,42 +219,29 @@ class TestFallbackPath:
                 mapper=lambda x: [(x % 3, x)], reducer=lambda k, v: [(k, len(v))]
             )
             engine.run(shippable, range(40))
+            pool = executor._pool
             assert executor.used_warm_pool is True
             assert (executor.warm_runs, executor.fallback_runs) == (1, 0)
             with pytest.warns(WarmPoolFallbackWarning):
                 engine.run(self._unmarshallable_job(), range(40))
             assert executor.used_warm_pool is False
             assert (executor.warm_runs, executor.fallback_runs) == (1, 1)
-            # The warm pool survives the fallback run and serves again.
+            # The warm pool survives the inline run and serves again.
+            assert executor._pool is pool
             engine.run(shippable, range(40))
+            assert executor._pool is pool
             assert executor.used_warm_pool is True
             assert (executor.warm_runs, executor.fallback_runs) == (2, 1)
         finally:
             engine.close()
 
-    def test_keep_warm_false_restores_per_run_pools(self):
-        import warnings as warnings_module
-
-        executor = ParallelExecutor(num_workers=2, keep_warm=False)
-        job = MapReduceJob(
-            mapper=lambda x: [(x % 3, x)], reducer=lambda k, v: [(k, len(v))]
-        )
-        # Explicit configuration is not a silent surprise: no warning.
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            result = MapReduceEngine(executor=executor).run(job, range(60))
-        assert not executor.pool_is_warm
-        assert executor.used_warm_pool is False
-        assert executor.fallback_runs == 1
-        assert result.outputs == MapReduceEngine().run(job, range(60)).outputs
-
 
 class TestConcurrentSubmission:
     """One warm executor shared by many threads — the query service setup.
 
-    The fallback *decision* and its counter update happen in one critical
-    section, so interleaved warm and fallback submissions can never
-    misattribute a run; and concurrent warm executes overlap on one pool
+    The runner *decision* and its counter update happen in one critical
+    section, so interleaved pool and inline-fallback submissions can never
+    misattribute a run; and concurrent pool executes overlap on one pool
     (the pool is only resized while no run is active).
     """
 
@@ -314,33 +300,51 @@ class TestConcurrentSubmission:
                 mapper=mapper, reducer=lambda k, v: [(k, len(v))]
             )
 
-        errors = []
+        serial = MapReduceEngine()
+        expected = {
+            True: serial.run(self._shippable_job(), range(60)),
+            False: serial.run(unshippable_job(), range(60)),
+        }
+        results, errors = [], []
 
         def run_one(warm: bool):
             try:
-                with warnings_module.catch_warnings():
-                    warnings_module.simplefilter(
-                        "ignore", WarmPoolFallbackWarning
-                    )
-                    job = self._shippable_job() if warm else unshippable_job()
-                    engine.run(job, range(60))
+                job = self._shippable_job() if warm else unshippable_job()
+                results.append((warm, engine.run(job, range(60))))
             except BaseException as exc:  # pragma: no cover - failure detail
                 errors.append(exc)
 
         try:
-            threads = [
-                threading.Thread(target=run_one, args=(i % 2 == 0,))
-                for i in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            # catch_warnings is process-wide state, so it wraps the threads
+            # rather than living inside each of them.
+            with warnings_module.catch_warnings():
+                warnings_module.simplefilter("ignore", WarmPoolFallbackWarning)
+                threads = [
+                    threading.Thread(target=run_one, args=(i % 2 == 0,))
+                    for i in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
             assert not errors
+            assert len(results) == 8
+            for warm, result in results:
+                assert result.outputs == expected[warm].outputs
+                assert result.metrics == expected[warm].metrics
             stats = executor.warm_stats()
             # Exactly 4 of each, however the submissions interleaved.
             assert stats.warm_runs == 4
             assert stats.fallback_runs == 4
             assert stats.total_runs == 8
+            assert stats.active_runs == 0
+            # The warm pool survived the inline runs and serves the next job.
+            pool = executor._pool
+            assert pool is not None
+            after = engine.run(self._shippable_job(), range(60))
+            assert executor._pool is pool
+            assert after.outputs == expected[True].outputs
+            assert executor.warm_stats().warm_runs == 5
         finally:
             engine.close()
