@@ -22,8 +22,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from array import array
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
 
@@ -38,16 +39,26 @@ class LoadSummary:
     when only the maximum is certified.  The planner's certification layer
     produces these; the cost model consumes them to price the ``b·q`` term
     from what reducers will actually hold instead of the worst case.
+
+    ``loads`` is kept *packed*: any sequence of numbers is accepted and
+    stored as an ``array('d')`` (8 bytes per reducer, no boxed float each —
+    the planner's schema cache retains one profile per certified
+    candidate).  It indexes, iterates and sums like the tuple of floats it
+    replaces but does not equal one: compare summaries, or
+    ``tuple(summary.loads)``.  An array is unhashable, so the summary (and
+    the certificates and plans holding it) hashes by ``max_load`` alone.
     """
 
     max_load: float
-    loads: Optional[Tuple[float, ...]] = None
+    loads: Optional[Sequence[float]] = field(default=None, hash=False)
 
     def __post_init__(self) -> None:
         if self.max_load < 0:
             raise ConfigurationError(
                 f"certified max load must be non-negative, got {self.max_load}"
             )
+        if self.loads is not None and not isinstance(self.loads, array):
+            object.__setattr__(self, "loads", array("d", self.loads))
         loads, top = self.loads, self.max_load
         if loads and not (0 <= min(loads) and max(loads) <= top):
             # effective_load()'s "never above the max" guarantee — and
@@ -87,8 +98,9 @@ class LoadSummary:
         total = self.total_load
         if total <= 0:
             return 0.0
-        # Builtin ``sum`` over the tuple, not numpy's pairwise sum, which
-        # rounds differently and could reorder near-tied candidates.
+        # Builtin left-to-right ``sum`` over the packed floats, not numpy's
+        # pairwise sum, which rounds differently and could reorder
+        # near-tied candidates.
         return float(sum(load * load for load in self.loads)) / total
 
 

@@ -20,8 +20,12 @@ Re-planning triggers when the observed certificate
   expectation, not a bound).
 
 The remaining round is then re-planned from scratch against the observed
-profile; every re-plan is recorded as a :class:`ReplanEvent` so reports
-and the acceptance benchmark can show what mid-flight adaptation bought.
+profile — once per plan object and observed profile: the verdict is kept
+in the plan's re-plan memo, so further executions of the same plan on the
+same data (the service runs many copies of one template) look it up
+instead of planning again.  Every execution's re-plan is still recorded
+as its own :class:`ReplanEvent`, so reports and the acceptance benchmark
+can show what mid-flight adaptation bought.
 
 Execution is expressed as a *round coroutine* (:func:`pipeline_rounds`):
 the generator yields each round as a :class:`RoundWork` item before it
@@ -546,6 +550,37 @@ def _fingerprinted_certification(
     )
 
 
+def _replan_once(
+    plan: PipelinePlan,
+    index: int,
+    round_: PipelineRound,
+    observed_profile: DatasetProfile,
+) -> Optional[PipelineRound]:
+    """The plan's verdict on re-planning round ``index``: a round, or ``None``.
+
+    A re-plan is a pure function of (round, budget, observed profile), so
+    the plan decides each one once and remembers it in its re-plan memo;
+    the caller still records an event of its own for every execution.
+    ``None`` means nothing fits the budget on the observed data: the
+    original (still sound) plan keeps running, and the caller records that
+    — with the old plan's name and observed bound, i.e. certified no better
+    — so it is a scorable loss for the adaptive ``replan_factor`` tuner.
+    """
+    memo = plan._replan_memo
+    key = (index, observed_profile.fingerprint())
+    if key not in memo:
+        try:
+            verdict: Optional[PipelineRound] = replan_round(
+                round_, plan, observed_profile
+            )
+        except PlanningError:
+            verdict = None
+        # Executions racing the first occurrence each plan; ``setdefault``
+        # (atomic, no lock) makes them all run the first verdict stored.
+        memo.setdefault(key, verdict)
+    return memo[key]
+
+
 def _base_fingerprints(base_records: Dict[str, List[Any]]) -> Dict[str, int]:
     """Content fingerprint per base relation's record list (order included).
 
@@ -651,19 +686,9 @@ def _cascade_rounds(
                             round=index,
                             reason=trigger,
                         ):
-                            try:
-                                new_round = replan_round(
-                                    round_, plan, observed_profile
-                                )
-                            except PlanningError:
-                                # Nothing fits the budget on the observed data;
-                                # the original (still sound) plan keeps running.
-                                # Still recorded below — with the old plan's
-                                # name and observed bound, i.e. certified no
-                                # better — so the wasted planning work is a
-                                # scorable loss for the adaptive replan_factor
-                                # tuner.
-                                new_round = None
+                            new_round = _replan_once(
+                                plan, index, round_, observed_profile
+                            )
                         event = ReplanEvent(
                             round_index=index,
                             node=op.schema.name,
@@ -723,10 +748,8 @@ def _cascade_rounds(
                 if isinstance(child, RelationLeaf):
                     input_records.extend(base_records[child.relation.name])
                 else:
-                    input_records.extend(
-                        (child.schema.name, row)
-                        for row in node_outputs[child.schema.name]
-                    )
+                    name = child.schema.name
+                    input_records.extend((name, row) for row in node_outputs[name])
             round_token: Optional[Tuple] = None
             if reuse_keys:
                 # Built after re-planning settled, so the token names the plan

@@ -26,6 +26,7 @@ unordered tree appears exactly once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -105,8 +106,10 @@ class BinaryJoinOp(LogicalOp):
                 f"product); cascade enumeration never builds these"
             )
 
-    @property
+    @functools.cached_property
     def schema(self) -> RelationSchema:
+        # Cached (the op is frozen): the executor reads it several times per
+        # round and an uncached property rebuilds the whole subtree's schemas.
         return _joined_schema(self.left.schema, self.right.schema)
 
     @property

@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cost import ClusterCostModel, CostBreakdown
 from repro.core.problem import Problem
@@ -154,6 +154,17 @@ class PipelinePlan:
     planning_seconds: float = 0.0
     planning_cost: float = 0.0
     rank: int = 0
+    #: Mid-flight re-plan verdicts of this plan, decided once each:
+    #: ``(round index, observed profile fingerprint)`` -> the re-planned
+    #: round, or ``None`` when nothing fit the budget.  The key is complete
+    #: because a re-plan's other inputs (problem, planner, cluster,
+    #: ``q_budget``, ``rounds[index]``) are fields of this plan — hence
+    #: ``init=False``: a ``dataclasses.replace`` copy that changes one of
+    #: them starts with an empty memo.  One entry per distinct intermediate
+    #: the plan has been run on; lives and dies with the plan object.
+    _replan_memo: Dict[Tuple[int, int], Optional[PipelineRound]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def name(self) -> str:

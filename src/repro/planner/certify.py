@@ -35,6 +35,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
 
@@ -325,7 +326,8 @@ def certify_max_reducer_load(
     # Recording pass: exact answers are final, sampled answers are optimistic
     # (epsilon 0) but tell us how many estimates the union bound must cover.
     recorder = ProfileWeightOracle(profile, bucket_cache=bucket_cache)
-    exact_loads = tuple(map(float, loads_fn(recorder)))
+    # Packed float64; a plain memcpy when the schema's kernel already packs.
+    exact_loads = array("d", loads_fn(recorder))
     optimistic = max(exact_loads, default=0.0)
     if not recorder.sampled_cells:
         # The per-reducer profile is only attached when the bounds really

@@ -21,11 +21,10 @@ while the registry keeps the per-problem knowledge pluggable.
 
 from __future__ import annotations
 
-import dataclasses
 import time
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
-from repro.core.cost import ClusterCostModel
+from repro.core.cost import ClusterCostModel, CostBreakdown
 from repro.core.problem import Problem
 from repro.core.recipe import LowerBoundRecipe
 from repro.core.tradeoff import AlgorithmPoint, TradeoffCurve
@@ -126,17 +125,23 @@ class CostBasedPlanner:
             planning_rate=cluster.planning_cost_per_second,
         )
         curve = self._tradeoff_curve(problem, candidates)
-        ranked = self._rank(problem, candidates, model, curve, cluster)
+        priced = self._price(candidates, model, curve)
         # Planning-time accounting (ROADMAP leftover): the wall-clock this
         # call spent enumerating/certifying/ranking, attached *after* the
         # ranking — the same seconds back every candidate, so the priced
-        # term shifts totals uniformly and cannot reorder plans.
+        # term shifts totals uniformly and cannot reorder plans.  Each plan
+        # is constructed once, already carrying its rank and that term.
         planning_seconds = time.perf_counter() - started
         ranked = [
-            dataclasses.replace(
-                plan, cost=model.with_planning(plan.cost, planning_seconds)
+            ExecutionPlan(
+                problem=problem,
+                candidate=candidate,
+                cost=model.with_planning(breakdown, planning_seconds),
+                cluster=cluster,
+                lower_bound=lower,
+                rank=rank,
             )
-            for plan in ranked
+            for rank, (breakdown, lower, candidate) in enumerate(priced)
         ]
         return PlanningResult(
             problem=problem,
@@ -240,15 +245,18 @@ class CostBasedPlanner:
         )
         return curve
 
-    def _rank(
-        self,
-        problem: Problem,
+    @staticmethod
+    def _price(
         candidates: List[PlanCandidate],
         model: ClusterCostModel,
         curve: Optional[TradeoffCurve],
-        cluster: ClusterConfig,
-    ) -> List[ExecutionPlan]:
-        plans: List[ExecutionPlan] = []
+    ) -> List[Tuple[CostBreakdown, Optional[float], PlanCandidate]]:
+        """``(cost, lower bound, candidate)`` per candidate, cheapest first.
+
+        Ranked ascending by total predicted cost, ties broken on
+        ``(q, name)``.
+        """
+        priced: List[Tuple[CostBreakdown, Optional[float], PlanCandidate]] = []
         for candidate in candidates:
             rate = candidate.replication_rate
             # Certified candidates (profiled joins, sample graphs) carry a
@@ -269,16 +277,6 @@ class CostBasedPlanner:
                     lower = curve.lower_bound_at(candidate.q)
                 except (NotImplementedError, BoundDerivationError):
                     lower = None
-            plans.append(
-                ExecutionPlan(
-                    problem=problem,
-                    candidate=candidate,
-                    cost=breakdown,
-                    cluster=cluster,
-                    lower_bound=lower,
-                )
-            )
-        plans.sort(key=lambda plan: (plan.total_cost, plan.q, plan.name))
-        return [
-            dataclasses.replace(plan, rank=rank) for rank, plan in enumerate(plans)
-        ]
+            priced.append((breakdown, lower, candidate))
+        priced.sort(key=lambda entry: (entry[0].total, entry[2].q, entry[2].name))
+        return priced

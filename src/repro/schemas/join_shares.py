@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from typing import (
     Any,
     Callable,
@@ -242,7 +243,7 @@ class SharesSchema(SchemaFamily):
     # ------------------------------------------------------------------
     # Profile-based certification hook
     # ------------------------------------------------------------------
-    def reducer_load_bounds(self, oracle) -> Tuple[float, ...]:
+    def reducer_load_bounds(self, oracle) -> array:
         """Upper bound on the input load of every reducer of this schema.
 
         ``oracle`` answers bucket-weight queries from a dataset profile (see
@@ -260,7 +261,7 @@ class SharesSchema(SchemaFamily):
 
     def _main_grid_loads(
         self, oracle, excluded: Mapping[str, FrozenSet[Any]]
-    ) -> Tuple[float, ...]:
+    ) -> array:
         """Main-grid bounds; ``excluded`` values never reach an attribute."""
         coarse = math.prod(self.shares.values()) > _CERTIFICATION_GRID_LIMIT
 
@@ -548,7 +549,7 @@ class SkewAwareSharesSchema(SharesSchema):
     # ------------------------------------------------------------------
     # Profile-based certification hook
     # ------------------------------------------------------------------
-    def reducer_load_bounds(self, oracle) -> Tuple[float, ...]:
+    def reducer_load_bounds(self, oracle) -> array:
         # Main grid: relations containing the skew attribute only send their
         # non-heavy tuples there, so heavy values are excluded from that
         # attribute's bucket weights.
@@ -599,7 +600,7 @@ def _separable_loads(
     query: JoinQuery,
     axes: Sequence[str],
     weights: Callable[[str, str], Sequence[float]],
-) -> Tuple[float, ...]:
+) -> array:
     """``Σ_rel min_{A ∈ rel} weights(rel, A)[c_A]`` at every grid point ``c``.
 
     The grid has one axis per attribute of ``axes`` (which must cover the
@@ -610,7 +611,10 @@ def _separable_loads(
     ``itertools.product`` order of the grid points.  Float ``min`` is exact
     and the relation terms are added in ``query.relations`` order from
     ``0.0``, so every bound carries the bits of the scalar sum
-    ``((0.0 + t₁) + t₂) + …``.
+    ``((0.0 + t₁) + t₂) + …``.  They are handed back packed — an
+    ``array('d')`` copied straight from the numpy buffer, 8 bytes a bound
+    and no boxed float per reducer — because the planner's schema cache
+    retains one profile per certified candidate.
     """
     np = require_numpy()
     loads = 0.0
@@ -624,7 +628,7 @@ def _separable_loads(
             ).reshape(dims)
             bound = operand if bound is None else np.minimum(bound, operand)
         loads = loads + bound
-    return tuple(loads.ravel().tolist())
+    return array("d", loads.tobytes())
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import logging
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -251,6 +252,8 @@ class QueryService:
         self._ready: List[_QueryState] = []
         self._running_rounds = 0
         self._parked_rounds = 0
+        #: Dispatch passes that found a non-empty queue to walk.
+        self._dispatch_passes = 0
         self._overcapacity_rounds = 0
         self._active_queries: Dict[int, _QueryState] = {}
         self._submitted = 0
@@ -491,9 +494,19 @@ class QueryService:
         in-flight load drains until the starved round runs.  Together the
         two bound every round's wait by roughly the priority spread times
         ``aging_seconds`` plus one drain.
+
+        Headroom only shrinks inside a pass, so a round at least as
+        expensive as one the ledger already refused this pass cannot fit
+        either and is passed over without asking (an aged one still raises
+        the barrier).  The queue is walked cheapest-first within a
+        priority class, so in effect the first refusal ends its class and
+        the walk resumes at the cheaper rounds of the next.  Same admitted
+        set as trying every round; the ledger's ``deferrals`` counts the
+        reservations actually attempted and refused.
         """
         if not self._ready:
             return
+        self._dispatch_passes += 1
         aging = self.aging_seconds
         now = time.perf_counter() if aging is not None else 0.0
 
@@ -508,6 +521,7 @@ class QueryService:
             key=lambda s: (-effective(s), s.pending_work.admission_load, s.seq)
         )
         admitted: List[_QueryState] = []
+        refused = math.inf  # smallest load the ledger refused this pass
         for state in self._ready:
             load = state.pending_work.admission_load
             clamped = False
@@ -522,23 +536,25 @@ class QueryService:
                 # the invariant was capacity-limited, not load-limited.
                 load = self.admission.capacity
                 clamped = True
-            if self.admission.try_reserve(load):
-                state.reserved_load = load
-                if clamped:
-                    # Count once, when the clamped round is actually
-                    # admitted — not on every dispatch pass it waits out.
-                    self._overcapacity_rounds += 1
-                admitted.append(state)
-            else:
+            if load < refused:
+                if self.admission.try_reserve(load):
+                    state.reserved_load = load
+                    if clamped:
+                        # Count once, when the clamped round is actually
+                        # admitted — not on every dispatch pass it waits out.
+                        self._overcapacity_rounds += 1
+                    admitted.append(state)
+                    continue
                 self._m_deferrals.inc()
-                if (
-                    aging is not None
-                    and state.queued_at is not None
-                    and now - state.queued_at >= aging
-                ):
-                    # Starvation barrier: stop backfilling behind an aged
-                    # round so released capacity reaches it next pass.
-                    break
+                refused = load
+            if (
+                aging is not None
+                and state.queued_at is not None
+                and now - state.queued_at >= aging
+            ):
+                # Starvation barrier: stop backfilling behind an aged
+                # round so released capacity reaches it next pass.
+                break
         # Unqueue every admitted round before spawning any: a spawn
         # failure fails the query, whose cleanup re-enters dispatch and
         # must not re-admit rounds this pass already holds reservations
@@ -836,11 +852,13 @@ class QueryService:
                 "peak_in_flight_load": admission.peak_in_flight,
                 "headroom": admission.headroom,
                 "admitted": admission.admitted,
+                # Reservations the ledger refused.  A dispatch pass asks
+                # only about rounds cheaper than every one it was already
+                # refused, so these grow with the passes (at most one per
+                # priority class each), not with passes x queue depth.
                 "deferrals": admission.deferrals,
                 "attempts": attempts,
-                # Raw deferral counts sum queue depth over dispatch
-                # passes, so they scale superlinearly with how slowly a
-                # run happened to go; the rate is the comparable number.
+                "dispatch_passes": self._dispatch_passes,
                 "deferral_rate": (
                     admission.deferrals / attempts if attempts else 0.0
                 ),

@@ -154,6 +154,22 @@ class RelationProfile:
                 f"(profiled: {sorted(self.attributes)})"
             ) from None
 
+    def fingerprint(self) -> int:
+        """Stable content hash of this relation's statistics, memoized.
+
+        The profile is frozen and one object is handed to every consumer of
+        a relation (the planning profile's base relations, an intermediate
+        shared through the service's store), so its histograms are
+        serialized once however many dataset profiles it joins.
+        """
+        cached = getattr(self, "_fingerprint", None)
+        if cached is None:
+            cached = stable_hash(
+                json.dumps([self.name, _relation_to_dict(self)], sort_keys=True)
+            )
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
+
 
 @dataclass(frozen=True)
 class DatasetProfile:
@@ -212,14 +228,21 @@ class DatasetProfile:
     def fingerprint(self) -> int:
         """Stable content hash, usable as part of schema-cache keys.
 
-        Memoized on first use: the profile is frozen, and profile-aware
-        builders fingerprint once per ``plan`` call, so a budget sweep over
-        a large exact profile must not re-serialize every histogram per
-        budget point.
+        Combines the relations' own memoized hashes
+        (:meth:`RelationProfile.fingerprint`), so a dataset profile
+        assembled from already-fingerprinted relations — the adaptive
+        executor builds one per downstream round — serializes nothing.
+        Memoized itself too: profile-aware builders fingerprint once per
+        ``plan`` call.
         """
         cached = getattr(self, "_fingerprint", None)
         if cached is None:
-            cached = stable_hash(self.to_json())
+            cached = stable_hash(
+                tuple(
+                    (name, relation.fingerprint())
+                    for name, relation in sorted(self.relations.items())
+                )
+            )
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 

@@ -6,7 +6,8 @@ the grid point by point.  The per-point loops it replaced are kept here
 *verbatim* as the reference (``scalar_*_bounds``), reading the oracle one
 bucket at a time, and four contracts are pinned against them:
 
-1. **Bit-identity** — identical ``loads`` tuples (``==``, never approx) on
+1. **Bit-identity** — identical ``loads`` values (``==``, never approx; the
+   kernel hands them back packed, the reference as a tuple) on
    random queries (chain / star / cyclic / arity-3), random share vectors
    (shares of 1 included) and exact *and* sampled profiles, with and
    without Hoeffding inflation.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from typing import Iterable, Iterator, List, Tuple
 
 import pytest
@@ -291,9 +293,9 @@ class TestKernelMatchesScalarReference:
         kernel_oracle = ProfileWeightOracle(profile)
         scalar_oracle = ProfileWeightOracle(profile)
         loads = schema.reducer_load_bounds(kernel_oracle)
-        assert isinstance(loads, tuple)
-        assert all(type(load) is float for load in loads)
-        assert loads == scalar_bounds(schema, scalar_oracle)
+        # Packed float64 straight from the kernel's buffer, never boxed.
+        assert isinstance(loads, array) and loads.typecode == "d"
+        assert tuple(loads) == scalar_bounds(schema, scalar_oracle)
         assert len(loads) == schema.num_reducers
         assert kernel_oracle.sampled_cells == scalar_oracle.sampled_cells
 
@@ -306,8 +308,8 @@ class TestKernelMatchesScalarReference:
             for relation in schema.query.relations
             for attribute in relation.attributes
         }
-        assert schema.reducer_load_bounds(
-            ProfileWeightOracle(profile, epsilons=epsilons)
+        assert tuple(
+            schema.reducer_load_bounds(ProfileWeightOracle(profile, epsilons=epsilons))
         ) == scalar_bounds(schema, ProfileWeightOracle(profile, epsilons=epsilons))
 
     @settings(max_examples=60, deadline=None)
@@ -321,7 +323,7 @@ class TestKernelMatchesScalarReference:
             kernel_oracle = ProfileWeightOracle(profile)
             scalar_oracle = ProfileWeightOracle(profile)
             loads = schema.reducer_load_bounds(kernel_oracle)
-            assert loads == scalar_bounds(schema, scalar_oracle)
+            assert tuple(loads) == scalar_bounds(schema, scalar_oracle)
             assert kernel_oracle.sampled_cells == scalar_oracle.sampled_cells
         finally:
             join_shares._CERTIFICATION_GRID_LIMIT = saved
@@ -358,10 +360,16 @@ class TestKernelMatchesScalarReference:
 # 4. Memoized sums and hashes
 # ----------------------------------------------------------------------
 class TestLoadSummaryMemo:
+    """``packed`` feeds the same loads as the ``array('d')`` the certifier
+    produces; both must price and compare exactly like the tuple."""
+
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(0.0, 1e6), max_size=40))
-    def test_sums_equal_the_unmemoized_formulas(self, loads):
-        summary = LoadSummary(max(loads, default=3.0), loads=tuple(loads))
+    @given(st.lists(st.floats(0.0, 1e6), max_size=40), st.booleans())
+    def test_sums_equal_the_unmemoized_formulas(self, loads, packed):
+        given_loads = array("d", loads) if packed else tuple(loads)
+        summary = LoadSummary(max(loads, default=3.0), loads=given_loads)
+        assert isinstance(summary.loads, array) and summary.loads.typecode == "d"
+        assert list(summary.loads) == loads
         total = float(sum(loads)) if loads else summary.max_load
         assert summary.total_load == total
         if not loads:
@@ -372,7 +380,8 @@ class TestLoadSummaryMemo:
             expected = float(sum(load * load for load in loads)) / total
         assert summary.effective_load() == expected
         assert summary.effective_load() == expected  # and again, memoized
-        assert summary == LoadSummary(summary.max_load, loads=tuple(loads))
+        twin = LoadSummary(summary.max_load, loads=tuple(loads))
+        assert summary == twin and hash(summary) == hash(twin)
 
     def test_no_profile_prices_the_maximum(self):
         summary = LoadSummary(7.0)
@@ -380,7 +389,12 @@ class TestLoadSummaryMemo:
 
     @pytest.mark.parametrize(
         "loads, offending",
-        [((1.0, -2.0, 9.0), -2.0), ((1.0, 9.0, -2.0), 9.0), ((6.0,), 6.0)],
+        [
+            ((1.0, -2.0, 9.0), -2.0),
+            ((1.0, 9.0, -2.0), 9.0),
+            ((6.0,), 6.0),
+            (array("d", (1.0, 9.0, -2.0)), 9.0),
+        ],
     )
     def test_out_of_range_load_is_named(self, loads, offending):
         with pytest.raises(ConfigurationError, match=f"load {offending} outside"):

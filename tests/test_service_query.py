@@ -423,6 +423,8 @@ class TestQueryService:
         assert admission["in_flight_load"] == 0.0
         assert 0 < admission["peak_in_flight_load"] <= 10_000.0
         assert admission["admitted"] >= len(plan.rounds)
+        # Every admitted round went through a pass that found it queued.
+        assert admission["dispatch_passes"] > 0
         intermediates = snapshot["intermediates"]
         assert intermediates["materialized"] == len(plan.rounds)
         assert intermediates["reused"] == len(plan.rounds)
@@ -641,6 +643,141 @@ class TestSchedulerScripted:
         finally:
             gate.set()
             service.close(wait=False)
+
+
+def _full_walk(states, capacity, in_flight, aging, now):
+    """The pre-skip dispatch pass, verbatim: try every queued round in
+    order, stop at an aged round that does not fit.  The reference for
+    :meth:`QueryService._dispatch_locked`'s skipping walk."""
+    ledger = AdmissionLedger(capacity)
+    if in_flight:
+        assert ledger.try_reserve(in_flight)
+
+    def effective(state):
+        if aging is None or state.queued_at is None:
+            return state.priority
+        return state.priority + int((now - state.queued_at) / aging)
+
+    admitted = []
+    for state in sorted(
+        states,
+        key=lambda s: (-effective(s), s.pending_work.admission_load, s.seq),
+    ):
+        load = state.pending_work.admission_load
+        if load <= 0:
+            load = 1e-9
+        if load > capacity:
+            load = capacity
+        if ledger.try_reserve(load):
+            admitted.append(state.seq)
+        elif (
+            aging is not None
+            and state.queued_at is not None
+            and now - state.queued_at >= aging
+        ):
+            break
+    return admitted, ledger.stats()
+
+
+def _queued_state(seq, priority, load, queued_at):
+    from repro.service.service import QueryHandle, _QueryState
+
+    return _QueryState(
+        query_id=seq,
+        plan=None,
+        handle=QueryHandle(seq, "scripted"),
+        gen=None,
+        priority=priority,
+        replan_factor=0.5,
+        seq=seq,
+        pending_work=_scripted_work(load),
+        queued_at=queued_at,
+    )
+
+
+def _random_queue(rng, now):
+    """Up to 24 queued rounds: ties in load, degenerate (<= 0) and
+    over-capacity loads, and a few rounds aged one or two whole classes
+    (far from a class boundary) — an aged round that does not fit is a
+    barrier, also when the walk would have skipped it."""
+    size = rng.randint(1, 24)
+    aged = set(rng.sample(range(size), k=min(size, rng.choice([0, 1, 1, 2, 3]))))
+    return [
+        _queued_state(
+            seq,
+            priority=rng.choice([0.5, 1.0, 2.0, 3.0]),
+            load=rng.choice([0.0, 2.0, 5.0, 5.0, 12.0, 30.0, 58.0, 75.0]),
+            queued_at=now - (rng.choice([1500.0, 2500.0]) if seq in aged else 0.0),
+        )
+        for seq in range(size)
+    ]
+
+
+class TestDispatchWalk:
+    """The dispatch pass does not ask the ledger about a round at least as
+    expensive as one already refused this pass (in effect: the first
+    refusal ends its priority class); it must admit exactly what trying
+    every round admits, and raise the aging barrier at the same round."""
+
+    CAPACITY = 60.0
+
+    def _check(self, states, in_flight, aging, now):
+        expected, full = _full_walk(states, self.CAPACITY, in_flight, aging, now)
+        classes = {
+            state.priority + (int((now - state.queued_at) / aging) if aging else 0)
+            for state in states
+        }
+        service = QueryService(capacity=self.CAPACITY, aging_seconds=aging)
+        spawned = []
+        service._spawn_locked = lambda fn, state, *args: spawned.append(state.seq)
+        try:
+            if in_flight:
+                assert service.admission.try_reserve(in_flight)
+            with service._lock:
+                service._ready = list(states)
+                service._dispatch_locked()
+                queued = sorted(state.seq for state in service._ready)
+                service._ready = []
+            admission = service.describe()["admission"]
+        finally:
+            service.close(wait=False)
+        assert spawned == expected
+        assert queued == sorted(set(range(len(states))) - set(expected))
+        assert admission["in_flight_load"] == full.in_flight
+        assert admission["dispatch_passes"] == 1
+        # Each refusal is cheaper than the one before: at most one per
+        # priority class, never more than the full walk's.
+        assert admission["deferrals"] <= min(full.deferrals, len(classes))
+        return expected
+
+    @pytest.mark.parametrize("aging", [None, 1000.0])
+    def test_same_admitted_set_as_the_full_walk(self, aging):
+        import random
+
+        now = time.perf_counter()
+        admitted_something = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            in_flight = rng.choice([0.0, 10.0, 35.0, 55.0])
+            admitted_something += bool(
+                self._check(_random_queue(rng, now), in_flight, aging, now)
+            )
+        assert admitted_something > 100
+
+    def test_skipped_aged_round_still_raises_the_barrier(self):
+        """Fresh priority-2 and once-aged priority-1 rounds share class 2.
+        The fresh one is cheaper, is tried first and does not fit, so the
+        aged one is skipped — and must still stop the backfill that would
+        otherwise admit the cheap priority-0.5 round behind it."""
+        now = time.perf_counter()
+        states = [
+            _queued_state(0, priority=2.0, load=30.0, queued_at=now),
+            _queued_state(1, priority=1.0, load=31.0, queued_at=now - 1500.0),
+            _queued_state(2, priority=0.5, load=2.0, queued_at=now),
+        ]
+        assert self._check(states, 35.0, 1000.0, now) == []
+        # Without aging the same queue backfills the cheap round.
+        assert self._check(states, 35.0, None, now) == [2]
 
 
 class TestStarvationAging:
