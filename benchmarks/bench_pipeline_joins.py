@@ -78,7 +78,7 @@ def run_pipeline_comparison():
     one_round = result.one_round()
     cascade_run = best.execute(records, engine=engine)
     one_round_run = one_round.execute(records, engine=engine)
-    for plan in result:
+    for plan in result.complete():  # the table lists pruned structures too
         rows.append(
             [
                 "zipf-sparse",
@@ -106,7 +106,7 @@ def run_pipeline_comparison():
     records = SharesSchema.input_records(relations)
     _, oracle_rows = multiway_join_oracle(relations)
     dense_run = result.best.execute(records, engine=engine)
-    for plan in result:
+    for plan in result.complete():  # the table lists pruned structures too
         rows.append(
             [
                 "uniform-dense",

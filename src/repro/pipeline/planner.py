@@ -12,7 +12,7 @@ this *one* job best"; this module answers the paper's larger question —
   multi-round crossover;
 * aggregations are single trivially-parallel rounds.
 
-For each enumerated round structure the planner prices every round with
+For each round structure it plans, the planner prices every round with
 the existing single-round stack — candidate enumeration, per-bucket
 certification, share optimization — fed by the estimation layer
 (:mod:`repro.pipeline.estimate`): intermediate inputs get *synthetic
@@ -23,6 +23,10 @@ the records actually entering that round (the paper's ``a·r`` is
 normalized per input record; rounds of one pipeline see very different
 input cardinalities, so cross-round sums must re-multiply by them).
 
+Join structures are searched bound first (``_join_structures``): a
+cascade whose closed-form lower bound already loses to the incumbent is
+listed in ``result.pruned``, not planned, until ``result.complete()``.
+
 The ranked result mirrors :class:`~repro.planner.plan.PlanningResult`;
 ``result.best.execute(records)`` runs the winning structure on the engine
 with adaptive mid-flight re-planning (:mod:`repro.pipeline.execute`).
@@ -31,13 +35,14 @@ with adaptive mid-flight re-planning (:mod:`repro.pipeline.execute`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.cost import ClusterCostModel, CostBreakdown
 from repro.core.problem import Problem
-from repro.exceptions import PlanningError
+from repro.exceptions import BoundDerivationError, PlanningError
 from repro.mapreduce.cluster import ClusterConfig
 from repro.bounds import BoundRegistry
 from repro.pipeline.estimate import SizeEstimator
@@ -154,6 +159,10 @@ class PipelinePlan:
     planning_seconds: float = 0.0
     planning_cost: float = 0.0
     rank: int = 0
+    #: What the structure must cost before anything is planned for it:
+    #: ``a · floor · Σ records entering its rounds`` (0.0 when the
+    #: registry declares no replication floor for the problem).
+    lower_bound: float = 0.0
     #: Mid-flight re-plan verdicts of this plan, decided once each:
     #: ``(round index, observed profile fingerprint)`` -> the re-planned
     #: round, or ``None`` when nothing fit the budget.  The key is complete
@@ -176,9 +185,14 @@ class PipelinePlan:
         return sum(round_.plan.rounds for round_ in self.rounds)
 
     @property
+    def rounds_cost(self) -> float:
+        """Summed per-round priced cost — what structures are ranked by."""
+        return sum(round_.cost for round_ in self.rounds)
+
+    @property
     def total_cost(self) -> float:
-        """Summed per-round priced cost plus the priced planning time."""
-        return sum(round_.cost for round_ in self.rounds) + self.planning_cost
+        """:attr:`rounds_cost` plus the priced planning time."""
+        return self.rounds_cost + self.planning_cost
 
     @property
     def max_certified_load(self) -> Optional[float]:
@@ -230,6 +244,31 @@ class PipelinePlan:
         )
 
 
+class PrunedStructure(NamedTuple):
+    """A round structure the bound-first search never had to plan."""
+
+    label: str
+    lower_bound: float
+    rounds: int
+
+    @property
+    def key(self) -> Tuple[float, int, str]:
+        """What :func:`_rank_key` of the planned structure is at least."""
+        return (self.lower_bound, self.rounds, self.label)
+
+
+def _rank_key(plan: PipelinePlan) -> Tuple[float, int, str]:
+    """Ranking order of planned structures."""
+    return (plan.rounds_cost, plan.num_rounds, plan.name)
+
+
+#: ``(label, reason)`` per structure nothing could serve within the budget.
+Rejected = List[Tuple[str, str]]
+#: ``label -> () -> PipelinePlan`` for every enumerated cascade, in
+#: enumeration order (the order ``rejected`` is reported in).
+Deferred = Dict[str, Callable[[], PipelinePlan]]
+
+
 @dataclass
 class PipelinePlanningResult:
     """Ranked pipeline structures for one problem, cheapest first.
@@ -237,13 +276,21 @@ class PipelinePlanningResult:
     ``rejected`` lists round structures no candidate could serve within
     the budget, with the planner's reason — so reports can show where the
     feasible region ends instead of silently dropping shapes.
+
+    ``pruned`` lists, cheapest bound first, the structures whose lower
+    bound already loses to ``best``: they are proven not to win and were
+    not planned.  ``plans`` / ``best`` / ``one_round()`` / ``len`` /
+    iteration read what *was* planned; :meth:`complete` (and
+    :meth:`cascades`, whose callers want plans to run) plans the rest.
     """
 
     problem: Problem
     q_budget: float
     cluster: ClusterConfig
     plans: List[PipelinePlan] = field(default_factory=list)
-    rejected: List[Tuple[str, str]] = field(default_factory=list)
+    rejected: Rejected = field(default_factory=list)
+    pruned: List[PrunedStructure] = field(default_factory=list)
+    _deferred: Deferred = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def best(self) -> PipelinePlan:
@@ -270,12 +317,53 @@ class PipelinePlanningResult:
                     return plan
         return None
 
+    def complete(self) -> "PipelinePlanningResult":
+        """Plan every pruned structure and merge it into the ranking.
+
+        Idempotent; returns ``self``.  Completed plans carry the original
+        call's planning term, ``best`` cannot change — a completed plan
+        that undercuts its recorded bound or takes rank 0 raises
+        :class:`BoundDerivationError`, the search was unsound — and an
+        exception leaves ``plans`` / ``pruned`` / ranks untouched, so a
+        retry finishes the job.
+        """
+        if not self.pruned:
+            return self
+        best = self.plans[0]
+        plans, rejected = list(self.plans), list(self.rejected)
+        for label, lower_bound, _ in self.pruned:
+            try:
+                plan = self._deferred[label]()
+            except PlanningError as error:
+                rejected.append((label, str(error)))
+                continue
+            if plan.rounds_cost < lower_bound:
+                raise BoundDerivationError(
+                    f"{label} was pruned at lower bound {lower_bound:g} but "
+                    f"plans at {plan.rounds_cost:g}: the bound is unsound"
+                )
+            plan.planning_seconds = best.planning_seconds
+            plan.planning_cost = best.planning_cost
+            plans.append(plan)
+        plans.sort(key=_rank_key)
+        if plans[0] is not best:
+            raise BoundDerivationError(
+                f"{plans[0].name} was pruned yet ranks ahead of {best.name}: "
+                "the bound-first search returned the wrong winner"
+            )
+        for rank, plan in enumerate(plans):
+            plan.rank = rank
+        self.plans, self.pruned = plans, []
+        self.rejected = _in_enumeration_order(rejected, self._deferred)
+        return self
+
     def cascades(self) -> List[PipelinePlan]:
-        return [plan for plan in self.plans if plan.is_cascade]
+        """Every feasible cascade, ranked — completes the search first."""
+        return [plan for plan in self.complete().plans if plan.is_cascade]
 
     def table(self) -> List[dict]:
-        """One summary row per ranked structure."""
-        return [
+        """One summary row per ranked structure, then one per pruned one."""
+        rows = [
             {
                 "rank": plan.rank,
                 "structure": plan.name,
@@ -284,9 +372,21 @@ class PipelinePlanningResult:
                 "max_certified_load": plan.max_certified_load,
                 "est_communication": plan.estimated_communication,
                 "planning_s": plan.planning_seconds,
+                "lower_bound": plan.lower_bound,
             }
             for plan in self.plans
         ]
+        for label, lower_bound, rounds in self.pruned:
+            row = dict.fromkeys(rows[0], None)
+            row.update(structure=label, rounds=rounds, lower_bound=lower_bound)
+            rows.append(row)
+        return rows
+
+
+def _in_enumeration_order(rejected: Rejected, deferred: Deferred) -> Rejected:
+    """``rejected`` as an exhaustive sweep lists it: one-round, then trees."""
+    position = {label: index for index, label in enumerate(deferred)}
+    return sorted(rejected, key=lambda entry: position.get(entry[0], -1))
 
 
 class PipelinePlanner:
@@ -338,11 +438,13 @@ class PipelinePlanner:
             processing_rate=cluster.worker_cost_per_unit,
             planning_rate=cluster.planning_cost_per_second,
         )
+        pruned: List[PrunedStructure] = []
+        deferred: Deferred = {}
         with cluster.tracer.span(
             "pipeline-plan", problem=problem.name, q_budget=budget
         ) as span:
             if isinstance(problem, MultiwayJoinProblem):
-                plans, rejected = self._join_structures(
+                plans, rejected, pruned, deferred = self._join_structures(
                     problem, cluster, budget, model, profile
                 )
             elif isinstance(problem, MatrixMultiplicationProblem):
@@ -366,26 +468,22 @@ class PipelinePlanner:
                     f"no round structure for {problem.name!r} fits within the "
                     f"reducer-size budget q={budget:g} ({reasons})"
                 )
-            plans.sort(
-                key=lambda plan: (plan.total_cost, plan.num_rounds, plan.name)
-            )
+            plans.sort(key=_rank_key)
             if cluster.tracer.enabled:
-                span.set(structures=len(plans), rejected=len(rejected))
+                span.set(
+                    structures=len(plans), rejected=len(rejected), pruned=len(pruned)
+                )
         planning_seconds = time.perf_counter() - started
         planning_cost = model.planning_rate * planning_seconds
         registry = cluster.metrics
         if registry.enabled:
-            registry.counter(
-                "planner_plans_total", "Pipeline planning invocations"
-            ).inc()
-            registry.counter(
-                "planner_structures_total",
-                "Feasible round structures enumerated across plans",
-            ).inc(len(plans))
-            registry.counter(
-                "planner_rejected_total",
-                "Round structures rejected by the feasibility filter",
-            ).inc(len(rejected))
+            for name, description, count in (
+                ("plans", "Pipeline planning invocations", 1),
+                ("structures", "Feasible round structures planned", len(plans)),
+                ("rejected", "Structures the feasibility filter rejected", len(rejected)),
+                ("pruned", "Structures left unplanned: their bound lost", len(pruned)),
+            ):
+                registry.counter(f"planner_{name}_total", description).inc(count)
             registry.histogram(
                 "planner_seconds", "Wall-clock seconds per planning invocation"
             ).observe(planning_seconds)
@@ -399,6 +497,8 @@ class PipelinePlanner:
             cluster=cluster,
             plans=plans,
             rejected=rejected,
+            pruned=pruned,
+            _deferred=deferred,
         )
 
     # ------------------------------------------------------------------
@@ -411,7 +511,17 @@ class PipelinePlanner:
         budget: float,
         model: ClusterCostModel,
         profile: Optional[DatasetProfile],
-    ) -> Tuple[List[PipelinePlan], List[Tuple[str, str]]]:
+    ) -> Tuple[List[PipelinePlan], Rejected, List[PrunedStructure], Deferred]:
+        """Bound-first search over the one-round plan and every cascade.
+
+        A round ships at least ``floor`` copies of each record entering it
+        (the registry's declared replication floor), so a structure costs
+        at least ``a · floor · Σ records entering its rounds`` — known from
+        the size estimates alone.  The one-round structure is planned, the
+        cascades are walked cheapest bound first, and the walk stops
+        planning once a bound's ``(cost, rounds, label)`` key exceeds the
+        incumbent's: every later structure is proven to rank behind it.
+        """
         query = problem.query
         estimator = SizeEstimator(
             query,
@@ -420,8 +530,11 @@ class PipelinePlanner:
             bounds=self.bound_registry,
             metrics=cluster.metrics,
         )
+        floor_rate = model.communication_rate * self.planner.registry.replication_floor(
+            problem
+        )
         plans: List[PipelinePlan] = []
-        rejected: List[Tuple[str, str]] = []
+        rejected: Rejected = []
         # The one-round Shares structure (Section 5.5).
         one_round_op = MultiwayJoinOp(query)
         try:
@@ -434,45 +547,51 @@ class PipelinePlanner:
             )
             output, output_method = estimator.query_output_bound()
             plans.append(
-                PipelinePlan(
-                    problem=problem,
-                    op=one_round_op,
-                    rounds=[
-                        PipelineRound(
-                            index=0,
-                            op=one_round_op,
-                            plan=best,
-                            estimated_inputs=inputs,
-                            estimated_output=output,
-                            estimate_method=output_method,
-                            estimate_exact=estimator.profile is not None
-                            and estimator.profile.exact,
-                            cost=_round_cost(best.cost, inputs),
-                            estimated_output_bound=output,
-                        )
-                    ],
-                    cluster=cluster,
-                    q_budget=budget,
-                    cost_model=model,
-                    planner=self.planner,
+                self._single_round(
+                    problem, one_round_op, best, cluster, budget, model,
+                    inputs=inputs,
+                    output=output,
+                    method=output_method,
+                    exact=estimator.profile is not None and estimator.profile.exact,
+                    output_bound=output,
                     profile=profile,
+                    lower_bound=floor_rate * inputs,
                 )
             )
-        # Every cascade of binary Shares joins.
-        for tree in enumerate_join_trees(
+        # Every cascade of binary Shares joins, cheapest lower bound first.
+        trees = enumerate_join_trees(
             query,
             include_bushy=self.include_bushy,
             max_bushy_relations=self.max_bushy_relations,
-        ):
+        )
+        entries = [
+            PrunedStructure(
+                tree.label(),
+                _cascade_lower_bound(tree, estimator, floor_rate),
+                tree.num_rounds,
+            )
+            for tree in trees
+        ]
+        deferred = {
+            entry.label: functools.partial(
+                self._plan_cascade,
+                problem, tree, estimator, cluster, budget, model, profile,
+                entry.lower_bound,
+            )
+            for tree, entry in zip(trees, entries)
+        }
+        pruned: List[PrunedStructure] = []
+        for entry in sorted(entries, key=lambda entry: entry.key):
+            # With nothing feasible yet the next structure is planned
+            # unconditionally and, when it fits, becomes the incumbent.
+            if plans and entry.key > min(map(_rank_key, plans)):
+                pruned.append(entry)
+                continue
             try:
-                plans.append(
-                    self._plan_cascade(
-                        problem, tree, estimator, cluster, budget, model, profile
-                    )
-                )
+                plans.append(deferred[entry.label]())
             except PlanningError as error:
-                rejected.append((tree.label(), str(error)))
-        return plans, rejected
+                rejected.append((entry.label, str(error)))
+        return plans, _in_enumeration_order(rejected, deferred), pruned, deferred
 
     def _plan_cascade(
         self,
@@ -483,6 +602,7 @@ class PipelinePlanner:
         budget: float,
         model: ClusterCostModel,
         profile: Optional[DatasetProfile],
+        lower_bound: float = 0.0,
     ) -> PipelinePlan:
         rounds: List[PipelineRound] = []
         for index, node in enumerate(tree.post_order()):
@@ -526,6 +646,7 @@ class PipelinePlanner:
             cost_model=model,
             planner=self.planner,
             profile=profile,
+            lower_bound=lower_bound,
         )
 
     # ------------------------------------------------------------------
@@ -537,38 +658,20 @@ class PipelinePlanner:
         cluster: ClusterConfig,
         budget: float,
         model: ClusterCostModel,
-    ) -> Tuple[List[PipelinePlan], List[Tuple[str, str]]]:
+    ) -> Tuple[List[PipelinePlan], Rejected]:
         try:
             result = self.planner.plan(problem, cluster, q=budget)
         except PlanningError as error:
             return [], [(f"matmul(n={problem.n})", str(error))]
-        plans: List[PipelinePlan] = []
-        inputs = float(problem.num_inputs)
-        for plan in result:
-            op = MatMulRoundOp(problem.n, phases=plan.rounds)
-            plans.append(
-                PipelinePlan(
-                    problem=problem,
-                    op=op,
-                    rounds=[
-                        PipelineRound(
-                            index=0,
-                            op=op,
-                            plan=plan,
-                            estimated_inputs=inputs,
-                            estimated_output=float(problem.num_outputs),
-                            estimate_method="closed-form",
-                            estimate_exact=True,
-                            cost=_round_cost(plan.cost, inputs),
-                        )
-                    ],
-                    cluster=cluster,
-                    q_budget=budget,
-                    cost_model=model,
-                    planner=self.planner,
-                )
+        return [
+            self._single_round(
+                problem, MatMulRoundOp(problem.n, phases=plan.rounds), plan,
+                cluster, budget, model,
+                inputs=float(problem.num_inputs),
+                output=float(problem.num_outputs),
             )
-        return plans, []
+            for plan in result
+        ], []
 
     # ------------------------------------------------------------------
     # Aggregation: a single trivially-parallel round
@@ -579,39 +682,59 @@ class PipelinePlanner:
         cluster: ClusterConfig,
         budget: float,
         model: ClusterCostModel,
-    ) -> Tuple[List[PipelinePlan], List[Tuple[str, str]]]:
+    ) -> Tuple[List[PipelinePlan], Rejected]:
         try:
             result = self.planner.plan(problem, cluster, q=budget)
         except PlanningError as error:
             return [], [(problem.name, str(error))]
         input_schema = RelationSchema(name=problem.name, attributes=("A", "B"))
-        plans: List[PipelinePlan] = []
-        inputs = float(problem.num_inputs)
-        for plan in result:
-            op = AggregateOp(group_attribute="A", input_schema=input_schema)
-            plans.append(
-                PipelinePlan(
-                    problem=problem,
-                    op=op,
-                    rounds=[
-                        PipelineRound(
-                            index=0,
-                            op=op,
-                            plan=plan,
-                            estimated_inputs=inputs,
-                            estimated_output=float(problem.a_domain_size),
-                            estimate_method="closed-form",
-                            estimate_exact=True,
-                            cost=_round_cost(plan.cost, inputs),
-                        )
-                    ],
-                    cluster=cluster,
-                    q_budget=budget,
-                    cost_model=model,
-                    planner=self.planner,
-                )
+        return [
+            self._single_round(
+                problem, AggregateOp(group_attribute="A", input_schema=input_schema),
+                plan, cluster, budget, model,
+                inputs=float(problem.num_inputs),
+                output=float(problem.a_domain_size),
             )
-        return plans, []
+            for plan in result
+        ], []
+
+    def _single_round(
+        self,
+        problem: Problem,
+        op: LogicalOp,
+        plan: ExecutionPlan,
+        cluster: ClusterConfig,
+        budget: float,
+        model: ClusterCostModel,
+        inputs: float,
+        output: float,
+        method: str = "closed-form",
+        exact: bool = True,
+        output_bound: float = 0.0,
+        **plan_fields: Any,
+    ) -> PipelinePlan:
+        """The pipeline of one entry: ``plan`` serving ``op`` over ``inputs``."""
+        round_ = PipelineRound(
+            index=0,
+            op=op,
+            plan=plan,
+            estimated_inputs=inputs,
+            estimated_output=output,
+            estimate_method=method,
+            estimate_exact=exact,
+            cost=_round_cost(plan.cost, inputs),
+            estimated_output_bound=output_bound,
+        )
+        return PipelinePlan(
+            problem=problem,
+            op=op,
+            rounds=[round_],
+            cluster=cluster,
+            q_budget=budget,
+            cost_model=model,
+            planner=self.planner,
+            **plan_fields,
+        )
 
 
 def _round_cost(breakdown: CostBreakdown, inputs: float) -> float:
@@ -627,6 +750,22 @@ def _round_cost(breakdown: CostBreakdown, inputs: float) -> float:
         breakdown.communication_cost * inputs
         + breakdown.processing_cost
         + breakdown.wall_clock_cost
+    )
+
+
+def _cascade_lower_bound(
+    tree: BinaryJoinOp, estimator: SizeEstimator, floor_rate: float
+) -> float:
+    """``Σ a · floor · inputs`` over the tree's rounds, in execution order.
+
+    The same ``inputs`` floats, summed in the same order, as
+    :meth:`PipelinePlanner._plan_cascade` prices — so with ``r ≥ floor``
+    and non-negative processing / wall-clock terms the bound is ≤ the
+    priced cost term by term in float arithmetic, not just on paper.
+    """
+    return sum(
+        floor_rate * estimator.round_input_records(node)
+        for node in tree.post_order()
     )
 
 

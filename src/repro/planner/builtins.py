@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.datagen.relations import RelationInstance
 from repro.exceptions import ConfigurationError
@@ -120,20 +120,30 @@ def _divisors(n: int) -> List[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _exact(bound: float) -> Any:
-    """Exact certification for the combinatorial families' closed forms."""
-    return exact_certification(
-        float(bound), detail="combinatorial closed form", method="closed-form"
-    )
-
-
-def _static_job(family: Any) -> Any:
+def _static_job(family: Any, **job_options: Any) -> Any:
     """Job factory for families whose job needs no input data."""
 
     def factory(_inputs: Sequence[Any]) -> MapReduceJob:
-        return family.job()
+        return family.job(**job_options)
 
     return factory
+
+
+def _exact_candidate(family: Any, q: float, **fields: Any) -> PlanCandidate:
+    """A combinatorial family's candidate: closed-form ``q``, exact by construction.
+
+    ``fields`` override the defaults (the family's replication closed form,
+    its input-free job) for the few families that need to.
+    """
+    if "replication_rate" not in fields:
+        fields["replication_rate"] = family.replication_rate_formula()
+    fields.setdefault("job_factory", _static_job(family))
+    certification = exact_certification(
+        float(q), detail="combinatorial closed form", method="closed-form"
+    )
+    return PlanCandidate(
+        name=family.name, q=float(q), family=family, certification=certification, **fields
+    )
 
 
 # ----------------------------------------------------------------------
@@ -146,15 +156,7 @@ def _triangle_certified_q(n: int, k: int) -> int:
 
 
 def _build_triangle_candidate(n: int, k: int) -> PlanCandidate:
-    family = PartitionTriangleSchema(n, k)
-    return PlanCandidate(
-        name=family.name,
-        q=float(_triangle_certified_q(n, k)),
-        replication_rate=family.replication_rate_formula(),
-        job_factory=_static_job(family),
-        family=family,
-        certification=_exact(_triangle_certified_q(n, k)),
-    )
+    return _exact_candidate(PartitionTriangleSchema(n, k), _triangle_certified_q(n, k))
 
 
 @default_registry.register(TriangleProblem)
@@ -179,15 +181,7 @@ def _two_path_certified_q(n: int, k: int) -> int:
 
 
 def _build_two_path_candidate(n: int, k: int) -> PlanCandidate:
-    family = TwoPathSchema(n, k)
-    return PlanCandidate(
-        name=family.name,
-        q=float(_two_path_certified_q(n, k)),
-        replication_rate=family.replication_rate_formula(),
-        job_factory=_static_job(family),
-        family=family,
-        certification=_exact(_two_path_certified_q(n, k)),
-    )
+    return _exact_candidate(TwoPathSchema(n, k), _two_path_certified_q(n, k))
 
 
 @default_registry.register(TwoPathProblem)
@@ -232,14 +226,8 @@ def sample_graph_candidates(
     s = sample.num_nodes
 
     def build(k: int) -> PlanCandidate:
-        family = PartitionSampleGraphSchema(n, sample, k)
-        return PlanCandidate(
-            name=family.name,
-            q=float(_sample_graph_certified_q(n, s, k)),
-            replication_rate=family.replication_rate_formula(),
-            job_factory=_static_job(family),
-            family=family,
-            certification=_exact(_sample_graph_certified_q(n, s, k)),
+        return _exact_candidate(
+            PartitionSampleGraphSchema(n, sample, k), _sample_graph_certified_q(n, s, k)
         )
 
     feasible = [
@@ -331,39 +319,15 @@ def hamming_candidates(
 
 
 def _build_splitting_candidate(b: int, c: int) -> PlanCandidate:
-    family = SplittingSchema(b, c)
-    return PlanCandidate(
-        name=family.name,
-        q=float(2 ** (b // c)),
-        replication_rate=family.replication_rate_formula(),
-        job_factory=_static_job(family),
-        family=family,
-        certification=_exact(2 ** (b // c)),
-    )
+    return _exact_candidate(SplittingSchema(b, c), 2 ** (b // c))
 
 
 def _build_pair_reducers_candidate(b: int) -> PlanCandidate:
-    family = PairReducersSchema(b)
-    return PlanCandidate(
-        name=family.name,
-        q=2.0,
-        replication_rate=family.replication_rate_formula(),
-        job_factory=_static_job(family),
-        family=family,
-        certification=_exact(2.0),
-    )
+    return _exact_candidate(PairReducersSchema(b), 2.0)
 
 
 def _build_single_reducer_candidate(b: int) -> PlanCandidate:
-    family = SingleReducerSchema(b)
-    return PlanCandidate(
-        name=family.name,
-        q=float(1 << b),
-        replication_rate=family.replication_rate_formula(),
-        job_factory=_static_job(family),
-        family=family,
-        certification=_exact(1 << b),
-    )
+    return _exact_candidate(SingleReducerSchema(b), 1 << b)
 
 
 def _build_weight_grid_candidate(
@@ -373,13 +337,10 @@ def _build_weight_grid_candidate(
     # certified size and the exact average replication.  Cached, this runs
     # once per (b, pieces, width) across every budget of a sweep.
     family = HypercubeWeightSchema(b, num_pieces, cell_width)
-    return PlanCandidate(
-        name=family.name,
-        q=float(family.exact_max_reducer_size()),
+    return _exact_candidate(
+        family,
+        family.exact_max_reducer_size(),
         replication_rate=family.exact_replication_rate(),
-        job_factory=_static_job(family),
-        family=family,
-        certification=_exact(family.exact_max_reducer_size()),
     )
 
 
@@ -428,27 +389,17 @@ def _hamming1_candidates(
 
 def _build_segment_deletion_candidate(b: int, k: int, d: int) -> PlanCandidate:
     family = SegmentDeletionSchema(b, k, d)
-    return PlanCandidate(
-        name=family.name,
-        q=float(2 ** ((b // k) * d)),
-        replication_rate=family.replication_rate_formula(),
-        job_factory=_segment_deletion_job(family, d),
-        family=family,
-        certification=_exact(2 ** ((b // k) * d)),
+    return _exact_candidate(
+        family, 2 ** ((b // k) * d), job_factory=_static_job(family, emit_distance=d)
     )
 
 
 def _build_ball_two_candidate(b: int) -> PlanCandidate:
     family = BallTwoSchema(b)
-    return PlanCandidate(
-        name=family.name,
-        q=float(b + 1),
-        replication_rate=family.replication_rate_formula(),
-        # The stock Ball-2 job also emits distance-1 pairs (it covers
-        # both); the planner serves the exact-distance problem.
-        job_factory=_ball_two_job(family, emit_distance=2),
-        family=family,
-        certification=_exact(b + 1),
+    # The stock Ball-2 job also emits distance-1 pairs (it covers both);
+    # the planner serves the exact-distance problem.
+    return _exact_candidate(
+        family, b + 1, job_factory=_static_job(family, emit_distance=2)
     )
 
 
@@ -472,33 +423,11 @@ def _hamming_d_candidates(
         )
 
 
-def _segment_deletion_job(family: SegmentDeletionSchema, distance: int) -> Any:
-    def factory(_inputs: Sequence[Any]) -> MapReduceJob:
-        return family.job(emit_distance=distance)
-
-    return factory
-
-
-def _ball_two_job(family: BallTwoSchema, emit_distance: int) -> Any:
-    def factory(_inputs: Sequence[Any]) -> MapReduceJob:
-        return family.job(emit_distance=emit_distance)
-
-    return factory
-
-
 # ----------------------------------------------------------------------
 # Matrix multiplication (Section 6)
 # ----------------------------------------------------------------------
 def _build_one_phase_candidate(n: int, s: int) -> PlanCandidate:
-    family = OnePhaseTilingSchema(n, s)
-    return PlanCandidate(
-        name=family.name,
-        q=float(2 * s * n),
-        replication_rate=family.replication_rate_formula(),
-        job_factory=_static_job(family),
-        family=family,
-        certification=_exact(2 * s * n),
-    )
+    return _exact_candidate(OnePhaseTilingSchema(n, s), 2 * s * n)
 
 
 @default_registry.register(MatrixMultiplicationProblem)
@@ -526,15 +455,12 @@ def _build_two_phase_candidate(
     # Replication rate of a multi-round algorithm: total shuffled pairs
     # over the 2n² inputs, the same normalization Section 6.3 uses when
     # comparing against the one-phase method.
-    effective_rate = algorithm.total_communication() / (2.0 * n * n)
-    return PlanCandidate(
-        name=algorithm.name,
-        q=float(_two_phase_certified_q(algorithm)),
-        replication_rate=effective_rate,
+    return _exact_candidate(
+        algorithm,
+        _two_phase_certified_q(algorithm),
+        replication_rate=algorithm.total_communication() / (2.0 * n * n),
         job_factory=_chain_job(algorithm),
         rounds=2,
-        family=algorithm,
-        certification=_exact(_two_phase_certified_q(algorithm)),
     )
 
 
@@ -614,13 +540,32 @@ def _build_shares_candidate(
 
 
 def _recertify_candidate(
-    candidate: PlanCandidate, profile: DatasetProfile
+    candidate: PlanCandidate,
+    profile: DatasetProfile,
+    bucket_cache: Dict[Any, Any],
 ) -> PlanCandidate:
     """Replace a Shares candidate's expected q with a profiled tail bound."""
-    certification = certify_max_reducer_load(candidate.family, profile)
+    certification = certify_max_reducer_load(
+        candidate.family, profile, bucket_cache=bucket_cache
+    )
     return dataclasses.replace(
         candidate,
         q=max(certification.bound, 1.0),
+        certification=certification,
+    )
+
+
+def _certified_candidate(
+    schema: SharesSchema, query: JoinQuery, certification: Any
+) -> PlanCandidate:
+    """A profile-only Shares candidate: its q *is* its certificate."""
+    return PlanCandidate(
+        name=schema.name,
+        q=max(certification.bound, 1.0),
+        replication_rate=schema.replication_rate_formula(),
+        job_factory=_shares_job(schema, query),
+        family=schema,
+        needs_inputs=True,
         certification=certification,
     )
 
@@ -629,14 +574,13 @@ def _usable_profile(
     query: JoinQuery, profile: Optional[DatasetProfile]
 ) -> Optional[DatasetProfile]:
     """The profile, when it covers every relation of the query."""
-    if profile is None:
-        return None
-    if not profile.covers([relation.name for relation in query.relations]):
-        return None
-    return profile
+    names = [relation.name for relation in query.relations]
+    return profile if profile is not None and profile.covers(names) else None
 
 
-@default_registry.register(MultiwayJoinProblem)
+# Every Shares variant sends each input to at least one grid point: the
+# floor the pipeline planner's bound-first search prices rounds by.
+@default_registry.register(MultiwayJoinProblem, replication_floor=1.0)
 def join_candidates(
     problem: MultiwayJoinProblem, q: float, profile: Optional[DatasetProfile] = None
 ) -> Iterator[PlanCandidate]:
@@ -659,6 +603,11 @@ def join_candidates(
     query_key = _query_cache_key(query)
     usable = _usable_profile(query, profile)
     fingerprint = usable.fingerprint() if usable is not None else None
+    # The epsilon-free bucket-weight table every candidate kind below
+    # shares: its cells depend on the profile alone, and an oracle records
+    # a sampled cell before looking it up, so sharing changes no
+    # certificate.  It lives for this call — cache hits rebuild nothing.
+    bucket_cache: Dict[Any, Any] = {}
     for shares in _share_vectors(query):
         shares_key = tuple(sorted(shares.items()))
         candidate = default_schema_cache.get(
@@ -670,18 +619,33 @@ def join_candidates(
         if usable is not None:
             candidate = default_schema_cache.get(
                 ("shares-cert", query_key, problem.domain_size, shares_key, fingerprint),
-                lambda candidate=candidate: _recertify_candidate(candidate, usable),
+                lambda candidate=candidate: _recertify_candidate(
+                    candidate, usable, bucket_cache
+                ),
             )
         if candidate.q <= q:
             yield candidate
-    if usable is not None:
-        yield from _optimized_share_candidates(
-            problem, q, usable, query_key, fingerprint
+    if usable is None:
+        return
+
+    def optimized(budget: int) -> PlanCandidate:
+        # Cached under the profile fingerprint: the same (query, domain,
+        # budget) under a different profile is a different optimization
+        # problem and must never reuse a stale vector or certificate.
+        return default_schema_cache.get(
+            ("opt-shares", query_key, problem.domain_size, budget, fingerprint),
+            lambda: _build_optimized_shares_candidate(
+                problem, budget, usable, bucket_cache
+            ),
         )
-        yield from _skew_candidates(problem, q, usable, query_key, fingerprint)
-        yield from _optimized_skew_candidates(
-            problem, q, usable, query_key, fingerprint
-        )
+
+    for budget in _SHARES_REDUCER_SWEEP:
+        candidate = optimized(budget)
+        if candidate.q <= q:
+            yield candidate
+    yield from _skew_candidates(
+        problem, q, usable, query_key, fingerprint, bucket_cache, optimized
+    )
 
 
 # -- profile-optimized share vectors ------------------------------------
@@ -709,47 +673,10 @@ def _build_optimized_shares_candidate(
     )
     schema = SharesSchema(query, optimization.shares, problem.domain_size)
     schema.name = f"opt-{schema.name}"
-    certification = optimization.certification
     # The caller guarantees a covering profile, so the optimizer's metric
     # was the certified bound and the winner arrives certified.
-    assert certification is not None
-    return PlanCandidate(
-        name=schema.name,
-        q=max(certification.bound, 1.0),
-        replication_rate=schema.replication_rate_formula(),
-        job_factory=_shares_job(schema, query),
-        family=schema,
-        needs_inputs=True,
-        certification=certification,
-    )
-
-
-def _optimized_share_candidates(
-    problem: MultiwayJoinProblem,
-    q: float,
-    profile: DatasetProfile,
-    query_key: Tuple[Any, ...],
-    fingerprint: int,
-) -> Iterator[PlanCandidate]:
-    """One optimized vector per reducer budget of the grid sweep.
-
-    Cached under the profile fingerprint: the same (query, domain, budget)
-    under a different profile is a different optimization problem and must
-    never reuse a stale vector or certificate.
-    """
-    # The bucket-weight table is budget-independent, so the budgets of one
-    # enumeration share it (it only lives for this call — cache-hit budgets
-    # never rebuild anything, so there is nothing to carry across calls).
-    bucket_cache: Dict[Any, Any] = {}
-    for budget in _SHARES_REDUCER_SWEEP:
-        candidate = default_schema_cache.get(
-            ("opt-shares", query_key, problem.domain_size, budget, fingerprint),
-            lambda budget=budget: _build_optimized_shares_candidate(
-                problem, budget, profile, bucket_cache
-            ),
-        )
-        if candidate.q <= q:
-            yield candidate
+    assert optimization.certification is not None
+    return _certified_candidate(schema, query, optimization.certification)
 
 
 # -- profiled heavy-hitter isolation -----------------------------------
@@ -796,42 +723,21 @@ def _profiled_skew(
     return best
 
 
-def _build_skew_candidate(
-    query: JoinQuery,
-    shares: Dict[str, int],
-    domain_size: int,
-    skew_attribute: str,
-    heavy_values: Tuple[int, ...],
-    heavy_shares: Dict[str, int],
-    profile: DatasetProfile,
-) -> PlanCandidate:
-    schema = SkewAwareSharesSchema(
-        query,
-        shares,
-        domain_size,
-        skew_attribute=skew_attribute,
-        heavy_values=heavy_values,
-        heavy_shares=heavy_shares,
-    )
-    certification = certify_max_reducer_load(schema, profile)
-    return PlanCandidate(
-        name=schema.name,
-        q=max(certification.bound, 1.0),
-        replication_rate=schema.replication_rate_formula(),
-        job_factory=_shares_job(schema, query),
-        family=schema,
-        needs_inputs=True,
-        certification=certification,
-    )
-
-
 def _skew_candidates(
     problem: MultiwayJoinProblem,
     q: float,
     profile: DatasetProfile,
     query_key: Tuple[Any, ...],
     fingerprint: int,
+    bucket_cache: Dict[Any, Any],
+    optimized: Callable[[int], PlanCandidate],
 ) -> Iterator[PlanCandidate]:
+    """Heavy-hitter sub-grids: the fixed sweep, then one optimized per budget.
+
+    ``optimized(budget)`` is the enumeration's (cached) ``opt-shares``
+    candidate; its share vector is the main grid the sub-grid optimizer
+    would otherwise re-derive with a second ``optimize_shares`` run.
+    """
     query = problem.query
     selection = _profiled_skew(query, profile)
     if selection is None:
@@ -849,6 +755,22 @@ def _skew_candidates(
     if not co_occurring:
         return
     heavy_key = tuple(sorted(heavy_values, key=repr))
+
+    def build(shares: Dict[str, int], heavy_shares: Dict[str, int]) -> PlanCandidate:
+        schema = SkewAwareSharesSchema(
+            query,
+            shares,
+            problem.domain_size,
+            skew_attribute=skew_attribute,
+            heavy_values=heavy_values,
+            heavy_shares=heavy_shares,
+        )
+        return _certified_candidate(
+            schema,
+            query,
+            certify_max_reducer_load(schema, profile, bucket_cache=bucket_cache),
+        )
+
     for shares in _share_vectors(query):
         shares_key = tuple(sorted(shares.items()))
         for sub_share in _SKEW_SUBSHARE_SWEEP:
@@ -864,89 +786,12 @@ def _skew_candidates(
                     sub_share,
                     fingerprint,
                 ),
-                lambda shares=shares, heavy_shares=heavy_shares: _build_skew_candidate(
-                    query,
-                    shares,
-                    problem.domain_size,
-                    skew_attribute,
-                    heavy_values,
-                    heavy_shares,
-                    profile,
+                lambda shares=shares, heavy_shares=heavy_shares: build(
+                    shares, heavy_shares
                 ),
             )
             if candidate.q <= q:
                 yield candidate
-
-
-def _build_optimized_skew_candidate(
-    problem: MultiwayJoinProblem,
-    budget: int,
-    skew_attribute: str,
-    heavy_values: Tuple[int, ...],
-    profile: DatasetProfile,
-    bucket_cache: Dict[Any, Any],
-) -> PlanCandidate:
-    """Optimize a non-uniform heavy-hitter sub-grid for ``budget``.
-
-    The optimizer's seed pool contains the uniform sub-grid sweep, so this
-    candidate's certified bound is never worse than the best fixed
-    ``skew-shares`` candidate built on the same main-grid vector; the
-    winner's certification is reused directly.
-    """
-    query = problem.query
-    optimization = optimize_skew_shares(
-        query,
-        budget,
-        profile=profile,
-        domain_size=problem.domain_size,
-        skew_attribute=skew_attribute,
-        heavy_values=heavy_values,
-        bucket_cache=bucket_cache,
-    )
-    schema = SkewAwareSharesSchema(
-        query,
-        optimization.shares,
-        problem.domain_size,
-        skew_attribute=skew_attribute,
-        heavy_values=heavy_values,
-        heavy_shares=optimization.heavy_shares,
-    )
-    schema.name = f"opt-{schema.name}"
-    certification = optimization.certification
-    assert certification is not None
-    return PlanCandidate(
-        name=schema.name,
-        q=max(certification.bound, 1.0),
-        replication_rate=schema.replication_rate_formula(),
-        job_factory=_shares_job(schema, query),
-        family=schema,
-        needs_inputs=True,
-        certification=certification,
-    )
-
-
-def _optimized_skew_candidates(
-    problem: MultiwayJoinProblem,
-    q: float,
-    profile: DatasetProfile,
-    query_key: Tuple[Any, ...],
-    fingerprint: int,
-) -> Iterator[PlanCandidate]:
-    """One optimized skew sub-grid per reducer budget of the grid sweep."""
-    selection = _profiled_skew(problem.query, profile)
-    if selection is None:
-        return
-    skew_attribute, heavy_values = selection
-    co_occurring = any(
-        attribute != skew_attribute
-        for relation in problem.query.relations
-        if skew_attribute in relation.attributes
-        for attribute in relation.attributes
-    )
-    if not co_occurring:
-        return
-    heavy_key = tuple(sorted(heavy_values, key=repr))
-    bucket_cache: Dict[Any, Any] = {}
     for budget in _SHARES_REDUCER_SWEEP:
         candidate = default_schema_cache.get(
             (
@@ -959,11 +804,59 @@ def _optimized_skew_candidates(
                 fingerprint,
             ),
             lambda budget=budget: _build_optimized_skew_candidate(
-                problem, budget, skew_attribute, heavy_values, profile, bucket_cache
+                problem,
+                budget,
+                skew_attribute,
+                heavy_values,
+                profile,
+                bucket_cache,
+                optimized(budget).family.shares,
             ),
         )
         if candidate.q <= q:
             yield candidate
+
+
+def _build_optimized_skew_candidate(
+    problem: MultiwayJoinProblem,
+    budget: int,
+    skew_attribute: str,
+    heavy_values: Tuple[int, ...],
+    profile: DatasetProfile,
+    bucket_cache: Dict[Any, Any],
+    main_shares: Dict[str, int],
+) -> PlanCandidate:
+    """Optimize a non-uniform heavy-hitter sub-grid for ``budget``.
+
+    The optimizer's seed pool contains the uniform sub-grid sweep, so this
+    candidate's certified bound is never worse than the best fixed
+    ``skew-shares`` candidate built on the same main-grid vector; the
+    winner's certification is reused directly.  ``main_shares`` is what
+    ``optimize_shares`` returns for the same budget and profile — a vector
+    ``repair_shares`` leaves unchanged.
+    """
+    query = problem.query
+    optimization = optimize_skew_shares(
+        query,
+        budget,
+        profile=profile,
+        domain_size=problem.domain_size,
+        skew_attribute=skew_attribute,
+        heavy_values=heavy_values,
+        shares=main_shares,
+        bucket_cache=bucket_cache,
+    )
+    schema = SkewAwareSharesSchema(
+        query,
+        optimization.shares,
+        problem.domain_size,
+        skew_attribute=skew_attribute,
+        heavy_values=heavy_values,
+        heavy_shares=optimization.heavy_shares,
+    )
+    schema.name = f"opt-{schema.name}"
+    assert optimization.certification is not None
+    return _certified_candidate(schema, query, optimization.certification)
 
 
 def _share_vectors(query: JoinQuery) -> List[Dict[str, int]]:

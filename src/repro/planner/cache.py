@@ -80,9 +80,9 @@ class SchemaCache:
     ----------
     maxsize:
         Maximum number of cached entries; ``None`` (the default) means
-        unbounded, which is appropriate for the library's enumeration
-        spaces (at most a few hundred candidates per problem family).
-        When bounded, the least recently used entry is evicted first.
+        unbounded.  Measured: one profiled 3-chain round enters 63
+        candidates, one two-relation cascade round ~416.  When bounded,
+        the least recently used entry is evicted first.
     """
 
     def __init__(self, maxsize: Optional[int] = None) -> None:
@@ -154,8 +154,10 @@ class SchemaCache:
 
 #: The cache the built-in candidate builders share.  Bounded (LRU) so
 #: long-lived sessions sweeping many distinct problem parameters cannot
-#: grow it without limit; the bound is far above any single problem's
-#: enumeration space, so "built at most once per sweep" still holds.
+#: grow it without limit.  A cold 3-chain pipeline plan enters 63 entries
+#: when the bound-first search prunes both cascades (1 727 before it, and
+#: still when ``complete()`` plans them): the bound holds two fully
+#: planned such queries at once, not three.
 #: Tests that assert build counts should ``clear()`` it first to start
 #: from known counters.
 default_schema_cache = SchemaCache(maxsize=4096)

@@ -115,7 +115,10 @@ class SchemaRegistry:
     """Mapping from problem types to candidate builders."""
 
     def __init__(self) -> None:
-        self._builders: Dict[Type[Problem], List[Tuple[CandidateBuilder, bool]]] = {}
+        #: Per problem class: ``(builder, takes a profile, declared floor)``.
+        self._builders: Dict[
+            Type[Problem], List[Tuple[CandidateBuilder, bool, float]]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Registration
@@ -124,11 +127,17 @@ class SchemaRegistry:
         self,
         problem_type: Type[Problem],
         builder: Optional[CandidateBuilder] = None,
+        replication_floor: float = 0.0,
     ) -> Callable[[CandidateBuilder], CandidateBuilder]:
         """Register a candidate builder for a problem class.
 
         Usable directly (``registry.register(TriangleProblem, build_fn)``)
         or as a decorator (``@registry.register(TriangleProblem)``).
+
+        ``replication_floor`` declares a fact: no candidate the builder
+        yields replicates less (:meth:`candidates` checks it).  Searches
+        pruning by a communication lower bound multiply by it; a builder
+        declaring nothing (0.0) makes every such bound 0 and prunes nothing.
         """
         if not (isinstance(problem_type, type) and issubclass(problem_type, Problem)):
             raise ConfigurationError(
@@ -138,7 +147,7 @@ class SchemaRegistry:
 
         def decorator(fn: CandidateBuilder) -> CandidateBuilder:
             self._builders.setdefault(problem_type, []).append(
-                (fn, _accepts_profile(fn))
+                (fn, _accepts_profile(fn), float(replication_floor))
             )
             return fn
 
@@ -151,12 +160,17 @@ class SchemaRegistry:
     # ------------------------------------------------------------------
     def builders_for(self, problem: Problem) -> List[CandidateBuilder]:
         """All builders applicable to ``problem``, most-specific type first."""
-        return [builder for builder, _ in self._entries_for(problem)]
+        return [entry[0] for entry in self._entries_for(problem)]
+
+    def replication_floor(self, problem: Problem) -> float:
+        """Least replication any candidate for ``problem`` can have: the
+        minimum of its builders' declared floors, 0.0 once one declared none."""
+        return min((entry[2] for entry in self._entries_for(problem)), default=0.0)
 
     def _entries_for(
         self, problem: Problem
-    ) -> List[Tuple[CandidateBuilder, bool]]:
-        found: List[Tuple[CandidateBuilder, bool]] = []
+    ) -> List[Tuple[CandidateBuilder, bool, float]]:
+        found: List[Tuple[CandidateBuilder, bool, float]] = []
         for klass in type(problem).__mro__:
             if klass in self._builders:
                 found.extend(self._builders[klass])
@@ -180,7 +194,9 @@ class SchemaRegistry:
         Candidates whose certified reducer size exceeds the budget are
         dropped here even if a builder mistakenly yields them, so the
         planner's feasibility invariant does not depend on builder
-        discipline.  Duplicate names (e.g. the same family reachable through
+        discipline.  A candidate replicating less than the floor its
+        builder declared raises instead: lower bounds were computed from
+        that floor.  Duplicate names (e.g. the same family reachable through
         two builders) are collapsed, keeping the first occurrence.
 
         When a :class:`~repro.stats.profile.DatasetProfile` is supplied it
@@ -199,12 +215,18 @@ class SchemaRegistry:
                 f"{type(problem).__name__}; register a candidate builder for it"
             )
         seen: Dict[str, PlanCandidate] = {}
-        for builder, takes_profile in entries:
+        for builder, takes_profile, floor in entries:
             if takes_profile:
                 produced = builder(problem, q, profile=profile)
             else:
                 produced = builder(problem, q)
             for candidate in produced:
+                if candidate.replication_rate < floor:
+                    raise ConfigurationError(
+                        f"candidate {candidate.name!r} replicates "
+                        f"{candidate.replication_rate:g}, below the floor "
+                        f"{floor:g} its builder declared"
+                    )
                 if candidate.q > q + 1e-9:
                     continue
                 if candidate.name not in seen:

@@ -25,6 +25,14 @@ from repro.problems import (
 )
 
 
+def pytest_addoption(parser: pytest.Parser) -> None:
+    parser.addoption(
+        "--full-sweep",
+        action="store_true",
+        help="run all 78 seeded bound-first planning cases, not the tier-1 stride",
+    )
+
+
 @pytest.fixture
 def engine() -> MapReduceEngine:
     """A default simulated engine (4 workers, no capacity enforcement)."""

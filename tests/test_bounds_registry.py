@@ -276,7 +276,7 @@ class TestLegacyBitIdentity:
             planner = PipelinePlanner(
                 CostBasedPlanner.min_replication(), bound_registry=registry
             )
-            result = planner.plan(problem, q=200, profile=profile)
+            result = planner.plan(problem, q=200, profile=profile).complete()
             rankings.append(
                 [(plan.name, plan.total_cost, plan.num_rounds) for plan in result.plans]
             )

@@ -16,6 +16,10 @@ Four contracts are pinned here:
    ``plan`` calls with exact certificates, and their schema-cache entries
    are keyed by the profile fingerprint so two profiles can never share a
    stale certificate (the PR-4 cache-correctness satellite).
+5. **Enumeration-scoped state** — one ``join_candidates`` enumeration
+   shares one bucket-weight table and one skew selection across its four
+   candidate kinds and optimizes each budget's main grid once; every
+   candidate's certificate equals the one a private table would give.
 """
 
 from __future__ import annotations
@@ -37,10 +41,13 @@ from repro.planner import (
     optimize_shares,
     repair_shares,
 )
+from repro.planner import builtins, share_opt
 from repro.planner.certify import certify_max_reducer_load
 from repro.planner.share_opt import (
+    GRID_REDUCER_SWEEP,
     grid_share_vectors,
     optimize_log_shares,
+    optimize_skew_shares,
     share_product,
 )
 from repro.problems import JoinQuery, MultiwayJoinProblem
@@ -160,6 +167,109 @@ class TestSharedBucketCache:
                 assert cached.bound == fresh.bound
                 assert cached.kind == fresh.kind
                 assert cached.detail == fresh.detail
+
+
+def _certificate(certification):
+    return (
+        certification.kind,
+        certification.bound,
+        certification.delta,
+        certification.method,
+        certification.detail,  # names the sampled-cell count behind epsilon
+        None if certification.load.loads is None else tuple(certification.load.loads),
+    )
+
+
+class TestEnumerationScopedState:
+    """One ``join_candidates`` call hoists what its candidate kinds share."""
+
+    QUERY = JoinQuery.chain(3)
+    #: Wide enough that distinct tuples leave room for a heavy A1 value.
+    WIDE = 24
+
+    def _enumerate(self, mode, monkeypatch=None):
+        relations = skewed_chain_join_instance(3, 60, self.WIDE, skew=1.6, seed=7)
+        profile = profile_relations(relations, mode=mode, seed=1)
+        problem = MultiwayJoinProblem(self.QUERY, domain_size=self.WIDE)
+        calls = []
+        if monkeypatch is not None:
+            for module in (builtins, share_opt):
+
+                def spy(*args, _real=module.optimize_shares, **kwargs):
+                    calls.append(args[1])
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, "optimize_shares", spy)
+            selections = []
+            real_skew = builtins._profiled_skew
+            monkeypatch.setattr(
+                builtins,
+                "_profiled_skew",
+                lambda *args: selections.append(real_skew(*args)) or selections[-1],
+            )
+            calls.append(selections)
+        candidates = list(
+            builtins.join_candidates(problem, float("inf"), profile=profile)
+        )
+        return profile, candidates, calls
+
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    def test_main_grid_optimized_once_per_budget(self, mode, monkeypatch):
+        _, candidates, (selections, *budgets) = self._enumerate(mode, monkeypatch)
+        # Once per budget — the sub-grid optimizer reuses the opt-shares
+        # vector instead of running optimize_shares a second time.
+        assert sorted(budgets) == sorted(GRID_REDUCER_SWEEP)
+        assert len(selections) == 1 and selections[0] is not None
+        kinds = {candidate.name.split("[")[0] for candidate in candidates}
+        assert kinds == {"shares", "opt-shares", "skew-shares", "opt-skew-shares"}
+
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    def test_every_certificate_equals_a_private_tables(self, mode):
+        profile, candidates, _ = self._enumerate(mode)
+        assert len(candidates) > 40
+        for candidate in candidates:
+            private = certify_max_reducer_load(candidate.family, profile)
+            assert _certificate(candidate.certification) == _certificate(private)
+            assert candidate.q == max(private.bound, 1.0)
+
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    def test_optimized_sub_grids_equal_the_two_run_derivation(self, mode):
+        profile, candidates, _ = self._enumerate(mode)
+        by_budget = [c for c in candidates if c.name.startswith("opt-skew-shares[")]
+        assert len(by_budget) == len(GRID_REDUCER_SWEEP)
+        for budget, candidate in zip(GRID_REDUCER_SWEEP, by_budget):
+            family = candidate.family
+            # The parent's derivation: optimize the main grid privately.
+            alone = optimize_skew_shares(
+                self.QUERY,
+                budget,
+                profile=profile,
+                domain_size=self.WIDE,
+                skew_attribute=family.skew_attribute,
+                heavy_values=tuple(family.heavy_values),
+            )
+            assert family.shares == alone.shares
+            assert family.heavy_shares == {
+                attribute: alone.heavy_shares.get(attribute, 1)
+                for attribute in family.sub_attributes
+            }
+            assert _certificate(candidate.certification) == _certificate(
+                alone.certification
+            )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        budget=st.sampled_from(GRID_REDUCER_SWEEP),
+        profiled=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_repair_is_idempotent_on_optimizer_output(self, seed, budget, profiled):
+        """What feeding ``optimize_skew_shares(shares=...)`` rests on."""
+        profile = profile_relations(_instance("zipf", seed)) if profiled else None
+        shares = optimize_shares(
+            self.QUERY, budget, profile=profile, domain_size=DOMAIN
+        ).shares
+        assert repair_shares(shares, budget) == shares
 
 
 class TestRelaxationStructure:
