@@ -6,8 +6,7 @@ Public surface:
   registry every planning and certification path routes through.
 * The built-in estimators — :class:`PerValueHistogramBound`,
   :class:`AGMBound`, :class:`DegreeConstraintBound`,
-  :class:`TopKFrequencyBound` — plus :func:`legacy_bound_registry` for
-  bit-identical pre-refactor behaviour.
+  :class:`TopKFrequencyBound`.
 * :func:`agm_bound` and the canonical-query cover cache.
 """
 
@@ -37,7 +36,6 @@ from repro.bounds.estimators import (
     DegreeConstraintBound,
     PerValueHistogramBound,
     TopKFrequencyBound,
-    legacy_bound_registry,
     per_value_sum,
 )
 
@@ -63,6 +61,5 @@ __all__ = [
     "clear_cover_cache",
     "cover_cache_stats",
     "default_bound_registry",
-    "legacy_bound_registry",
     "per_value_sum",
 ]

@@ -350,20 +350,6 @@ class TopKFrequencyBound(BoundEstimator):
         return value, estimate
 
 
-def legacy_bound_registry():
-    """A registry with only the pre-refactor estimators (histogram + AGM).
-
-    The bit-identity tests plan through this to pin that the refactor
-    changed the plumbing, not the numbers.
-    """
-    from repro.bounds.base import BoundRegistry
-
-    registry = BoundRegistry()
-    registry.register(PerValueHistogramBound())
-    registry.register(AGMBound())
-    return registry
-
-
 default_bound_registry.register(PerValueHistogramBound())
 default_bound_registry.register(AGMBound())
 default_bound_registry.register(DegreeConstraintBound())

@@ -145,7 +145,7 @@ def skewed_chain_join_instance(
     Every relation containing ``skewed_attribute`` (for the default ``A1``:
     R1 and R2) draws that column from Zipf(``skew``); all other columns and
     relations are uniform.  This is the reproducible skew workload the
-    skew-aware planner tests and ``bench_skew_join`` run on.
+    skew-aware planner tests and the repo benchmark run on.
     """
     if num_relations < 2:
         raise ConfigurationError("a chain join needs at least 2 relations")

@@ -37,7 +37,6 @@ from repro.obs.export import (
     query_phase_rows,
     write_chrome_trace,
 )
-from repro.obs.history import NoiseBand, TelemetryStore, metric_samples
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     NULL_METRICS,
@@ -67,7 +66,6 @@ __all__ = [
     "NULL_METRICS",
     "NULL_OBSERVABILITY",
     "NULL_TRACER",
-    "NoiseBand",
     "NullMetricsRegistry",
     "NullTracer",
     "Observability",
@@ -77,14 +75,12 @@ __all__ = [
     "RunRecord",
     "SPAN_PHASE",
     "Span",
-    "TelemetryStore",
     "Tracer",
     "capture_env",
     "chrome_trace",
     "current_git_rev",
     "latency_breakdown",
     "make_run_record",
-    "metric_samples",
     "prometheus_text",
     "query_phase_rows",
     "run_fingerprint",

@@ -1,4 +1,4 @@
-"""Prediction-accuracy reports over the telemetry trajectory.
+"""Prediction-accuracy reports: planning-time bounds against executed runs.
 
 Every :class:`~repro.obs.record.PredictionRecord` pairs a planning-time
 claim with a run-time observation; this module aggregates them into the
@@ -12,19 +12,16 @@ accountability numbers the paper's tradeoff story needs:
   certificates are excluded by construction);
 * **pricing error** — admission price vs. realized max load (what the
   service's ledger over-reserved);
-* **replan win rate** and **admission deferral rate** from run metrics.
+* **replan win rate** from run metrics.
 
 Tables render via :func:`repro.reports.render_table`.  The module also
 ships a *calibration probe* — seeded FK-chain and Zipf chain workloads
 planned with a recording registry that captures **every** registered
 bound method's candidate per join node (not just the winner), executed,
-and paired with the observed intermediate sizes — and a CLI::
+and paired with the observed intermediate sizes — and a CLI that runs
+the probe and prints its report::
 
-    PYTHONPATH=src python -m repro.obs.calibrate --quick \
-        --store BENCH_trajectory.jsonl
-
-which appends the probe's :class:`~repro.obs.record.RunRecord` to the
-store and prints the accuracy report over everything recorded so far.
+    PYTHONPATH=src python -m repro.obs.calibrate --quick
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ import statistics
 from collections import defaultdict
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.history import TelemetryStore
 from repro.obs.record import (
     PredictionRecord,
     RunRecord,
@@ -132,7 +128,7 @@ def pricing_error(predictions: Iterable[PredictionRecord]) -> Optional[float]:
 def calibration_metrics(
     predictions: Sequence[PredictionRecord],
 ) -> Dict[str, float]:
-    """Flat headline metrics for a :class:`RunRecord` (sentinel-trackable)."""
+    """Flat headline metrics for a :class:`RunRecord`."""
     metrics: Dict[str, float] = {}
     stats = summarize_q_errors(predictions)
     all_means = [entry["mean"] for entry in stats.values()]
@@ -179,7 +175,6 @@ def calibration_report(records: Sequence[RunRecord]) -> str:
                 rate,
                 metrics.get("pricing_error", float("nan")),
                 metrics.get("replan_win_rate", float("nan")),
-                metrics.get("deferral_rate", float("nan")),
             ]
         )
     sections = []
@@ -202,7 +197,6 @@ def calibration_report(records: Sequence[RunRecord]) -> str:
                 "violation rate",
                 "pricing err",
                 "replan wins",
-                "deferral rate",
             ],
             run_rows,
         )
@@ -223,8 +217,8 @@ def run_calibration_probe(quick: bool = False) -> RunRecord:
     the node's observed output size as a :class:`PredictionRecord`
     (method = the candidate's estimator, not just the winner's).
     """
-    # Heavyweight planner/engine imports stay local so the record/history/
-    # sentinel path never drags the pipeline stack in.
+    # Heavyweight planner/engine imports stay local so importing
+    # ``repro.obs`` never drags the pipeline stack in.
     from repro.bounds import default_bound_registry
     from repro.datagen.relations import (
         fk_chain_join_instance,
@@ -333,39 +327,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.calibrate",
         description=(
-            "Run the bound-calibration probe workloads, append the run "
-            "record to the telemetry store, and print accuracy reports."
+            "Run the bound-calibration probe workloads and print the "
+            "accuracy report."
         ),
-    )
-    parser.add_argument(
-        "--store",
-        default="BENCH_trajectory.jsonl",
-        help="telemetry store to append to and report over",
     )
     parser.add_argument(
         "--quick", action="store_true", help="small probe instances (CI smoke)"
     )
-    parser.add_argument(
-        "--no-probe",
-        action="store_true",
-        help="skip running the probe; only report over the existing store",
-    )
-    parser.add_argument(
-        "--bench",
-        default="calibration",
-        help="which bench's records to report over (default: calibration)",
-    )
     args = parser.parse_args(argv)
-
-    store = TelemetryStore(args.store)
-    if not args.no_probe:
-        record = run_calibration_probe(quick=args.quick)
-        store.append(record)
-    records = store.records(bench=args.bench)
-    if not records:
-        print(f"no {args.bench!r} records in {args.store}")
-        return 1
-    print(calibration_report(records[-5:]))
+    print(calibration_report([run_calibration_probe(quick=args.quick)]))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Canonical run records: predictions paired with observations, on disk.
+"""Canonical run records: predictions paired with observations.
 
 The planner, the certifier and the admission controller all *predict* —
 estimated intermediate sizes, certified max-reducer loads, admission
@@ -9,11 +9,11 @@ run's worth (plus headline metrics, environment and a workload
 fingerprint) into a canonical JSON document that round-trips losslessly
 through :meth:`RunRecord.to_dict` / :meth:`RunRecord.from_dict`.
 
-Records are what :mod:`repro.obs.history` appends to the trajectory
-store, :mod:`repro.obs.calibrate` aggregates into accuracy reports, and
-:mod:`repro.obs.sentinel` compares against baselines.  This module is
-deliberately leaf-level: it imports nothing from the pipeline, service
-or bounds layers, so any of them can emit records without import cycles.
+Records are what :meth:`QueryService.run_record` exports and what
+:mod:`repro.obs.calibrate` aggregates into accuracy reports.  This
+module is deliberately leaf-level: it imports nothing from the pipeline,
+service or bounds layers, so any of them can emit records without import
+cycles.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-#: Bump when the serialized shape changes incompatibly; readers skip
-#: records with a newer schema than they understand.
+#: Bump when the serialized shape changes incompatibly.
 RECORD_SCHEMA = 1
 
 #: Certification kinds whose bound is an *expectation*, not a sound
@@ -134,10 +133,10 @@ class RunRecord:
     """One run of one benchmark/workload, canonically serialized.
 
     ``fingerprint`` identifies the *workload shape* (bench name, quick
-    flag, query mix...) so the history layer can line up comparable runs;
-    ``metrics`` holds scalar headlines (throughput, overhead %, deferral
-    rate); ``predictions`` the per-round prediction/observation pairs;
-    ``meta`` free-form context (verdicts, notes) that comparisons ignore.
+    flag, query mix...) so only like runs are compared; ``metrics`` holds
+    scalar headlines (throughput, deferrals, q-errors); ``predictions``
+    the per-round prediction/observation pairs; ``meta`` free-form
+    context (the service snapshot, probe workloads).
     """
 
     bench: str

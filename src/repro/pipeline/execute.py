@@ -98,7 +98,8 @@ class ReplanEvent:
     observed_bound: float
     old_plan: str
     new_plan: str
-    #: Certificate of the re-planned round (``None`` on legacy events).
+    #: Certificate of the re-planned round; ``None`` only when the planner
+    #: handed back a round whose plan carries no certification.
     new_bound: Optional[float] = None
 
     @property

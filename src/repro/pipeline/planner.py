@@ -414,9 +414,7 @@ class PipelinePlanner:
         self.planner = planner or CostBasedPlanner()
         self.include_bushy = include_bushy
         self.max_bushy_relations = max_bushy_relations
-        #: ``None`` means the process-wide default registry; tests pass
-        #: :func:`repro.bounds.legacy_bound_registry` to pin pre-refactor
-        #: numbers bit-for-bit.
+        #: ``None`` means the process-wide default registry.
         self.bound_registry = bound_registry
 
     # ------------------------------------------------------------------

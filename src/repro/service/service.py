@@ -204,8 +204,7 @@ class QueryService:
     telemetry:
         Whether finished queries' per-round
         :class:`~repro.obs.record.PredictionRecord`\\ s are accumulated
-        for :meth:`run_record` (bounded by a fixed cap).  On by default;
-        the overhead benchmark's null leg turns it off.
+        for :meth:`run_record` (bounded by a fixed cap).  On by default.
     """
 
     def __init__(
@@ -845,7 +844,6 @@ class QueryService:
                 "schema_cache": default_schema_cache.stats().__dict__.copy(),
             }
             admission = self.admission.stats()
-            attempts = admission.admitted + admission.deferrals
             snapshot["admission"] = {
                 "capacity": admission.capacity,
                 "in_flight_load": admission.in_flight,
@@ -857,11 +855,8 @@ class QueryService:
                 # refused, so these grow with the passes (at most one per
                 # priority class each), not with passes x queue depth.
                 "deferrals": admission.deferrals,
-                "attempts": attempts,
+                "attempts": admission.admitted + admission.deferrals,
                 "dispatch_passes": self._dispatch_passes,
-                "deferral_rate": (
-                    admission.deferrals / attempts if attempts else 0.0
-                ),
             }
             snapshot["telemetry"] = {
                 "predictions": len(self._predictions),
@@ -895,21 +890,16 @@ class QueryService:
         bench: str = "service",
         *,
         quick: bool = False,
-        fingerprint: Optional[str] = None,
         fingerprint_extra: Optional[Dict[str, Any]] = None,
-        extra_metrics: Optional[Dict[str, float]] = None,
-        meta: Optional[Dict[str, Any]] = None,
     ) -> RunRecord:
-        """Export this service's run as a telemetry
+        """Export this service's run as one
         :class:`~repro.obs.record.RunRecord`.
 
         Headline metrics come from :meth:`describe` (throughput over the
-        first-submit → last-settle window, the self-normalizing deferral
-        rate, replan win rate, reuse and capacity accounting); the
-        prediction pairs are every finished query's per-round records
-        (when ``telemetry`` is on).  ``extra_metrics`` lets benchmarks
-        add their own headlines (speedup, overhead %) before the record
-        is appended to a trajectory store.
+        first-submit → last-settle window, admission deferrals, replan
+        win rate, reuse and capacity accounting); the prediction
+        pairs are every finished query's per-round records (when
+        ``telemetry`` is on).
         """
         snapshot = self.describe()
         with self._lock:
@@ -927,7 +917,6 @@ class QueryService:
             "wall_seconds": wall,
             "queries_per_second": queries["finished"] / wall if wall > 0 else 0.0,
             "deferrals": float(snapshot["admission"]["deferrals"]),
-            "deferral_rate": snapshot["admission"]["deferral_rate"],
             "peak_in_flight_load": snapshot["admission"]["peak_in_flight_load"],
             "capacity": snapshot["admission"]["capacity"],
             "rounds_reused": float(snapshot["intermediates"].get("reused", 0)),
@@ -941,13 +930,11 @@ class QueryService:
         waits = snapshot["rounds"]["max_queued_wait_by_priority"].values()
         if waits:
             metrics["max_queued_wait"] = max(waits)
-        metrics.update(extra_metrics or {})
         return make_run_record(
             bench,
             quick=quick,
-            fingerprint=fingerprint,
             metrics=metrics,
-            meta={"snapshot": snapshot, **(meta or {})},
+            meta={"snapshot": snapshot},
             predictions=predictions,
             fingerprint_extra={
                 "capacity": snapshot["admission"]["capacity"],

@@ -41,7 +41,8 @@ class TunerStats:
     factor: float
     wins: int
     losses: int
-    #: Events carrying no ``new_bound`` (legacy producers): not scorable.
+    #: Events whose re-planned round was uncertified (``new_bound`` is
+    #: ``None``): not scorable.
     unscored: int
 
     @property

@@ -37,11 +37,11 @@ from repro.bounds import (
     BoundEstimator,
     BoundRegistry,
     ChildView,
+    PerValueHistogramBound,
     agm_bound,
     clear_cover_cache,
     cover_cache_stats,
     default_bound_registry,
-    legacy_bound_registry,
     per_value_sum,
 )
 from repro.datagen.relations import (
@@ -60,6 +60,14 @@ from repro.schemas.join_shares import SharesSchema
 from repro.stats import profile_relations
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def legacy_bound_registry():
+    """The pre-PR-9 estimator pair (histogram + AGM), the bit-identity oracle."""
+    registry = BoundRegistry()
+    registry.register(PerValueHistogramBound())
+    registry.register(AGMBound())
+    return registry
 
 
 class _Fixed(BoundEstimator):

@@ -355,6 +355,7 @@ class TestNullObjects:
         )
         snap = obs.metrics.snapshot()
         assert snap["engine_jobs_total"]["series"][0]["value"] == 1.0
+        assert snap["engine_replication_rate"]["series"]
         phases = {
             s["labels"]["phase"]
             for s in snap["engine_phase_seconds_total"]["series"]

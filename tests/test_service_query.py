@@ -425,6 +425,7 @@ class TestQueryService:
         assert admission["admitted"] >= len(plan.rounds)
         # Every admitted round went through a pass that found it queued.
         assert admission["dispatch_passes"] > 0
+        assert admission["attempts"] == admission["admitted"] + admission["deferrals"]
         intermediates = snapshot["intermediates"]
         assert intermediates["materialized"] == len(plan.rounds)
         assert intermediates["reused"] == len(plan.rounds)
@@ -843,7 +844,6 @@ class TestStarvationAging:
         waits = snapshot["rounds"]["max_queued_wait_by_priority"]
         assert waits["0.5"] == pytest.approx(2.5 * aging, abs=2.0)
         assert snapshot["admission"]["deferrals"] >= 1
-        assert 0.0 < snapshot["admission"]["deferral_rate"] < 1.0
 
     def test_aging_disabled_keeps_backfill_order(self, scripted):
         service = QueryService(capacity=10.0, max_workers=4, aging_seconds=None)

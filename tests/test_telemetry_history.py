@@ -1,28 +1,16 @@
-"""Telemetry history layer: records, store, calibration, sentinel.
-
-Covers the persistent-telemetry contract end to end:
+"""Run records and calibration: what the service exports at run time.
 
 * :class:`PredictionRecord` / :class:`RunRecord` round-trip losslessly
   through JSON and derive q-error / violation facts correctly;
-* :class:`TelemetryStore` appends one JSONL line per record, filters by
-  bench/fingerprint, selects last-N same-fingerprint baselines, and
-  survives corrupt lines;
-* the shared benchmark harness writes the normalized artifact envelope
-  *and* extends the trajectory;
 * :meth:`QueryService.run_record` exports real prediction pairs and
-  self-normalizing headline metrics;
+  headline metrics;
 * the calibration probe records all four registered bound methods per
   join node with degree-constraint ≤ AGM and a zero observed
-  certificate-violation rate;
-* the sentinel flags a seeded synthetic regression (throughput halved,
-  certificate violation injected) against a 3-run baseline while the
-  same workload's clean re-run passes — and report-only mode never
-  fails the build.
+  certificate-violation rate, and its CLI prints the report without
+  writing anything.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -34,26 +22,11 @@ from repro.obs.calibrate import (
     run_calibration_probe,
     summarize_q_errors,
 )
-from repro.obs.harness import (
-    ENVELOPE_KEYS,
-    build_envelope,
-    validate_envelope,
-    write_bench_artifact,
-)
-from repro.obs.history import NoiseBand, TelemetryStore, metric_samples
 from repro.obs.record import (
     PredictionRecord,
     RunRecord,
     make_run_record,
     run_fingerprint,
-)
-from repro.obs.sentinel import (
-    IMPROVED,
-    NO_BASELINE,
-    OK,
-    REGRESSION,
-    compare,
-    main as sentinel_main,
 )
 from repro.pipeline import PipelinePlanner
 from repro.planner import CostBasedPlanner
@@ -115,7 +88,7 @@ class TestRunRecord:
         record = make_run_record(
             "unit",
             quick=True,
-            metrics={"queries_per_second": 12.5, "deferral_rate": 0.1},
+            metrics={"queries_per_second": 12.5, "deferrals": 3.0},
             meta={"note": "hello"},
             predictions=[_prediction()],
             fingerprint_extra={"workload": "chain3"},
@@ -131,137 +104,6 @@ class TestRunRecord:
         assert a == b  # key order canonicalized
         assert a != run_fingerprint("b", quick=True, size=60, seed=7)
         assert a != run_fingerprint("b", quick=False, size=61, seed=7)
-
-
-# ----------------------------------------------------------------------
-# Store + noise bands
-# ----------------------------------------------------------------------
-def _run(bench="svc", fp="f1", created=1.0, quick=False, **metrics):
-    return RunRecord(
-        bench=bench,
-        fingerprint=fp,
-        created_unix=created,
-        quick=quick,
-        metrics=metrics,
-    )
-
-
-class TestTelemetryStore:
-    def test_append_filter_and_order(self, tmp_path):
-        store = TelemetryStore(str(tmp_path / "trajectory.jsonl"))
-        assert store.records() == []
-        assert store.latest() is None
-        store.append(_run(created=3.0, qps=3.0))
-        store.append(_run(created=1.0, qps=1.0))
-        store.append(_run(bench="other", fp="f2", created=2.0, qps=2.0))
-        assert [r.created_unix for r in store.records()] == [1.0, 2.0, 3.0]
-        assert [r.bench for r in store.records(bench="other")] == ["other"]
-        assert [r.fingerprint for r in store.records(fingerprint="f1")] == [
-            "f1",
-            "f1",
-        ]
-        assert store.latest(bench="svc").created_unix == 3.0
-        with open(store.path) as handle:
-            assert len(handle.readlines()) == 3  # one JSONL line per record
-
-    def test_corrupt_and_future_schema_lines_skipped(self, tmp_path):
-        path = tmp_path / "trajectory.jsonl"
-        store = TelemetryStore(str(path))
-        store.append(_run(created=1.0))
-        with open(path, "a") as handle:
-            handle.write("{torn json\n")
-            handle.write(json.dumps({"schema": 99, "bench": "future"}) + "\n")
-        store.append(_run(created=2.0))
-        assert [r.created_unix for r in store.records()] == [1.0, 2.0]
-
-    def test_baseline_selects_last_n_same_fingerprint(self, tmp_path):
-        store = TelemetryStore(str(tmp_path / "t.jsonl"))
-        for created in (1.0, 2.0, 3.0, 4.0):
-            store.append(_run(created=created))
-        store.append(_run(fp="other-shape", created=5.0))
-        candidate = _run(created=6.0)
-        store.append(candidate)
-        baseline = store.baseline(candidate, last=3)
-        # Same fingerprint only, candidate excluded, newest last.
-        assert [r.created_unix for r in baseline] == [2.0, 3.0, 4.0]
-        # Quick and full runs of the same shape never baseline each other.
-        assert store.baseline(_run(created=7.0, quick=True), last=3) == []
-
-
-class TestNoiseBand:
-    def test_widest_of_relative_absolute_sigma(self):
-        low, high = NoiseBand(relative=0.1, sigmas=0.0).interval([100.0])
-        assert (low, high) == (90.0, 110.0)
-        low, high = NoiseBand(relative=0.0, absolute=5.0, sigmas=0.0).interval([10.0])
-        assert (low, high) == (5.0, 15.0)
-        # Noisy baseline: 3-sigma dominates the 10% relative band.
-        low, high = NoiseBand(relative=0.1, sigmas=3.0).interval([80.0, 120.0])
-        assert high - low > 24.0
-        with pytest.raises(ValueError):
-            NoiseBand().interval([])
-
-    def test_metric_samples_skips_absent(self):
-        records = [_run(created=1.0, qps=2.0), _run(created=2.0)]
-        assert metric_samples(records, "qps") == [2.0]
-
-
-# ----------------------------------------------------------------------
-# Benchmark harness
-# ----------------------------------------------------------------------
-class TestBenchHarness:
-    def test_envelope_shape_and_validation(self):
-        envelope = build_envelope(
-            "unit", {"speedup": 2.0}, quick=True, executor="serial"
-        )
-        assert list(envelope)[: len(ENVELOPE_KEYS)] == list(ENVELOPE_KEYS)
-        validate_envelope(envelope)
-        with pytest.raises(ValueError, match="shadow"):
-            build_envelope("unit", {"bench": "clash"}, quick=True)
-        for key in ENVELOPE_KEYS:
-            broken = dict(envelope)
-            del broken[key]
-            with pytest.raises(ValueError, match=key):
-                validate_envelope(broken)
-
-    def test_write_artifact_and_trajectory(self, tmp_path):
-        artifact = tmp_path / "BENCH_unit.json"
-        trajectory = tmp_path / "trajectory.jsonl"
-        envelope = write_bench_artifact(
-            "unit",
-            {"speedup": 2.5, "detail": {"rows": 10}},
-            quick=True,
-            executor="parallel",
-            artifact=str(artifact),
-            metrics={"speedup": 2.5},
-            trajectory=str(trajectory),
-        )
-        with open(artifact) as handle:
-            assert json.load(handle) == envelope
-        validate_envelope(envelope)
-        records = TelemetryStore(str(trajectory)).records()
-        assert len(records) == 1
-        assert records[0].bench == "unit"
-        assert records[0].metrics == {"speedup": 2.5}
-        # Two runs of the same bench share a fingerprint (comparable).
-        write_bench_artifact(
-            "unit",
-            {"speedup": 2.4},
-            quick=True,
-            executor="parallel",
-            artifact=str(artifact),
-            metrics={"speedup": 2.4},
-            trajectory=str(trajectory),
-        )
-        records = TelemetryStore(str(trajectory)).records()
-        assert records[0].fingerprint == records[1].fingerprint
-
-    def test_trajectory_disabled_by_empty_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BENCH_TRAJECTORY", "")
-        monkeypatch.chdir(tmp_path)
-        write_bench_artifact(
-            "unit", {}, quick=True, artifact=str(tmp_path / "a.json")
-        )
-        assert not (tmp_path / "BENCH_trajectory.jsonl").exists()
 
 
 # ----------------------------------------------------------------------
@@ -305,7 +147,7 @@ class TestServiceRunRecord:
         assert record.bench == "svc-e2e"
         assert record.metrics["queries_finished"] == 3.0
         assert record.metrics["queries_per_second"] > 0
-        assert 0.0 <= record.metrics["deferral_rate"] <= 1.0
+        assert record.metrics["deferrals"] >= 0.0
         assert record.predictions, "telemetry-on service must pair predictions"
         for prediction in record.predictions:
             assert prediction.estimated_rows >= prediction.observed_rows
@@ -313,7 +155,7 @@ class TestServiceRunRecord:
             assert not prediction.violated
             if not prediction.reused:
                 assert prediction.seconds > 0
-        # Round-trips through the store unchanged.
+        # Round-trips through JSON unchanged.
         assert RunRecord.from_json(record.to_json()) == record
         snapshot = record.meta["snapshot"]
         assert snapshot["telemetry"]["predictions"] == len(record.predictions)
@@ -376,143 +218,15 @@ class TestCalibration:
         assert "degree-constraint" in report
         assert "violation rate" in report
 
-    def test_cli_appends_to_store(self, tmp_path, capsys):
-        store_path = str(tmp_path / "trajectory.jsonl")
-        assert calibrate_main(["--store", store_path, "--quick"]) == 0
-        records = TelemetryStore(store_path).records(bench="calibration")
-        assert len(records) == 1
-        assert records[0].quick
-        out = capsys.readouterr().out
-        assert "q-error" in out
-        # Report-only pass over the now-populated store.
-        assert calibrate_main(["--store", store_path, "--no-probe"]) == 0
-
-
-# ----------------------------------------------------------------------
-# Sentinel
-# ----------------------------------------------------------------------
-class TestSentinelCompare:
-    def test_direction_and_band_semantics(self):
-        baselines = [
-            _run(created=float(i), queries_per_second=10.0, deferral_rate=0.1)
-            for i in range(3)
-        ]
-        verdicts = {
-            check.key: check.status
-            for check in compare(
-                _run(created=9.0, queries_per_second=10.4, deferral_rate=0.11),
-                baselines,
-            )
-        }
-        assert verdicts == {"queries_per_second": OK, "deferral_rate": OK}
-        checks = compare(
-            _run(created=9.0, queries_per_second=5.0, deferral_rate=0.5),
-            baselines,
-        )
-        assert all(check.status == REGRESSION for check in checks)
-        checks = compare(
-            _run(created=9.0, queries_per_second=20.0, deferral_rate=0.0),
-            baselines,
-        )
-        assert {check.status for check in checks} == {IMPROVED}
-
-    def test_no_baseline_and_untracked_metrics(self):
-        checks = compare(_run(created=1.0, queries_per_second=10.0), [])
-        assert [check.status for check in checks] == [NO_BASELINE]
-        # Metrics with no tracked spec are simply not checked.
-        assert compare(_run(created=1.0, unrelated=1.0), []) == []
-
-    def test_violation_rate_zero_tolerance(self):
-        baselines = [
-            _run(created=float(i), certificate_violation_rate=0.0)
-            for i in range(3)
-        ]
-        (check,) = compare(
-            _run(created=9.0, certificate_violation_rate=0.05), baselines
-        )
-        assert check.status == REGRESSION
-
-
-class TestSentinelEndToEnd:
-    def test_synthetic_regression_flagged_clean_rerun_passes(
-        self, chain_plan, tmp_path, capsys
+    def test_cli_prints_report_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
     ):
-        store_path = str(tmp_path / "trajectory.jsonl")
-        store = TelemetryStore(store_path)
-        # Three-run baseline of the same seeded workload.
-        for _ in range(3):
-            store.append(_run_service_workload(chain_plan))
-
-        # Same-seed clean re-run: within the noise band, exit 0.
-        store.append(_run_service_workload(chain_plan))
-        assert sentinel_main(["--store", store_path]) == 0
-        assert "REGRESSION" not in capsys.readouterr().out
-
-        # Seeded synthetic regression: halve throughput and inject one
-        # certificate violation into a copy of the clean record.
-        tampered = store.records()[-1].to_dict()
-        tampered["created_unix"] += 1.0
-        tampered["metrics"]["queries_per_second"] *= 0.5
-        tampered["predictions"][0]["kind"] = "exact"
-        tampered["predictions"][0]["certified_load"] = 10.0
-        tampered["predictions"][0]["observed_max_load"] = 50.0
-        tampered_path = str(tmp_path / "tampered.json")
-        with open(tampered_path, "w") as handle:
-            json.dump(tampered, handle)
-
-        code = sentinel_main(
-            ["--store", store_path, "--record", tampered_path]
-        )
+        monkeypatch.chdir(tmp_path)
+        assert calibrate_main(["--quick"]) == 0
         out = capsys.readouterr().out
-        assert code == 1
-        assert "REGRESSION" in out
-        assert "queries_per_second" in out
-        assert "certificate_violation_rate" in out
-
-        # CI bootstrap mode reports the same findings but never fails.
-        assert (
-            sentinel_main(
-                ["--store", store_path, "--record", tampered_path, "--report-only"]
-            )
-            == 0
-        )
-        assert "report-only" in capsys.readouterr().out
-
-    def test_bootstrap_without_baseline_passes(self, tmp_path, capsys):
-        store_path = str(tmp_path / "empty.jsonl")
-        assert sentinel_main(["--store", store_path]) == 0
-        assert "nothing to check" in capsys.readouterr().out
-        TelemetryStore(store_path).append(_run(created=1.0, queries_per_second=5.0))
-        assert sentinel_main(["--store", store_path]) == 0
-        assert "bootstrap pass" in capsys.readouterr().out
-
-    def test_baseline_dir_of_committed_stores(self, tmp_path):
-        # The CI shape: fresh store vs. baselines committed as files.
-        baseline_dir = tmp_path / "baselines"
-        baseline_dir.mkdir()
-        baseline_store = TelemetryStore(str(baseline_dir / "quick.jsonl"))
-        for i in range(3):
-            baseline_store.append(_run(created=float(i), queries_per_second=10.0))
-        fresh = TelemetryStore(str(tmp_path / "fresh.jsonl"))
-        fresh.append(_run(created=9.0, queries_per_second=4.0))
-        assert (
-            sentinel_main(
-                ["--store", fresh.path, "--baseline", str(baseline_dir)]
-            )
-            == 1
-        )
-        assert (
-            sentinel_main(
-                [
-                    "--store",
-                    fresh.path,
-                    "--baseline",
-                    str(baseline_dir),
-                    "--report-only",
-                ]
-            )
-            == 0
-        )
+        for method in EXPECTED_METHODS:
+            assert method in out
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_calibration_metrics_from_mixed_predictions():
