@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, List, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, List, Set, Tuple
 
 from repro.exceptions import ConfigurationError
+
+if TYPE_CHECKING:  # networkx serves the oracles only; imported where used
+    import networkx as nx
 
 Edge = Tuple[int, int]
 
@@ -100,6 +101,8 @@ def cycle_graph_edges(n: int) -> List[Edge]:
 
 def to_networkx(edges: Iterable[Edge]) -> nx.Graph:
     """Build a networkx graph from an edge list (used by test oracles)."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_edges_from(edges)
     return graph
@@ -107,12 +110,16 @@ def to_networkx(edges: Iterable[Edge]) -> nx.Graph:
 
 def count_triangles_oracle(edges: Iterable[Edge]) -> int:
     """Serial triangle count via networkx, used to verify the MR algorithms."""
+    import networkx as nx
+
     graph = to_networkx(edges)
     return sum(nx.triangles(graph).values()) // 3
 
 
 def enumerate_triangles_oracle(edges: Iterable[Edge]) -> Set[Tuple[int, int, int]]:
     """Serial triangle enumeration returning sorted node triples."""
+    import networkx as nx
+
     graph = to_networkx(edges)
     triangles: Set[Tuple[int, int, int]] = set()
     for clique in nx.enumerate_all_cliques(graph):

@@ -21,6 +21,23 @@ definition each of the map-task body (:func:`_map_task`) and the
 reduce-one-group body (:func:`_reduce_group`); they differ only in where
 those bodies run and how results are batched.
 
+Task-body contract (pinned in ``tests/test_task_bodies.py`` against the
+previous bodies, kept there verbatim as the oracle).  Per record, pair and
+group the bodies run the user's mapper / combiner / reducer and the sink,
+nothing of their own: a result is iterated in place, each pair reaching the
+sink before the next is pulled, a plain 2-tuple passed on as is.
+
+* Wrapped into :class:`~repro.exceptions.ExecutionError` (naming the job and
+  the record / key, the original as ``__cause__``): an ``Exception`` from
+  calling the mapper, combiner or reducer or from iterating its result;
+  reducer outputs produced before it stay appended.
+* Surfacing unchanged: an input-iterator error, a malformed emission (bare
+  ``TypeError``), a sink / closed-backend error, a non-iterable result
+  (``TypeError`` from ``iter()``; ``None`` is "nothing" from a mapper or
+  reducer, a non-iterable from a combiner).
+* Failure text, ``repr`` of the record or key included, is formatted only
+  when a failure is raised.
+
 Determinism contract (every runner × plane cell, any worker count):
 
 * the shuffle backend receives exactly the same multiset of post-combiner
@@ -96,40 +113,49 @@ logger = logging.getLogger(__name__)
 # ----------------------------------------------------------------------
 # Task bodies (shared by both runners)
 # ----------------------------------------------------------------------
-def _guarded_iteration(iterable: Iterable[Any], described: str) -> Iterable[Any]:
-    """Re-wrap exceptions raised *while iterating* a user callable's result.
-
-    Mappers, combiners and reducers are usually generators, so their bodies
-    run during iteration, not at call time; guarding only the call would let
-    their errors escape the engine's ExecutionError contract.
-    """
-    iterator = iter(iterable)
-    while True:
-        try:
-            item = next(iterator)
-        except StopIteration:
-            return
-        except Exception as error:
-            raise ExecutionError(f"{described}: {error}") from error
-        yield item
+#: Where a pair leaving a map-task stage goes: ``sink(key, value)``.
+Sink = Callable[[Hashable, Any], None]
 
 
-def _emit(job: MapReduceJob, record: Any) -> Iterable[Any]:
-    described = f"mapper of job {job.name!r} failed on record {record!r}"
-    try:
-        pairs = job.mapper(record)
-    except Exception as error:
-        raise ExecutionError(f"{described}: {error}") from error
-    if pairs is None:
-        return ()
-    return _guarded_iteration(pairs, described)
-
-
-def _map_task(
-    job: MapReduceJob,
-    records: Iterable[Any],
-    sink: Callable[[Hashable, Any], None],
+def _pour(
+    job: MapReduceJob, role: str, call: Callable[..., Any], arguments: Iterable[Tuple], sink: Sink
 ) -> int:
+    """One stage of a map task: ``call(*args)`` for each ``args``, its pairs
+    into ``sink`` one at a time; returns the number of calls made.
+
+    ``in_user_code`` tells the one handler whether ``call`` raised (wrapped)
+    or ``iter()``, the emission check or the sink did (left as raised).
+    """
+    calls = 0
+    for args in arguments:
+        calls += 1
+        in_user_code = True
+        try:
+            produced = call(*args)
+            if produced is None and role == "mapper":
+                continue  # a combiner's None is a non-iterable, as before
+            in_user_code = False
+            iterator = iter(produced)
+            in_user_code = True
+            for item in iterator:
+                in_user_code = False
+                if type(item) is tuple and len(item) == 2:
+                    sink(*item)
+                else:
+                    pair = ensure_key_value(item)
+                    sink(pair.key, pair.value)
+                in_user_code = True
+        except Exception as error:
+            if not in_user_code:
+                raise
+            subject = "record" if role == "mapper" else "key"
+            raise ExecutionError(
+                f"{role} of job {job.name!r} failed on {subject} {args[0]!r}: {error}"
+            ) from error
+    return calls
+
+
+def _map_task(job: MapReduceJob, records: Iterable[Any], sink: Sink) -> int:
     """The body of one map task: the mapper, then the per-task combiner.
 
     ``sink(key, value)`` is called once per pair *leaving* the task, so with
@@ -137,27 +163,17 @@ def _map_task(
     order) and only the combined pairs reach it — the pairs that would
     really cross the network.  Returns the number of records consumed.
     """
+    # zip() hands each record over as the 1-tuple ``call(*args)`` takes,
+    # without a Python frame per record.
+    if job.combiner is None:
+        return _pour(job, "mapper", job.mapper, zip(records), sink)
     buffer: Dict[Hashable, List[Any]] = {}
 
     def buffered(key: Hashable, value: Any) -> None:
         buffer.setdefault(key, []).append(value)
 
-    emit = sink if job.combiner is None else buffered
-    consumed = 0
-    for record in records:
-        consumed += 1
-        for item in _emit(job, record):
-            pair = ensure_key_value(item)
-            emit(pair.key, pair.value)
-    for key, values in buffer.items():
-        described = f"combiner of job {job.name!r} failed on key {key!r}"
-        try:
-            combined = job.combiner(key, values)
-        except Exception as error:
-            raise ExecutionError(f"{described}: {error}") from error
-        for item in _guarded_iteration(combined, described):
-            pair = ensure_key_value(item)
-            sink(pair.key, pair.value)
+    consumed = _pour(job, "mapper", job.mapper, zip(records), buffered)
+    _pour(job, "combiner", job.combiner, buffer.items(), sink)
     return consumed
 
 
@@ -165,13 +181,19 @@ def _reduce_group(
     job: MapReduceJob, key: Hashable, values: List[Any], outputs: List[Any]
 ) -> None:
     """The body of one reducer call: append the group's outputs to ``outputs``."""
-    described = f"reducer of job {job.name!r} failed on key {key!r}"
+    in_user_code = True
     try:
         produced = job.reducer(key, values)
+        if produced is None:
+            return
+        in_user_code = False
+        iterator = iter(produced)
+        in_user_code = True
+        outputs.extend(iterator)
     except Exception as error:
-        raise ExecutionError(f"{described}: {error}") from error
-    if produced is not None:
-        outputs.extend(_guarded_iteration(produced, described))
+        if not in_user_code:
+            raise
+        raise ExecutionError(f"reducer of job {job.name!r} failed on key {key!r}: {error}") from error
 
 
 class _ReduceBookkeeper:
@@ -464,8 +486,6 @@ def _worker_reduce_block(
     for key, values in block:
         _reduce_group(job, key, values, outputs)
     return outputs
-
-
 
 
 class _PoolRunner:

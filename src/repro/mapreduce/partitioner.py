@@ -10,6 +10,7 @@ population at a single compute node") can be exercised and measured.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from abc import ABC, abstractmethod
 from typing import Dict, Hashable, Iterable, List, Sequence
@@ -27,6 +28,27 @@ def stable_hash(key: Hashable) -> int:
     """
     digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+@functools.lru_cache(maxsize=1 << 14, typed=True)
+def _value_hash(attribute: str, value: Hashable) -> int:
+    # ``typed``: 1 and 1.0 are equal as cache keys but hash differently.
+    return stable_hash((attribute, value))
+
+
+def attribute_bucket(attribute: str, value: Hashable, share: int) -> int:
+    """The hash bucket of a value within an attribute's share.
+
+    The one bucket rule of the Shares schemas: ``bucket_of`` /
+    ``sub_bucket_of`` route with it and :mod:`repro.planner.certify` prices
+    with it — certification is only sound if the certifier and the
+    executing schema hash values to buckets identically.  The hash does not
+    depend on the share, so it is memoized per value and only the modulus
+    is taken per share.
+    """
+    if share <= 1:
+        return 0
+    return _value_hash(attribute, value) % share
 
 
 class Partitioner(ABC):

@@ -33,7 +33,6 @@ cardinality bounds into an otherwise statistics-agnostic optimizer.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
 
 from repro.core.cost import LoadSummary
 from repro.exceptions import BoundDerivationError, ConfigurationError
-from repro.mapreduce.partitioner import stable_hash
+from repro.mapreduce.partitioner import attribute_bucket  # also re-exported from here
 from repro.stats.profile import AttributeProfile, DatasetProfile
 
 #: Default failure probability for sample-based certificates.
@@ -142,26 +141,6 @@ def high_probability_certification(
         load=load,
         method=method,
     )
-
-
-@functools.lru_cache(maxsize=1 << 14, typed=True)
-def _value_hash(attribute: str, value: Hashable) -> int:
-    # ``typed``: 1 and 1.0 are equal as cache keys but hash differently.
-    return stable_hash((attribute, value))
-
-
-def attribute_bucket(attribute: str, value: Hashable, share: int) -> int:
-    """The hash bucket of a value within an attribute's share.
-
-    Single source of truth shared with
-    :meth:`~repro.schemas.join_shares.SharesSchema.bucket_of`: certification
-    is only sound if the certifier and the executing schema hash values to
-    buckets identically.  The hash does not depend on the share, so it is
-    memoized per value and only the modulus is taken per share.
-    """
-    if share <= 1:
-        return 0
-    return _value_hash(attribute, value) % share
 
 
 class ProfileWeightOracle:

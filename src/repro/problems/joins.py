@@ -41,16 +41,16 @@ class JoinQuery:
             raise ConfigurationError("relation names in a join query must be distinct")
         self.relations: Tuple[RelationSchema, ...] = tuple(relations)
         self.name = name
+        # ``relations`` is fixed here, so its attributes are too (a dict keeps
+        # first-appearance order).
+        self._attributes: Tuple[str, ...] = tuple(
+            dict.fromkeys(itertools.chain.from_iterable(r.attributes for r in self.relations))
+        )
 
     @property
     def attributes(self) -> Tuple[str, ...]:
         """All attributes (hypergraph nodes) in first-appearance order."""
-        seen: List[str] = []
-        for relation in self.relations:
-            for attribute in relation.attributes:
-                if attribute not in seen:
-                    seen.append(attribute)
-        return tuple(seen)
+        return self._attributes
 
     @property
     def num_attributes(self) -> int:

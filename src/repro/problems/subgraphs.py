@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, FrozenSet, Iterator, Sequence, Set, Tuple
 
 from repro.core.problem import InputId, OutputId, Problem
 from repro.exceptions import ConfigurationError, ProblemDomainError
 from repro.datagen.graphs import Edge, normalize_edge
+
+if TYPE_CHECKING:  # imported where used: most processes never need it
+    import networkx as nx
 
 
 # ----------------------------------------------------------------------
@@ -49,6 +50,8 @@ class SampleGraph:
         return len(self.edges)
 
     def to_networkx(self) -> nx.Graph:
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.nodes)
         graph.add_edges_from(self.edges)
@@ -62,6 +65,8 @@ class SampleGraph:
         """
         cached = getattr(self, "_automorphisms", None)
         if cached is None:
+            import networkx as nx
+
             graph = self.to_networkx()
             matcher = nx.algorithms.isomorphism.GraphMatcher(graph, graph)
             cached = sum(1 for _ in matcher.isomorphisms_iter())

@@ -48,7 +48,7 @@ from repro.mapreduce.columnar import (
     require_numpy,
 )
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.partitioner import stable_hash
+from repro.mapreduce.partitioner import attribute_bucket
 from repro.problems.joins import JoinQuery, MultiwayJoinProblem
 
 GridPoint = Tuple[int, ...]
@@ -105,23 +105,17 @@ class SharesSchema(SchemaFamily):
     @property
     def num_reducers(self) -> int:
         """Total number of grid points ``Π_A s_A`` (the paper's ``p``)."""
-        product = 1
-        for share in self.shares.values():
-            product *= share
-        return product
+        return math.prod(self.shares.values())
 
     def bucket_of(self, attribute: str, value: int) -> int:
         """Hash bucket of an attribute value within that attribute's share."""
-        share = self.shares[attribute]
-        if share == 1:
-            return 0
-        return stable_hash((attribute, value)) % share
+        return attribute_bucket(attribute, value, self.shares[attribute])
 
     def reducers_for(
         self, relation_name: str, values: Sequence[int]
     ) -> Iterator[GridPoint]:
         """Grid points a tuple of the named relation is replicated to."""
-        relation = self._relation(relation_name)
+        relation = self.query.relation(relation_name)
         if len(values) != relation.arity:
             raise ConfigurationError(
                 f"tuple {values!r} does not match the arity of {relation_name!r}"
@@ -143,22 +137,12 @@ class SharesSchema(SchemaFamily):
             for attribute in self.query.attributes
         )
 
-    def _relation(self, relation_name: str):
-        for relation in self.query.relations:
-            if relation.name == relation_name:
-                return relation
-        raise ConfigurationError(
-            f"relation {relation_name!r} is not part of query {self.query.name!r}"
-        )
-
     def replication_of(self, relation_name: str) -> int:
         """Number of reducers one tuple of the named relation reaches."""
-        relation = self._relation(relation_name)
-        product = 1
-        for attribute in self.query.attributes:
-            if attribute not in relation.attributes:
-                product *= self.shares[attribute]
-        return product
+        covered = self.query.relation(relation_name).attributes
+        return math.prod(
+            share for attribute, share in self.shares.items() if attribute not in covered
+        )
 
     # ------------------------------------------------------------------
     # SchemaFamily interface
@@ -428,10 +412,7 @@ class SkewAwareSharesSchema(SharesSchema):
     # ------------------------------------------------------------------
     @property
     def sub_grid_size(self) -> int:
-        product = 1
-        for share in self.heavy_shares.values():
-            product *= share
-        return product
+        return math.prod(self.heavy_shares.values())
 
     @property
     def num_reducers(self) -> int:
@@ -439,10 +420,7 @@ class SkewAwareSharesSchema(SharesSchema):
 
     def sub_bucket_of(self, attribute: str, value: int) -> int:
         """Sub-grid hash bucket; same hashing rule as :meth:`bucket_of`."""
-        share = self.heavy_shares[attribute]
-        if share == 1:
-            return 0
-        return stable_hash((attribute, value)) % share
+        return attribute_bucket(attribute, value, self.heavy_shares[attribute])
 
     def _ordered_heavy_values(self) -> List[int]:
         return sorted(self.heavy_values, key=repr)
@@ -462,7 +440,7 @@ class SkewAwareSharesSchema(SharesSchema):
     def reducers_for(
         self, relation_name: str, values: Sequence[int]
     ) -> Iterator[GridPoint]:
-        relation = self._relation(relation_name)
+        relation = self.query.relation(relation_name)
         if len(values) != relation.arity:
             raise ConfigurationError(
                 f"tuple {values!r} does not match the arity of {relation_name!r}"
@@ -786,6 +764,21 @@ def _vectorized_oracle_join(attribute_lists, fragments):
     return attributes, rows
 
 
+def _bucket_column(attribute: str, column, share: int):
+    """``attribute_bucket`` per row: the rule is memoized per value, so it is
+    evaluated per distinct value (``stable_hash`` is not vectorizable)."""
+    np = require_numpy()
+    if share == 1:
+        return np.zeros(len(column), dtype=np.int64)
+    distinct, inverse = np.unique(column, return_inverse=True)
+    lookup = np.fromiter(
+        (attribute_bucket(attribute, value, share) for value in distinct.tolist()),
+        dtype=np.int64,
+        count=len(distinct),
+    )
+    return lookup[inverse]
+
+
 class SharesBatchKernel(BatchKernel):
     """Vectorized twin of :meth:`SharesSchema.job`.
 
@@ -797,8 +790,7 @@ class SharesBatchKernel(BatchKernel):
     free-coordinate code offsets added to a per-tuple base code.  The
     per-group reduce rebuilds the sorted fragments with ``np.unique`` and
     runs :func:`_vectorized_oracle_join`, then keeps the rows this grid
-    point owns.  ``stable_hash`` is not vectorizable, so bucket lookups are
-    memoized per distinct ``(attribute, value)``.
+    point owns.
     """
 
     #: Reduce-key codes must stay well inside exact int64 arithmetic.
@@ -807,7 +799,6 @@ class SharesBatchKernel(BatchKernel):
     def __init__(self, schema: SharesSchema) -> None:
         self.schema = schema
         query = schema.query
-        self._bucket_cache: Dict[Tuple[str, int], int] = {}
         self._max_arity = max(relation.arity for relation in query.relations)
         self._value_columns = tuple(f"v{index}" for index in range(self._max_arity))
         #: relation name -> (relation id, arity, padding tuple)
@@ -879,23 +870,8 @@ class SharesBatchKernel(BatchKernel):
             )
         return records
 
-    # -- bucket lookups (memoized around stable_hash) --------------------
     def _buckets(self, attribute: str, column) -> Any:
-        np = require_numpy()
-        if self.schema.shares[attribute] == 1:
-            return np.zeros(len(column), dtype=np.int64)
-        cache = self._bucket_cache
-        distinct, inverse = np.unique(column, return_inverse=True)
-        values = distinct.tolist()
-        for value in values:
-            if (attribute, value) not in cache:
-                cache[(attribute, value)] = self.schema.bucket_of(attribute, value)
-        lookup = np.fromiter(
-            (cache[(attribute, value)] for value in values),
-            dtype=np.int64,
-            count=len(values),
-        )
-        return lookup[inverse]
+        return _bucket_column(attribute, column, self.schema.shares[attribute])
 
     def _main_base(self, batch: ColumnBatch, relation, rows) -> Any:
         """Code contribution of a tuple's own (fixed) grid coordinates."""
@@ -1061,7 +1037,6 @@ class SkewAwareSharesBatchKernel(SharesBatchKernel):
 
     def __init__(self, schema: SkewAwareSharesSchema) -> None:
         super().__init__(schema)
-        self._sub_bucket_cache: Dict[Tuple[str, int], int] = {}
         self._ordered_heavy = schema._ordered_heavy_values()
         self._heavy_rank = {
             value: index for index, value in enumerate(self._ordered_heavy)
@@ -1077,24 +1052,8 @@ class SkewAwareSharesBatchKernel(SharesBatchKernel):
     def _code_space(self) -> int:
         return self._grid_size + len(self._ordered_heavy) * self._sub_size
 
-    # -- sub-grid bucket lookups ----------------------------------------
     def _sub_buckets(self, attribute: str, column) -> Any:
-        np = require_numpy()
-        schema = self.schema
-        if schema.heavy_shares[attribute] == 1:
-            return np.zeros(len(column), dtype=np.int64)
-        cache = self._sub_bucket_cache
-        distinct, inverse = np.unique(column, return_inverse=True)
-        values = distinct.tolist()
-        for value in values:
-            if (attribute, value) not in cache:
-                cache[(attribute, value)] = schema.sub_bucket_of(attribute, value)
-        lookup = np.fromiter(
-            (cache[(attribute, value)] for value in values),
-            dtype=np.int64,
-            count=len(values),
-        )
-        return lookup[inverse]
+        return _bucket_column(attribute, column, self.schema.heavy_shares[attribute])
 
     def _sub_base(self, batch: ColumnBatch, relation, rows) -> Any:
         np = require_numpy()

@@ -21,9 +21,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Tuple
-
-import networkx as nx
+from typing import FrozenSet, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.core.mapping_schema import MappingSchema, SchemaFamily
 from repro.core.problem import Problem
@@ -97,6 +95,8 @@ class PartitionSampleGraphSchema(SchemaFamily):
         self.num_buckets = num_buckets
         self.hash_nodes = hash_nodes
         self.boundaries = boundaries
+        #: Nodes per contiguous bucket (the last bucket absorbs the remainder).
+        self.group_size = math.ceil(n / num_buckets)
         suffix = ", balanced" if boundaries is not None else ""
         self.name = f"partition-{sample.name}(n={n}, k={num_buckets}{suffix})"
 
@@ -108,8 +108,7 @@ class PartitionSampleGraphSchema(SchemaFamily):
             return bisect.bisect_right(self.boundaries, node)
         if self.hash_nodes:
             return stable_hash(node) % self.num_buckets
-        group_size = math.ceil(self.n / self.num_buckets)
-        return min(node // group_size, self.num_buckets - 1)
+        return min(node // self.group_size, self.num_buckets - 1)
 
     def reducers_for(self, edge: Edge) -> Iterator[BucketMultiset]:
         """All size-``s`` bucket multisets containing both endpoint buckets."""
@@ -193,6 +192,8 @@ class PartitionSampleGraphSchema(SchemaFamily):
                 yield (reducer_id, edge)
 
         def reducer(reducer_id: BucketMultiset, edges: List[Edge]):
+            import networkx as nx  # not captured from job(): a module cannot ship to the pool
+
             graph = nx.Graph()
             graph.add_edges_from(set(edges))
             matcher = nx.algorithms.isomorphism.GraphMatcher(graph, pattern)
@@ -251,6 +252,8 @@ def enumerate_sample_graph_oracle(
     convention of :class:`PartitionSampleGraphSchema` and
     :class:`~repro.problems.subgraphs.SampleGraphProblem`.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_edges_from(set(edges))
     pattern = sample.to_networkx()

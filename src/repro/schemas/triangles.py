@@ -16,9 +16,8 @@ This is the algorithm of Suri–Vassilvitskii [21] and Afrati–Fotakis–Ullman
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.core.mapping_schema import MappingSchema, SchemaFamily
 from repro.core.problem import Problem
@@ -57,6 +56,8 @@ class PartitionTriangleSchema(SchemaFamily):
         self.n = n
         self.num_buckets = num_buckets
         self.hash_nodes = hash_nodes
+        #: Nodes per contiguous bucket (the last bucket absorbs the remainder).
+        self.group_size = math.ceil(n / num_buckets)
         self.name = f"partition-triangles(n={n}, k={num_buckets})"
 
     # ------------------------------------------------------------------
@@ -66,8 +67,7 @@ class PartitionTriangleSchema(SchemaFamily):
         """Bucket index of a node (hash-based or contiguous)."""
         if self.hash_nodes:
             return stable_hash(node) % self.num_buckets
-        group_size = math.ceil(self.n / self.num_buckets)
-        return min(node // group_size, self.num_buckets - 1)
+        return min(node // self.group_size, self.num_buckets - 1)
 
     def reducers_for(self, edge: Edge) -> Iterator[BucketTriple]:
         """The ``k`` reducers (bucket multisets) an edge is sent to."""
@@ -130,12 +130,18 @@ class PartitionTriangleSchema(SchemaFamily):
             for u, v in edge_set:
                 adjacency.setdefault(u, set()).add(v)
                 adjacency.setdefault(v, set()).add(u)
+            bucket = {node: schema.bucket_of(node) for node in adjacency}
+            # The bucket a third node must have for the bucket multiset to
+            # equal reducer_id, per pair of endpoint buckets; a pair that is
+            # not a sub-multiset of the id has none.
+            a, b, c = reducer_id
+            third_bucket = {(a, b): c, (b, a): c, (a, c): b, (c, a): b, (b, c): a, (c, b): a}
             for u, v in sorted(edge_set):
-                common = adjacency[u] & adjacency[v]
-                for w in sorted(common):
-                    if w <= v:
-                        continue
-                    if schema.triangle_reducer(u, v, w) == reducer_id:
+                third = third_bucket.get((bucket[u], bucket[v]))
+                if third is None:
+                    continue
+                for w in sorted(adjacency[u] & adjacency[v]):
+                    if w > v and bucket[w] == third:
                         yield (u, v, w)
 
         return MapReduceJob(
@@ -186,8 +192,7 @@ class TriangleBatchKernel(BatchKernel):
 
         schema, cache = self.schema, self._bucket_cache
         if not schema.hash_nodes:
-            group_size = math.ceil(schema.n / schema.num_buckets)
-            return np.minimum(nodes // group_size, schema.num_buckets - 1)
+            return np.minimum(nodes // schema.group_size, schema.num_buckets - 1)
         values = nodes.tolist()
         for value in values:
             if value not in cache:

@@ -57,6 +57,8 @@ class TwoPathSchema(SchemaFamily):
         self.n = n
         self.num_buckets = num_buckets
         self.hash_nodes = hash_nodes
+        #: Nodes per contiguous bucket (the last bucket absorbs the remainder).
+        self.group_size = math.ceil(n / num_buckets)
         self.name = f"two-path(n={n}, k={num_buckets})"
 
     # ------------------------------------------------------------------
@@ -65,8 +67,7 @@ class TwoPathSchema(SchemaFamily):
     def bucket_of(self, node: int) -> int:
         if self.hash_nodes:
             return stable_hash(node) % self.num_buckets
-        group_size = math.ceil(self.n / self.num_buckets)
-        return min(node // group_size, self.num_buckets - 1)
+        return min(node // self.group_size, self.num_buckets - 1)
 
     def reducers_for(self, edge: Edge) -> Iterator[ReducerId]:
         """The ``2(k-1)`` reducers an edge (a, b) is sent to."""
@@ -173,8 +174,7 @@ class TwoPathBatchKernel(BatchKernel):
 
         schema, cache = self.schema, self._bucket_cache
         if not schema.hash_nodes:
-            group_size = math.ceil(schema.n / schema.num_buckets)
-            return np.minimum(nodes // group_size, schema.num_buckets - 1)
+            return np.minimum(nodes // schema.group_size, schema.num_buckets - 1)
         values = nodes.tolist()
         for value in values:
             if value not in cache:
