@@ -173,11 +173,15 @@ class TriangleBatchKernel(BatchKernel):
     """Vectorized twin of :meth:`PartitionTriangleSchema.job`.
 
     Reduce keys (sorted bucket triples ``(a, b, c)``) are encoded as the
-    mixed-radix integer ``(a·k + b)·k + c``.  The per-group reduce builds a
-    boolean adjacency matrix over the group's local node set and finds, for
-    every deduplicated edge ``(u, v)``, the common neighbours ``w > v``
-    whose bucket completes the reducer's triple — ``np.nonzero`` row-major
-    order reproduces the scalar reducer's lexicographic emission order.
+    mixed-radix integer ``(a·k + b)·k + c``.  The per-group reduce packs the
+    adjacency of the group's local node set into bit rows (``np.packbits``,
+    big-endian), plus a "later node" row per node and an "in bucket" row
+    per bucket of the key.  The candidates ``w`` of a deduplicated edge
+    ``(u, v)`` are then one AND of four packed rows — common neighbours,
+    ``w > v``, bucket completing the key — never an edges × nodes boolean
+    matrix.  Set bits are read in two levels: the non-zero bytes first,
+    then only those bytes unpacked; both levels ascend, so the triangles
+    come out edge-major with ``w`` ascending, the scalar reducer's order.
     """
 
     def __init__(self, schema: PartitionTriangleSchema) -> None:
@@ -187,19 +191,21 @@ class TriangleBatchKernel(BatchKernel):
         self._bucket_cache: Dict[int, int] = {}
 
     def _buckets_of(self, nodes) -> "object":
-        """Bucket indices of an array of *distinct* node values."""
+        """Bucket index of every node of an array."""
         import numpy as np
 
         schema, cache = self.schema, self._bucket_cache
         if not schema.hash_nodes:
             return np.minimum(nodes // schema.group_size, schema.num_buckets - 1)
-        values = nodes.tolist()
+        distinct, inverse = np.unique(nodes, return_inverse=True)
+        values = distinct.tolist()
         for value in values:
             if value not in cache:
                 cache[value] = schema.bucket_of(value)
-        return np.fromiter(
+        buckets = np.fromiter(
             (cache[value] for value in values), dtype=np.int64, count=len(values)
         )
+        return buckets[inverse]
 
     # -- encode / map ----------------------------------------------------
     def encode(self, records) -> ColumnBatch:
@@ -210,29 +216,19 @@ class TriangleBatchKernel(BatchKernel):
 
         k = self.schema.num_buckets
         u, v = batch.column("u"), batch.column("v")
-        unique_nodes, inverse = np.unique(
-            np.concatenate((u, v)), return_inverse=True
-        )
-        node_buckets = self._buckets_of(unique_nodes)
-        bucket_u = node_buckets[inverse[: len(u)]]
-        bucket_v = node_buckets[inverse[len(u) :]]
-        # One emission per (edge, third) in the scalar mapper's order:
-        # record-major, third ascending.
         num_edges = len(u)
-        triples = np.sort(
-            np.stack(
-                (
-                    np.repeat(bucket_u, k),
-                    np.repeat(bucket_v, k),
-                    np.tile(np.arange(k, dtype=np.int64), num_edges),
-                ),
-                axis=1,
-            ),
-            axis=1,
-        )
-        codes = (triples[:, 0] * k + triples[:, 1]) * k + triples[:, 2]
+        buckets = self._buckets_of(np.concatenate((u, v)))
+        low = np.minimum(buckets[:num_edges], buckets[num_edges:])[:, None]
+        high = np.maximum(buckets[:num_edges], buckets[num_edges:])[:, None]
+        # One emission per (edge, third) in the scalar mapper's order:
+        # record-major, third ascending; sorted((low, high, third)) is
+        # (min, clip, max) because low <= high.
+        third = np.arange(k, dtype=np.int64)
+        codes = (
+            np.minimum(low, third) * k + np.clip(third, low, high)
+        ) * k + np.maximum(high, third)
         row_indices = np.repeat(np.arange(num_edges, dtype=np.int64), k)
-        return codes, row_indices, batch
+        return codes.ravel(), row_indices, batch
 
     def key_of_code(self, code: int):
         k = self.schema.num_buckets
@@ -243,36 +239,49 @@ class TriangleBatchKernel(BatchKernel):
         import numpy as np
 
         u, v = values.column("u"), values.column("v")
-        # sorted(set(edges)): lexicographic sort, then first-occurrence
-        # dedupe on the (u, v) pairs.
-        order = np.lexsort((v, u))
-        edge_u, edge_v = u[order], v[order]
-        if len(edge_u) == 0:
+        if len(u) == 0:
             return []
-        keep = np.empty(len(edge_u), dtype=bool)
-        keep[0] = True
-        keep[1:] = (edge_u[1:] != edge_u[:-1]) | (edge_v[1:] != edge_v[:-1])
-        edge_u, edge_v = edge_u[keep], edge_v[keep]
-        nodes = np.unique(np.concatenate((edge_u, edge_v)))
-        local_u = np.searchsorted(nodes, edge_u)
-        local_v = np.searchsorted(nodes, edge_v)
+        # sorted(set(edges)): over the sorted local node set, the set cells
+        # of the directed edge matrix in row-major order.
+        nodes, local = np.unique(np.concatenate((u, v)), return_inverse=True)
         size = len(nodes)
-        adjacency = np.zeros((size, size), dtype=bool)
-        adjacency[local_u, local_v] = True
-        adjacency[local_v, local_u] = True
+        directed = np.zeros((size, size), dtype=bool)
+        directed[local[: len(u)], local[len(u) :]] = True
+        local_u, local_v = np.divmod(np.flatnonzero(directed), size)
         buckets = self._buckets_of(nodes)
-        # The third bucket that completes this reducer's multiset for each
-        # edge; {bucket(u), bucket(v)} is a sub-multiset of the key by
-        # construction, so the difference of sums identifies it.
-        target = (key[0] + key[1] + key[2]) - buckets[local_u] - buckets[local_v]
-        candidates = adjacency[local_u] & adjacency[local_v]
-        candidates &= nodes[None, :] > edge_v[:, None]
-        candidates &= buckets[None, :] == target[:, None]
-        edge_index, node_index = np.nonzero(candidates)
+        # Only an edge whose bucket pair is a sub-multiset of the key can
+        # close a triangle here (the scalar reducer's third_bucket lookup);
+        # the key's remaining bucket is the one its third node must have.
+        triple = np.array(sorted(key), dtype=np.int64)
+        a, b, c = triple.tolist()
+        bucket_u, bucket_v = buckets[local_u], buckets[local_v]
+        low, high = np.minimum(bucket_u, bucket_v), np.maximum(bucket_u, bucket_v)
+        fits = ((low == a) & ((high == b) | (high == c))) | ((low == b) & (high == c))
+        third_row = np.searchsorted(triple, (a + b + c) - low[fits] - high[fits])
+        local_u, local_v = local_u[fits], local_v[fits]
+        # Packed bit rows: each node's neighbours, the nodes after it (nodes
+        # is sorted, so "w > v" is "local index above v's"), and each key
+        # bucket's members.
+        packed = np.packbits(directed | directed.T, axis=1)
+        above = np.packbits(~np.tri(size, dtype=bool), axis=1)
+        in_bucket = np.packbits(buckets[None, :] == triple[:, None], axis=1)
+        candidates = (
+            packed.take(local_u, axis=0)
+            & packed.take(local_v, axis=0)
+            & above.take(local_v, axis=0)
+            & in_bucket.take(third_row, axis=0)
+        )
+        # Two-level read-out: the non-zero bytes, then only their set bits
+        # (``!= 0`` first: nonzero is several times faster on booleans).
+        flat = candidates.ravel()
+        byte_index = np.flatnonzero(flat != 0)
+        hits = np.flatnonzero(np.unpackbits(flat[byte_index]) != 0)
+        bits = byte_index[hits >> 3] * 8 + (hits & 7)
+        edge_index, node_index = np.divmod(bits, 8 * candidates.shape[1])
         return list(
             zip(
-                edge_u[edge_index].tolist(),
-                edge_v[edge_index].tolist(),
+                nodes[local_u[edge_index]].tolist(),
+                nodes[local_v[edge_index]].tolist(),
                 nodes[node_index].tolist(),
             )
         )

@@ -29,7 +29,8 @@ def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
         "--full-sweep",
         action="store_true",
-        help="run all 78 seeded bound-first planning cases, not the tier-1 stride",
+        help="run all 78 seeded bound-first planning cases, not the tier-1 stride, "
+        "and the triangle kernel oracle on benchmark-sized graphs",
     )
 
 

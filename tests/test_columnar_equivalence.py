@@ -20,6 +20,7 @@ np = pytest.importorskip("numpy")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.datagen.graphs import gnm_random_graph
 from repro.datagen.relations import (
     RelationInstance,
     binary_join_instance,
@@ -84,11 +85,22 @@ class TestHammingKernels:
         cell_matrix.run(schema.job(), words, shuffle_factory=spilling(3, 16))
 
 
+@st.composite
+def random_graphs(draw, max_nodes: int = 150):
+    """(n, edges): a seeded G(n, m) graph, sparse to dense."""
+    n = draw(st.integers(3, max_nodes))
+    density = draw(st.sampled_from([0.02, 0.1, 0.4]))
+    edges = min(int(density * n * (n - 1) / 2), 600)
+    return n, gnm_random_graph(n, edges, draw(st.integers(0, 2**16)))
+
+
 class TestGraphKernels:
-    @given(edges=edge_sets(), buckets=st.sampled_from([2, 3]))
+    # Up to 150 nodes: reducers' packed adjacency rows span many bytes.
+    @given(graph=random_graphs(), buckets=st.integers(1, 5), hashed=st.booleans())
     @examples(25)
-    def test_triangles_match_record_path(self, cell_matrix, edges, buckets):
-        schema = PartitionTriangleSchema(12, buckets)
+    def test_triangles_match_record_path(self, cell_matrix, graph, buckets, hashed):
+        n, edges = graph
+        schema = PartitionTriangleSchema(n, min(buckets, n), hash_nodes=hashed)
         cell_matrix.run(schema.job(), edges)
 
     @given(
