@@ -8,7 +8,7 @@ the edges among (up to) three buckets — about ``4.5 n²/k²`` potential edges 
 and can therefore emit every triangle whose three nodes hash into its bucket
 multiset.  Solving ``q ≈ 4.5 n²/k²`` for ``k`` gives ``r = O(n/√q)``,
 matching the Section 4.1 lower bound ``n/√(2q)`` to within a constant factor
-(the ratio is 3, as recorded in EXPERIMENTS.md).
+(the ratio is 3; ``tests/test_paper_figures.py`` pins it at ≤ 3.1).
 
 This is the algorithm of Suri–Vassilvitskii [21] and Afrati–Fotakis–Ullman
 [2] restated in the paper's vocabulary.
@@ -59,6 +59,8 @@ class PartitionTriangleSchema(SchemaFamily):
         #: Nodes per contiguous bucket (the last bucket absorbs the remainder).
         self.group_size = math.ceil(n / num_buckets)
         self.name = f"partition-triangles(n={n}, k={num_buckets})"
+        #: The one routing rule: endpoint buckets -> the ``k`` reducer ids.
+        self.routes = _RouteTable(num_buckets)
 
     # ------------------------------------------------------------------
     # Bucketing and routing
@@ -71,10 +73,7 @@ class PartitionTriangleSchema(SchemaFamily):
 
     def reducers_for(self, edge: Edge) -> Iterator[BucketTriple]:
         """The ``k`` reducers (bucket multisets) an edge is sent to."""
-        u, v = edge
-        bucket_u, bucket_v = self.bucket_of(u), self.bucket_of(v)
-        for third in range(self.num_buckets):
-            yield tuple(sorted((bucket_u, bucket_v, third)))
+        return iter(self.routes[self.bucket_of(edge[0]), self.bucket_of(edge[1])])
 
     def triangle_reducer(self, u: int, v: int, w: int) -> BucketTriple:
         """The unique reducer designated to emit the triangle {u, v, w}."""
@@ -118,31 +117,35 @@ class PartitionTriangleSchema(SchemaFamily):
         triangle whose bucket multiset equals the reducer's id, so each
         triangle is produced exactly once across the job.
         """
-        schema = self
+        routes, bucket_of = self.routes, self.bucket_of
 
         def mapper(edge: Edge):
-            for reducer_id in schema.reducers_for(edge):
-                yield (reducer_id, edge)
+            return [(rid, edge) for rid in routes[bucket_of(edge[0]), bucket_of(edge[1])]]
 
         def reducer(reducer_id: BucketTriple, edges: List[Edge]):
-            adjacency: dict[int, set[int]] = {}
-            edge_set = set(edges)
-            for u, v in edge_set:
-                adjacency.setdefault(u, set()).add(v)
-                adjacency.setdefault(v, set()).add(u)
-            bucket = {node: schema.bucket_of(node) for node in adjacency}
-            # The bucket a third node must have for the bucket multiset to
-            # equal reducer_id, per pair of endpoint buckets; a pair that is
-            # not a sub-multiset of the id has none.
+            # Int bitsets over the sorted local node set: bit i is nodes[i].
+            edge_list = sorted(set(edges))
+            nodes = sorted({node for edge in edge_list for node in edge})
+            index = {node: i for i, node in enumerate(nodes)}
+            bucket = [bucket_of(node) for node in nodes]
+            adjacency = [0] * len(nodes)
+            for u, v in edge_list:
+                adjacency[index[u]] |= 1 << index[v]
+                adjacency[index[v]] |= 1 << index[u]
+            # Per pair of endpoint buckets, the member mask of the bucket
+            # that completes reducer_id; a pair that does not fit it gets none.
             a, b, c = reducer_id
-            third_bucket = {(a, b): c, (b, a): c, (a, c): b, (c, a): b, (b, c): a, (c, b): a}
-            for u, v in sorted(edge_set):
-                third = third_bucket.get((bucket[u], bucket[v]))
-                if third is None:
-                    continue
-                for w in sorted(adjacency[u] & adjacency[v]):
-                    if w > v and bucket[w] == third:
-                        yield (u, v, w)
+            ma, mb, mc = (sum(1 << i for i, t in enumerate(bucket) if t == s) for s in reducer_id)
+            third = {(a, b): mc, (b, a): mc, (a, c): mb, (c, a): mb, (b, c): ma, (c, b): ma}
+            for u, v in edge_list:
+                i, j = index[u], index[v]
+                # Common neighbours w > v in the third bucket, lowest first.
+                common = third.get((bucket[i], bucket[j]), 0) & adjacency[i] & adjacency[j]
+                common >>= j + 1
+                while common:
+                    low = common & -common
+                    yield (u, v, nodes[j + low.bit_length()])
+                    common ^= low
 
         return MapReduceJob(
             mapper=mapper,
@@ -167,6 +170,17 @@ class PartitionTriangleSchema(SchemaFamily):
             raise ConfigurationError("q must be positive")
         k = max(1, math.ceil(n * math.sqrt(4.5 / q)))
         return cls(n, min(k, n), hash_nodes=hash_nodes)
+
+
+class _RouteTable(dict):
+    """``(bucket_u, bucket_v)`` -> its ``k`` sorted bucket triples, filled on first use."""
+
+    def __init__(self, num_buckets: int) -> None:
+        self.thirds = range(num_buckets)
+
+    def __missing__(self, pair: Tuple[int, int]) -> Tuple[BucketTriple, ...]:
+        routes = self[pair] = tuple(tuple(sorted((*pair, t))) for t in self.thirds)
+        return routes
 
 
 class TriangleBatchKernel(BatchKernel):

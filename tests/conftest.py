@@ -30,7 +30,7 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         "--full-sweep",
         action="store_true",
         help="run all 78 seeded bound-first planning cases, not the tier-1 stride, "
-        "and the triangle kernel oracle on benchmark-sized graphs",
+        "and both triangle reducer oracles on benchmark-sized graphs",
     )
 
 

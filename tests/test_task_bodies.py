@@ -19,8 +19,11 @@ The contract the scripts pin, whichever way each edge fell before:
   is "nothing" for a mapper or reducer and a non-iterable for a combiner);
 * failure text is formatted on failure only.
 
-The same shape pins the scalar triangle reducer, and a frame count under
-``sys.setprofile`` keeps per-record executor frames from creeping back.
+The same shape pins the scalar triangle job: its int-bitset reducer and
+route-table mapper against the set-intersection closures they replaced
+(``--full-sweep`` adds three benchmark-sized graphs), and the route table
+against the batch kernel, ``reducers_for`` and ``build()``.  A frame count
+under ``sys.setprofile`` keeps per-record executor frames from creeping back.
 """
 
 from __future__ import annotations
@@ -33,11 +36,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.mapping_schema import MappingSchema
+from repro.datagen.graphs import gnm_random_graph
 from repro.exceptions import ExecutionError
 from repro.mapreduce import ClusterConfig, MapReduceEngine, MapReduceJob
 from repro.mapreduce import executor
+from repro.mapreduce.columnar import ColumnBatch
 from repro.mapreduce.types import KeyValue, ensure_key_value
-from repro.schemas.triangles import PartitionTriangleSchema
+from repro.problems import TriangleProblem
+from repro.schemas.triangles import PartitionTriangleSchema, TriangleBatchKernel
 
 
 # ----------------------------------------------------------------------
@@ -402,7 +409,7 @@ def test_executor_frames_scale_with_tasks_and_groups_not_records():
 
 
 # ----------------------------------------------------------------------
-# The scalar triangle reducer against the closure it replaced
+# The scalar triangle job against the closures it replaced
 # ----------------------------------------------------------------------
 def _oracle_triangle_reducer(schema: PartitionTriangleSchema):
     def reducer(reducer_id, edges):
@@ -422,13 +429,72 @@ def _oracle_triangle_reducer(schema: PartitionTriangleSchema):
     return reducer
 
 
+def _oracle_reducers_for(schema: PartitionTriangleSchema, edge):
+    """``reducers_for`` before the memoized route table."""
+    u, v = edge
+    bucket_u, bucket_v = schema.bucket_of(u), schema.bucket_of(v)
+    for third in range(schema.num_buckets):
+        yield tuple(sorted((bucket_u, bucket_v, third)))
+
+
+def _oracle_set_job(schema: PartitionTriangleSchema):
+    """The mapper and the set-intersection reducer before the int bitsets."""
+
+    def mapper(edge):
+        for reducer_id in _oracle_reducers_for(schema, edge):
+            yield (reducer_id, edge)
+
+    def reducer(reducer_id, edges):
+        adjacency: dict[int, set[int]] = {}
+        edge_set = set(edges)
+        for u, v in edge_set:
+            adjacency.setdefault(u, set()).add(v)
+            adjacency.setdefault(v, set()).add(u)
+        bucket = {node: schema.bucket_of(node) for node in adjacency}
+        # The bucket a third node must have for the bucket multiset to
+        # equal reducer_id, per pair of endpoint buckets; a pair that is
+        # not a sub-multiset of the id has none.
+        a, b, c = reducer_id
+        third_bucket = {(a, b): c, (b, a): c, (a, c): b, (c, a): b, (b, c): a, (c, b): a}
+        for u, v in sorted(edge_set):
+            third = third_bucket.get((bucket[u], bucket[v]))
+            if third is None:
+                continue
+            for w in sorted(adjacency[u] & adjacency[v]):
+                if w > v and bucket[w] == third:
+                    yield (u, v, w)
+
+    return mapper, reducer
+
+
+def assert_same_as_oracles(schema: PartitionTriangleSchema, edges) -> int:
+    """Every edge's emissions and every reducer id's output list equal both
+    oracles'; returns the number of triangles emitted."""
+    job = schema.job()
+    oracle_mapper, oracle_reducer = _oracle_set_job(schema)
+    oldest = _oracle_triangle_reducer(schema)
+    for edge in edges:
+        assert list(job.mapper(edge)) == list(oracle_mapper(edge))
+    # Every id of the key space sees every edge, so most edges' buckets
+    # do not fit the id they are offered to.
+    emitted = 0
+    for reducer_id in itertools.combinations_with_replacement(range(schema.num_buckets), 3):
+        got = list(job.reducer(reducer_id, edges))
+        assert got == list(oracle_reducer(reducer_id, edges))
+        assert got == list(oldest(reducer_id, edges))
+        emitted += len(got)
+    return emitted
+
+
 @st.composite
 def triangle_cases(draw):
     n = draw(st.integers(3, 14))
     k = draw(st.integers(1, min(n, 4)))
     node = st.integers(0, n - 1)
-    # Any orientation, duplicates and self-loops: whatever reaches a reducer.
-    edges = draw(st.lists(st.tuples(node, node), max_size=40))
+    # Any orientation, duplicates and self-loops: whatever reaches a reducer;
+    # sparse ids far above n pin the local indexing.
+    offset = draw(st.sampled_from([0, 10**12]))
+    edges = [(offset + u, offset + v) for u, v in draw(st.lists(st.tuples(node, node), max_size=40))]
     return n, k, draw(st.booleans()), edges
 
 
@@ -437,14 +503,78 @@ class TestTriangleReducerAgainstOracle:
     @given(triangle_cases())
     def test_every_reducer_id_on_every_edge_list(self, case):
         n, k, hash_nodes, edges = case
-        schema = PartitionTriangleSchema(n, k, hash_nodes=hash_nodes)
-        reducer, oracle = schema.job().reducer, _oracle_triangle_reducer(schema)
-        # Every id of the key space sees every edge, so most edges' buckets
-        # do not fit the id they are offered to.
-        for reducer_id in itertools.combinations_with_replacement(range(k), 3):
-            assert list(reducer(reducer_id, edges)) == list(oracle(reducer_id, edges))
+        assert_same_as_oracles(PartitionTriangleSchema(n, k, hash_nodes=hash_nodes), edges)
+
+    # Local node counts on both sides of a 64-bit word of the int bitsets.
+    @pytest.mark.parametrize("nodes", [63, 64, 65, 129])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("hash_nodes", [False, True])
+    def test_row_widths_across_word_boundaries(self, nodes, k, hash_nodes):
+        # Random chords plus a reversed Hamiltonian path: every node is touched
+        # and edges come in both orientations.
+        edges = gnm_random_graph(nodes, 3 * nodes, nodes * 10 + k)
+        edges += [(i + 1, i) for i in range(nodes - 1)]
+        schema = PartitionTriangleSchema(nodes, k, hash_nodes=hash_nodes)
+        assert assert_same_as_oracles(schema, edges) > 0
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_benchmark_sized_graph(self, request, seed):
+        if not request.config.getoption("--full-sweep"):
+            pytest.skip("benchmark-sized graphs run under --full-sweep")
+        schema = PartitionTriangleSchema(400, 6)
+        job = schema.job()
+        oracle_mapper, oracle_reducer = _oracle_set_job(schema)
+        groups: Dict[Any, List[Any]] = {}
+        for edge in gnm_random_graph(400, 30000, seed):
+            emitted = job.mapper(edge)
+            assert emitted == list(oracle_mapper(edge))
+            for reducer_id, value in emitted:
+                groups.setdefault(reducer_id, []).append(value)
+        assert len(groups) == 56
+        for reducer_id, edges in groups.items():
+            assert list(job.reducer(reducer_id, edges)) == list(oracle_reducer(reducer_id, edges))
 
     def test_group_size_is_fixed_at_construction(self):
         schema = PartitionTriangleSchema(10, 3)
         assert schema.group_size == 4
         assert [schema.bucket_of(node) for node in range(10)] == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
+
+
+class TestOneRoutingRule:
+    """The memoized route table is the batch kernel's, ``reducers_for``'s
+    and ``build()``'s routing, and the routing it replaced."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    @pytest.mark.parametrize("hash_nodes", [False, True])
+    def test_route_table_on_every_bucket_pair(self, k, hash_nodes):
+        pytest.importorskip("numpy")
+        schema = PartitionTriangleSchema(12, k, hash_nodes=hash_nodes)
+        kernel = TriangleBatchKernel(schema)
+        # One node per bucket; hashed buckets may need ids beyond n.
+        node_of: Dict[int, int] = {}
+        for node in range(10_000):
+            node_of.setdefault(schema.bucket_of(node), node)
+        assert sorted(node_of) == list(range(k))
+        # Every ordered pair, so both orders of each pair and both
+        # orientations of each edge.
+        pairs = list(itertools.product(range(k), repeat=2))
+        edges = [(node_of[a], node_of[b]) for a, b in pairs]
+        codes, row_indices, _ = kernel.map_batch(ColumnBatch.from_int_tuples(edges, ("u", "v")))
+        assert row_indices.tolist() == [row for row in range(len(edges)) for _ in range(k)]
+        kernel_routes = [kernel.key_of_code(code) for code in codes.tolist()]
+        for row, (pair, edge) in enumerate(zip(pairs, edges)):
+            routes = list(schema.routes[pair])
+            assert routes == kernel_routes[row * k : (row + 1) * k]
+            assert routes == list(schema.reducers_for(edge))
+            assert routes == list(_oracle_reducers_for(schema, edge))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    @pytest.mark.parametrize("hash_nodes", [False, True])
+    def test_build_assignments_are_unchanged(self, k, hash_nodes):
+        problem = TriangleProblem(12)
+        schema = PartitionTriangleSchema(12, k, hash_nodes=hash_nodes)
+        oracle = MappingSchema(problem, q=None, name=schema.name)
+        for edge in problem.inputs():
+            for reducer_id in _oracle_reducers_for(schema, edge):
+                oracle.assign_one(reducer_id, edge)
+        assert schema.build(problem).reducers == oracle.reducers
