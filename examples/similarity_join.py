@@ -18,7 +18,6 @@ Run with:  python examples/similarity_join.py
 
 from __future__ import annotations
 
-from repro.analysis.lower_bounds import hamming1_lower_bound
 from repro.datagen import all_pairs_at_distance, bernoulli_bitstrings
 from repro.mapreduce import ClusterConfig, MapReduceEngine
 from repro.planner import CostBasedPlanner
@@ -65,14 +64,15 @@ def main() -> None:
     # ---------------- distance 1 ----------------
     # Budget: reducers of at most 2^(b/2) = 64 potential strings.
     q_budget = 2 ** (b // 2)
-    plans = planner.plan(HammingDistanceProblem(b), engine.config, q=q_budget)
+    problem = HammingDistanceProblem(b)
+    plans = planner.plan(problem, engine.config, q=q_budget)
     expected_d1 = all_pairs_at_distance(words, 1)
     rows = [run_plan(engine, plan, words, expected_d1) for plan in plans]
     print_rows(f"Hamming distance 1 (budget q={q_budget}, ranked by the planner)", rows)
     for c in (2, 3, 4, 6):
         q = 2 ** (b // c)
         print(
-            f"  lower bound at q=2^{b // c}: r >= {hamming1_lower_bound(b, q):.2f} "
+            f"  lower bound at q=2^{b // c}: r >= {problem.lower_bound(q):.2f} "
             f"(Splitting with c={c} matches it exactly)"
         )
 
@@ -81,7 +81,7 @@ def main() -> None:
     # rate below 2 beats every Splitting configuration — the planner finds
     # it without being told.
     q_large = 3000
-    plans_large = planner.plan(HammingDistanceProblem(b), engine.config, q=q_large)
+    plans_large = planner.plan(problem, engine.config, q=q_large)
     rows = [run_plan(engine, plan, words, expected_d1) for plan in plans_large.plans[:4]]
     print_rows(
         f"Hamming distance 1, large reducers (budget q={q_large}, top 4 plans)", rows

@@ -19,7 +19,6 @@ Run with:  python examples/social_triangles.py
 
 from __future__ import annotations
 
-from repro.analysis.lower_bounds import triangle_lower_bound_sparse
 from repro.analysis.sparse import edge_target_reducer_size, overload_probability
 from repro.datagen import (
     count_triangles_oracle,
@@ -38,10 +37,11 @@ PLANNER = CostBasedPlanner.min_replication()
 def analyse(engine, name, edges, n, q_actual):
     m = len(edges)
     q_target = edge_target_reducer_size(q_actual, n, m)
-    plan = PLANNER.plan(TriangleProblem(n), engine.config, q=q_target).best
+    problem = TriangleProblem(n)
+    plan = PLANNER.plan(problem, engine.config, q=q_target).best
     result = plan.execute(edges, engine=engine)
     expected = enumerate_triangles_oracle(edges)
-    bound = triangle_lower_bound_sparse(m, q_actual)
+    bound = problem.lower_bound_sparse(q_actual, m)
     print(f"\n--- {name}: n={n}, m={m}, memory budget q={q_actual} edges ---")
     print(f"  target reducer size (potential edges) q_t = {q_target:.0f}")
     print(f"  planner chose {plan.name}  ->  replication rate = {result.replication_rate:.1f}")
@@ -77,14 +77,15 @@ def main() -> None:
     # Sweep the memory budget to expose the tradeoff curve numerically.
     print("\nmemory budget sweep (uniform graph):")
     print(f"  {'q (edges)':>10} {'plan':>28} {'replication':>12} {'sqrt(m/q)':>10}")
+    problem = TriangleProblem(n)
     for q_actual in (40, 80, 160, 320):
         m = len(uniform_edges)
         q_target = edge_target_reducer_size(q_actual, n, m)
-        plan = PLANNER.plan(TriangleProblem(n), engine.config, q=q_target).best
+        plan = PLANNER.plan(problem, engine.config, q=q_target).best
         run = plan.execute(uniform_edges, engine=engine)
         print(
             f"  {q_actual:>10} {plan.name:>28} {run.replication_rate:>12.1f} "
-            f"{triangle_lower_bound_sparse(m, q_actual):>10.1f}"
+            f"{problem.lower_bound_sparse(q_actual, m):>10.1f}"
         )
 
 

@@ -1,18 +1,29 @@
 """Programmatic regeneration of Table 1 and Table 2 of the paper.
 
 Each row couples the symbolic formulas printed in the paper with callables
-that evaluate them for concrete parameters, so the benchmark harness can
-print the same rows the paper reports and the tests can cross-check the
-formulas against the generic recipe and the constructive schemas.
+that evaluate them for concrete parameters.  Table 1 evaluates each
+problem class's own ``lower_bound`` (:mod:`repro.problems` is the one home
+of every lower bound); Table 2 evaluates :mod:`repro.analysis.upper_bounds`
+and the Shares closed form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
-from repro.analysis import lower_bounds, upper_bounds
+from repro.analysis import upper_bounds
+from repro.problems import (
+    HammingDistanceProblem,
+    JoinQuery,
+    MatrixMultiplicationProblem,
+    MultiwayJoinProblem,
+    SampleGraph,
+    SampleGraphProblem,
+    TriangleProblem,
+    TwoPathProblem,
+)
+from repro.schemas.join_shares import chain_join_replication_upper_bound
 
 
 @dataclass(frozen=True)
@@ -64,8 +75,8 @@ def table1_rows(
 ) -> List[Table1Row]:
     """Build Table 1 with concrete parameters for numeric evaluation.
 
-    The symbolic columns match the paper exactly; ``evaluate(q)`` plugs the
-    chosen parameters into the lower-bound formula of each row.
+    The symbolic columns match the paper exactly; ``evaluate(q)`` is the
+    ``lower_bound`` of the row's problem built with the chosen parameters.
     """
     return [
         Table1Row(
@@ -74,7 +85,7 @@ def table1_rows(
             num_outputs="(b/2)·2^b",
             g_formula="(q/2)·log2 q",
             lower_bound_formula="b / log2 q",
-            evaluate=lambda q: lower_bounds.hamming1_lower_bound(b, q),
+            evaluate=HammingDistanceProblem(b).lower_bound,
         ),
         Table1Row(
             problem=f"Triangle-Finding, n nodes (n={n_triangle})",
@@ -82,7 +93,7 @@ def table1_rows(
             num_outputs="n³/6",
             g_formula="(√2/3)·q^(3/2)",
             lower_bound_formula="n / √(2q)",
-            evaluate=lambda q: lower_bounds.triangle_lower_bound(n_triangle, q),
+            evaluate=TriangleProblem(n_triangle).lower_bound,
         ),
         Table1Row(
             problem=(
@@ -93,7 +104,9 @@ def table1_rows(
             num_outputs="n^s",
             g_formula="q^(s/2)",
             lower_bound_formula="(n/√q)^(s-2)",
-            evaluate=lambda q: lower_bounds.alon_lower_bound(n_sample, sample_nodes, q),
+            evaluate=SampleGraphProblem(
+                n_sample, SampleGraph.clique(sample_nodes)
+            ).lower_bound,
         ),
         Table1Row(
             problem=f"2-Paths in n-node graph (n={n_two_path})",
@@ -101,7 +114,7 @@ def table1_rows(
             num_outputs="n³/2",
             g_formula="C(q,2)",
             lower_bound_formula="2n/q",
-            evaluate=lambda q: lower_bounds.two_path_lower_bound(n_two_path, q),
+            evaluate=TwoPathProblem(n_two_path).lower_bound,
         ),
         Table1Row(
             problem=(
@@ -112,9 +125,9 @@ def table1_rows(
             num_outputs="C(n,m)",
             g_formula="q^ρ",
             lower_bound_formula="n^(m-2) / q^(ρ-1)",
-            evaluate=lambda q: lower_bounds.multiway_join_lower_bound(
-                n_join, join_attributes, join_rho, q
-            ),
+            evaluate=MultiwayJoinProblem(
+                JoinQuery.chain(join_attributes - 1), n_join, rho=join_rho
+            ).lower_bound,
         ),
         Table1Row(
             problem=f"n×n Matrix Multiplication (n={n_matmul})",
@@ -122,7 +135,7 @@ def table1_rows(
             num_outputs="n²",
             g_formula="q²/(4n²)",
             lower_bound_formula="2n²/q",
-            evaluate=lambda q: lower_bounds.matmul_lower_bound(n_matmul, q),
+            evaluate=MatrixMultiplicationProblem(n_matmul).lower_bound,
         ),
     ]
 
@@ -172,7 +185,7 @@ def table2_rows(
                 f"d0={star_dimension_size:g})"
             ),
             upper_bound_formula="chain: (n/√q)^(N-1); star: Nd0(Nd0/q)^(N-1)/(f+Nd0)",
-            evaluate=lambda q: upper_bounds.chain_join_upper_bound(n_chain, chain_relations, q),
+            evaluate=lambda q: chain_join_replication_upper_bound(n_chain, q, chain_relations),
         ),
         Table2Row(
             problem=f"n×n Matrix Multiplication (n={n_matmul})",

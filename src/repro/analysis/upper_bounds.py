@@ -1,8 +1,11 @@
-"""Closed-form upper bounds on replication rate: every row of Table 2.
+"""Closed-form upper bounds on replication rate for Table 2.
 
 These are the replication rates achieved by the constructive algorithms of
 the paper (implemented in :mod:`repro.schemas`), expressed as functions of
-the reducer size ``q`` and the problem parameters.
+the reducer size ``q`` and the problem parameters.  The join row's chain and
+star forms live next to the Shares schema
+(:func:`~repro.schemas.join_shares.chain_join_replication_upper_bound`,
+:func:`~repro.schemas.join_shares.star_join_replication_upper_bound`).
 """
 
 from __future__ import annotations
@@ -10,10 +13,6 @@ from __future__ import annotations
 import math
 
 from repro.exceptions import ConfigurationError
-from repro.schemas.join_shares import (
-    chain_join_replication_upper_bound,
-    star_join_replication_upper_bound,
-)
 
 
 # ----------------------------------------------------------------------
@@ -106,21 +105,6 @@ def two_path_upper_bound(n: int, q: float) -> float:
         return float("inf")
     k = max(2.0, 2.0 * n / q)
     return 2.0 * (k - 1.0)
-
-
-# ----------------------------------------------------------------------
-# Multiway joins (Section 5.5.2, Table 2 row 5)
-# ----------------------------------------------------------------------
-def chain_join_upper_bound(n: int, num_relations: int, q: float) -> float:
-    """``r = (n/√q)^{N-1}`` for chain joins (result from [1])."""
-    return chain_join_replication_upper_bound(n, q, num_relations)
-
-
-def star_join_upper_bound(
-    fact_size: float, dimension_size: float, num_dimensions: int, q: float
-) -> float:
-    """Star-join upper bound from Section 5.5.2 (shares algorithm of [1])."""
-    return star_join_replication_upper_bound(fact_size, dimension_size, q, num_dimensions)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.problems.joins import (
     MultiwayJoinProblem,
     NaturalJoinProblem,
     RelationSchema,
+    star_join_replication_lower_bound,
 )
 from repro.problems.matmul import MatrixMultiplicationProblem, matmul_g
 from repro.problems.subgraphs import (
@@ -37,5 +38,6 @@ __all__ = [
     "WordCountProblem",
     "hamming_g",
     "matmul_g",
+    "star_join_replication_lower_bound",
     "triangle_g",
 ]

@@ -184,6 +184,10 @@ class MultiwayJoinProblem(Problem):
     def __init__(self, query: JoinQuery, domain_size: int, rho: Optional[float] = None) -> None:
         if domain_size <= 0:
             raise ConfigurationError(f"domain size must be positive, got {domain_size}")
+        if rho is not None and rho < 1:
+            raise ConfigurationError(
+                f"the fractional edge cover value is at least 1, got rho={rho}"
+            )
         self.query = query
         self.domain_size = domain_size
         self._rho = rho
@@ -261,12 +265,19 @@ class MultiwayJoinProblem(Problem):
     # Closed-form lower bounds (Section 5.5.1)
     # ------------------------------------------------------------------
     def lower_bound(self, q: float) -> float:
-        """``r >= n^{m-2} / q^{ρ-1}`` with m attributes and domain size n."""
+        """``r >= n^{m-α} / q^{ρ-1}`` with m attributes over domain size n.
+
+        ``α`` is the largest relation arity: the recipe's ``|I|`` is taken
+        as ``n^α``, the order of the largest relation (constant factors
+        dropped).  Binary relations give the paper's ``n^{m-2}``; equal
+        arities give Section 5.5.1's ``n^{m-α}``.
+        """
         if q <= 0:
             return float("inf")
         n = self.domain_size
         m = self.query.num_attributes
-        return max(1.0, n ** (m - 2) / q ** (self.rho - 1.0))
+        alpha = max(relation.arity for relation in self.query.relations)
+        return max(1.0, n ** (m - alpha) / q ** (self.rho - 1.0))
 
     def chain_lower_bound(self, q: float) -> float:
         """Chain-join specialisation ``r >= (n/√q)^{N-1}`` (Section 5.5.2)."""
@@ -285,6 +296,19 @@ class MultiwayJoinProblem(Problem):
             "num_outputs": self.num_outputs,
             "rho": self.rho,
         }
+
+
+def star_join_replication_lower_bound(
+    fact_size: float, dimension_size: float, q: float, num_dimensions: int
+) -> float:
+    """Section 5.5.2's star-join lower bound ``N·d0·(N·d0/q)^{N-1} / (f + N·d0)``."""
+    if num_dimensions < 1:
+        raise ConfigurationError("a star join needs at least one dimension table")
+    if q <= 0:
+        return float("inf")
+    N = num_dimensions
+    d0 = dimension_size
+    return N * d0 * (N * d0 / q) ** (N - 1) / (fact_size + N * d0)
 
 
 class NaturalJoinProblem(MultiwayJoinProblem):

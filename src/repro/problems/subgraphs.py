@@ -18,7 +18,7 @@ import math
 from typing import TYPE_CHECKING, FrozenSet, Iterator, Sequence, Set, Tuple
 
 from repro.core.problem import InputId, OutputId, Problem
-from repro.exceptions import ConfigurationError, ProblemDomainError
+from repro.exceptions import BoundDerivationError, ConfigurationError, ProblemDomainError
 from repro.datagen.graphs import Edge, normalize_edge
 
 if TYPE_CHECKING:  # imported where used: most processes never need it
@@ -215,24 +215,24 @@ class SampleGraphProblem(Problem):
         arrangements = math.perm(self.n, self.sample.num_nodes)
         return arrangements // self.sample.automorphism_count()
 
-    @property
-    def num_outputs_order(self) -> float:
-        """The paper's order-of-magnitude count ``n^s`` (at least n^s / s!)."""
-        return float(self.n) ** self.sample.num_nodes
+    def _require_alon_class(self) -> None:
+        """Alon's theorem gives g(q) (and every bound below) only in its class."""
+        if not self.sample.is_in_alon_class():
+            raise BoundDerivationError(
+                f"sample graph {self.sample.name!r} is not in the Alon class; "
+                "no g(q) or lower bound is derived for it"
+            )
 
     def max_outputs_covered(self, q: float) -> float:
         """Alon's bound ``g(q) = q^{s/2}`` for Alon-class sample graphs."""
-        if not self.sample.is_in_alon_class():
-            raise ConfigurationError(
-                f"sample graph {self.sample.name!r} is not in the Alon class; "
-                "use a problem-specific bound instead"
-            )
+        self._require_alon_class()
         if q <= 0:
             return 0.0
         return float(q) ** (self.sample.num_nodes / 2.0)
 
     def lower_bound(self, q: float) -> float:
         """Section 5.2's ``r = Ω((n / √q)^{s-2})`` (constant factors dropped)."""
+        self._require_alon_class()
         if q <= 0:
             return float("inf")
         s = self.sample.num_nodes
@@ -240,6 +240,7 @@ class SampleGraphProblem(Problem):
 
     def lower_bound_sparse(self, q: float, m: int) -> float:
         """Section 5.3's edge form ``r = Ω((√(m/q))^{s-2})``."""
+        self._require_alon_class()
         if q <= 0:
             return float("inf")
         s = self.sample.num_nodes

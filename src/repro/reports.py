@@ -19,9 +19,9 @@ import math
 import sys
 from typing import Callable, Dict, Iterable, List, Sequence
 
-from repro.analysis.lower_bounds import hamming1_lower_bound, hamming1_recipe
 from repro.analysis.tables import table1_rows, table2_rows
-from repro.core import AlgorithmPoint, ClusterCostModel, TradeoffCurve
+from repro.core import AlgorithmPoint, ClusterCostModel, LowerBoundRecipe, TradeoffCurve
+from repro.problems import HammingDistanceProblem
 from repro.schemas import (
     one_phase_total_communication,
     splitting_points,
@@ -93,9 +93,10 @@ def table2_report(q_values: Sequence[float] = (2 ** 6, 2 ** 10, 2 ** 14)) -> str
 
 def hamming_tradeoff_report(b: int = 24) -> str:
     """Figure 1: the hyperbola and the Splitting-algorithm dots."""
+    problem = HammingDistanceProblem(b)
     rows = []
     for c, log_q, rate in splitting_points(b):
-        rows.append([c, log_q, rate, hamming1_lower_bound(b, 2.0 ** log_q)])
+        rows.append([c, log_q, rate, problem.lower_bound(2.0 ** log_q)])
     return render_table(
         f"Figure 1: Hamming-distance-1 tradeoff, b={b}",
         ["c (segments)", "log2 q", "Splitting r", "lower bound b/log2 q"],
@@ -123,7 +124,7 @@ def cost_report(
     processing_rate: float = 1.0,
 ) -> str:
     """Section 1.2: the cost-optimal reducer size as network prices change."""
-    curve = TradeoffCurve.from_recipe(hamming1_recipe(b))
+    curve = TradeoffCurve.from_recipe(LowerBoundRecipe.from_problem(HammingDistanceProblem(b)))
     rows = []
     for price in prices:
         model = ClusterCostModel(communication_rate=price, processing_rate=processing_rate)
@@ -138,10 +139,8 @@ def cost_report(
 
 def algorithm_catalog_report(b: int = 24) -> str:
     """The concrete algorithms on the Fig. 1 plane, one row per dot."""
-    curve = TradeoffCurve(
-        problem_name=f"hamming-1(b={b})",
-        lower_bound=lambda q: max(1.0, b / math.log2(q)),
-    )
+    problem = HammingDistanceProblem(b)
+    curve = TradeoffCurve(problem_name=problem.name, lower_bound=problem.lower_bound)
     rows = []
     for c, log_q, rate in splitting_points(b):
         point = AlgorithmPoint(f"splitting(c={c})", q=2.0 ** log_q, replication_rate=rate)

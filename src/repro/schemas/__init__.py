@@ -19,7 +19,6 @@ from repro.schemas.join_shares import (
     SkewAwareSharesSchema,
     chain_join_replication_upper_bound,
     chain_join_shares,
-    star_join_replication_lower_bound,
     star_join_replication_upper_bound,
     star_join_shares,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "enumerate_sample_graph_oracle",
     "one_phase_total_communication",
     "splitting_points",
-    "star_join_replication_lower_bound",
     "star_join_replication_upper_bound",
     "star_join_shares",
     "two_phase_total_communication",

@@ -1431,15 +1431,3 @@ def star_join_replication_upper_bound(
     f = fact_size
     numerator = f + N * d0 * (N * d0 / (e * q)) ** (N - 1)
     return max(1.0, numerator / (f + N * d0))
-
-
-def star_join_replication_lower_bound(
-    fact_size: float, dimension_size: float, q: float, num_dimensions: int
-) -> float:
-    """Section 5.5.2's star-join lower bound ``N·d0·(N·d0/q)^{N-1} / (f + N·d0)``."""
-    if q <= 0:
-        return float("inf")
-    N = num_dimensions
-    d0 = dimension_size
-    f = fact_size
-    return N * d0 * (N * d0 / q) ** (N - 1) / (f + N * d0)

@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis import lower_bounds as lb
 from repro.core import AlgorithmPoint, ClusterCostModel, LowerBoundRecipe, TradeoffCurve
 from repro.datagen import (
     all_pairs_at_distance,
@@ -158,8 +157,7 @@ class TestCostModelWorkflow:
     """Section 1.2 / Example 1.1: choosing q for concrete cluster prices."""
 
     def test_optimal_q_balances_communication_and_processing(self):
-        problem = HammingDistanceProblem(20)
-        recipe = lb.hamming1_recipe(20)
+        recipe = LowerBoundRecipe.from_problem(HammingDistanceProblem(20))
         curve = TradeoffCurve.from_recipe(recipe)
         model = ClusterCostModel(communication_rate=10.0, processing_rate=0.01)
         best = curve.optimize_cost(model, q_min=2.0, q_max=2.0 ** 20)
@@ -188,7 +186,7 @@ class TestCostModelWorkflow:
     def test_example_1_1_quadratic_wall_clock_term(self):
         """With the q² wall-clock term of Example 1.1 the optimum shifts to a
         strictly smaller q than without it."""
-        recipe = lb.hamming1_recipe(16)
+        recipe = LowerBoundRecipe.from_problem(HammingDistanceProblem(16))
         curve = TradeoffCurve.from_recipe(recipe)
         without = ClusterCostModel(communication_rate=100.0, processing_rate=0.01)
         with_term = ClusterCostModel(

@@ -21,12 +21,11 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis import lower_bounds as lb
 from repro.analysis import upper_bounds as ub
 from repro.analysis.fractional_cover import fractional_edge_cover
 from repro.analysis.sparse import edge_target_reducer_size
 from repro.analysis.tables import table1_rows
-from repro.core import AlgorithmPoint, ClusterCostModel, TradeoffCurve
+from repro.core import AlgorithmPoint, ClusterCostModel, LowerBoundRecipe, TradeoffCurve
 from repro.datagen import (
     all_pairs_at_distance,
     bernoulli_bitstrings,
@@ -56,6 +55,7 @@ from repro.problems import (
     SampleGraphProblem,
     TriangleProblem,
     TwoPathProblem,
+    star_join_replication_lower_bound,
 )
 from repro.schemas import (
     BallTwoSchema,
@@ -68,10 +68,12 @@ from repro.schemas import (
     TwoPathSchema,
     TwoPhaseMatMulAlgorithm,
     WeightPartitionSchema,
+    chain_join_replication_upper_bound,
     communication_crossover_q,
     enumerate_sample_graph_oracle,
     one_phase_total_communication,
     splitting_points,
+    star_join_replication_upper_bound,
     two_phase_total_communication,
 )
 
@@ -404,8 +406,8 @@ class TestTables:
 
     @pytest.mark.parametrize("q", [2 ** 6, 2 ** 10, 2 ** 14])
     def test_table2_graph_gaps_are_small_constants(self, q):
-        triangles = ub.triangle_upper_bound(1000, q) / lb.triangle_lower_bound(1000, q)
-        two_paths = ub.two_path_upper_bound(1000, q) / lb.two_path_lower_bound(1000, q)
+        triangles = ub.triangle_upper_bound(1000, q) / TriangleProblem(1000).lower_bound(q)
+        two_paths = ub.two_path_upper_bound(1000, q) / TwoPathProblem(1000).lower_bound(q)
         assert 1.0 <= triangles <= 3.1
         assert 1.0 <= two_paths <= 2.1
 
@@ -418,7 +420,9 @@ class TestFig1HammingTradeoff:
     @pytest.mark.parametrize("c, log_q, rate", splitting_points(B))
     def test_splitting_dot_sits_on_the_hyperbola(self, c, log_q, rate):
         assert (log_q, rate) == (self.B / c, c)
-        assert rate == pytest.approx(lb.hamming1_lower_bound(self.B, 2.0 ** log_q))
+        assert rate == pytest.approx(
+            HammingDistanceProblem(self.B).lower_bound(2.0 ** log_q)
+        )
 
     def test_rates_strictly_ordered_along_the_curve(self):
         rates = [rate for _, _, rate in splitting_points(self.B)]
@@ -515,11 +519,12 @@ class TestSec4Triangles:
     N = 3000
 
     def test_partition_within_constant_three_of_lower_bound(self):
+        problem = TriangleProblem(self.N)
         uppers, lowers = [], []
         for k in (3, 6, 12, 30, 60):
             family = PartitionTriangleSchema(self.N, k)
             upper = family.replication_rate_formula()
-            lower = lb.triangle_lower_bound(self.N, family.max_reducer_size_formula())
+            lower = problem.lower_bound(family.max_reducer_size_formula())
             assert lower - 1e-9 <= upper <= 3.2 * lower
             uppers.append(upper)
             lowers.append(lower)
@@ -531,7 +536,7 @@ class TestSec4Triangles:
         rows = SERIES["sec4_sparse_triangles"]()
         for row, q_actual in zip(rows, (30, 60, 120)):
             assert row["correct"]
-            shape = lb.triangle_lower_bound_sparse(SEC4_M, q_actual)
+            shape = TriangleProblem(SEC4_N).lower_bound_sparse(q_actual, SEC4_M)
             assert shape / 3.5 <= row["r"] <= 4.5 * shape + 2.0
         # More actual edges per reducer, less replication.
         measured = [row["r"] for row in rows]
@@ -561,11 +566,11 @@ class TestSec52SampleGraphsAndTwoPaths:
     @pytest.mark.parametrize("sample", SAMPLES, ids=lambda sample: sample.name)
     def test_alon_class_edge_form_upper_equals_lower(self, sample):
         assert sample.is_in_alon_class()
-        s = sample.num_nodes
+        problem = SampleGraphProblem(self.N, sample)
         for q in (10_000, 100_000):
-            assert ub.alon_upper_bound_edges(self.M, s, q) == pytest.approx(
-                lb.alon_lower_bound_edges(self.M, s, q)
-            )
+            assert ub.alon_upper_bound_edges(
+                self.M, sample.num_nodes, q
+            ) == pytest.approx(problem.lower_bound_sparse(q, self.M))
 
     def test_two_path_is_the_non_alon_example(self):
         assert SampleGraph.path(2).is_in_alon_class() is False
@@ -578,7 +583,7 @@ class TestSec52SampleGraphsAndTwoPaths:
         ]
         assert bounds == sorted(bounds)
         assert bounds == pytest.approx(
-            [lb.alon_lower_bound(self.N, s.num_nodes, 10_000) for s in ordered]
+            [(self.N / 100) ** (s.num_nodes - 2) for s in ordered]
         )
 
     def test_sample_graphs_executed(self):
@@ -608,21 +613,26 @@ class TestSec55MultiwayJoins:
     def test_chain_upper_equals_lower(self, relations):
         rho = fractional_edge_cover(JoinQuery.chain(relations)).value
         assert rho == pytest.approx(math.ceil((relations + 1) / 2))
+        problem = MultiwayJoinProblem(JoinQuery.chain(relations), self.N)
         for q in (10_000, 100_000):
-            assert ub.chain_join_upper_bound(self.N, relations, q) == pytest.approx(
-                lb.chain_join_lower_bound(self.N, relations, q)
-            )
+            assert chain_join_replication_upper_bound(
+                self.N, q, relations
+            ) == pytest.approx(problem.chain_lower_bound(q))
 
     def test_longer_chains_need_more_replication(self):
-        bounds = [lb.chain_join_lower_bound(self.N, n, 10_000) for n in (3, 5, 7)]
+        bounds = [
+            MultiwayJoinProblem(JoinQuery.chain(n), self.N).chain_lower_bound(10_000)
+            for n in (3, 5, 7)
+        ]
         assert bounds == sorted(bounds)
 
     @pytest.mark.parametrize("dimensions", [2, 3, 4])
     def test_star_upper_at_least_lower(self, dimensions):
         lowers = []
         for q in (2e3, 2e4, 2e5):
-            lower = lb.star_join_lower_bound(1e6, 1e3, dimensions, q)
-            assert ub.star_join_upper_bound(1e6, 1e3, dimensions, q) >= lower - 1e-9
+            lower = star_join_replication_lower_bound(1e6, 1e3, q, dimensions)
+            upper = star_join_replication_upper_bound(1e6, 1e3, q, dimensions)
+            assert upper >= lower - 1e-9
             lowers.append(lower)
         assert lowers == sorted(lowers, reverse=True)
 
@@ -649,7 +659,9 @@ class TestSec6MatMul:
         q = family.max_reducer_size_formula()
         assert q == 2 * s * self.N
         assert family.replication_rate_formula() == pytest.approx(self.N / s)
-        assert self.N / s == pytest.approx(lb.matmul_lower_bound(self.N, q))
+        assert self.N / s == pytest.approx(
+            MatrixMultiplicationProblem(self.N).lower_bound(q)
+        )
 
     def test_crossover_is_exactly_n_squared(self):
         crossover = communication_crossover_q(self.N)
@@ -697,7 +709,9 @@ class TestSec12CostModel:
     B = 24
 
     def test_optimal_q_grows_with_communication_price(self):
-        curve = TradeoffCurve.from_recipe(lb.hamming1_recipe(self.B))
+        curve = TradeoffCurve.from_recipe(
+            LowerBoundRecipe.from_problem(HammingDistanceProblem(self.B))
+        )
         optima = [
             curve.optimize_cost(
                 ClusterCostModel(communication_rate=a, processing_rate=1.0),
@@ -709,10 +723,8 @@ class TestSec12CostModel:
         assert optima == sorted(optima)
 
     def test_algorithm_choice_follows_the_price_ratio(self):
-        curve = TradeoffCurve(
-            problem_name=f"hamming-1(b={self.B})",
-            lower_bound=lambda q: max(1.0, self.B / math.log2(q)),
-        )
+        problem = HammingDistanceProblem(self.B)
+        curve = TradeoffCurve(problem.name, lower_bound=problem.lower_bound)
         for c, log_q, rate in splitting_points(self.B):
             curve.add_algorithm(
                 AlgorithmPoint(f"splitting-c={c}", q=2.0 ** log_q, replication_rate=rate)
@@ -732,7 +744,9 @@ class TestSec12CostModel:
     def test_wall_clock_term_shrinks_reducers(self):
         """Example 1.1: adding the c*q^2 single-reducer time term."""
         n = 500
-        curve = TradeoffCurve.from_recipe(lb.matmul_recipe(n))
+        curve = TradeoffCurve.from_recipe(
+            LowerBoundRecipe.from_problem(MatrixMultiplicationProblem(n))
+        )
         optima = [
             curve.optimize_cost(
                 ClusterCostModel(

@@ -38,6 +38,9 @@ from repro.problems import (
     MatrixMultiplicationProblem,
     MultiwayJoinProblem,
     NaturalJoinProblem,
+    RelationSchema,
+    SampleGraph,
+    SampleGraphProblem,
     TriangleProblem,
     TwoPathProblem,
 )
@@ -143,6 +146,20 @@ class TestPlanningBasics:
         assert best.lower_bound is not None
         # Splitting meets b / log2 q exactly: gap 1.
         assert best.optimality_gap == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("q", [100.0, 200.0, 400.0])
+    def test_join_lower_bound_never_exceeds_plan_on_ternary_relations(self, planner, q):
+        query = JoinQuery(
+            [RelationSchema("R", ("A", "B", "C")), RelationSchema("S", ("C", "D", "E"))],
+            name="ternary-join",
+        )
+        problem = MultiwayJoinProblem(query, 10)
+        best = planner.plan(problem, None, q=q).best
+        assert problem.lower_bound(q) <= best.replication_rate
+
+    def test_non_alon_sample_graph_plans_without_lower_bound(self, planner):
+        problem = SampleGraphProblem(60, SampleGraph.path(2))
+        assert planner.plan(problem, None, q=300.0).best.lower_bound is None
 
     def test_tradeoff_curve_exposed(self, planner):
         result = planner.plan(TriangleProblem(12), q=30.0)

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from repro.exceptions import ConfigurationError, ProblemDomainError
+from repro.exceptions import BoundDerivationError, ConfigurationError, ProblemDomainError
 from repro.problems import (
     SampleGraph,
     SampleGraphProblem,
@@ -177,8 +177,17 @@ class TestSampleGraphProblem:
 
     def test_g_requires_alon_class(self):
         problem = SampleGraphProblem(5, SampleGraph.path(2))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(BoundDerivationError):
             problem.max_outputs_covered(10)
+
+    def test_lower_bounds_require_alon_class(self):
+        star = SampleGraph([(0, 1), (0, 2), (0, 3)], name="star-3")
+        problem = SampleGraphProblem(60, star)
+        assert star.is_in_alon_class() is False
+        with pytest.raises(BoundDerivationError):
+            problem.lower_bound(300)
+        with pytest.raises(BoundDerivationError):
+            problem.lower_bound_sparse(300, m=1000)
 
     def test_g_for_triangle_matches_alon_exponent(self):
         problem = SampleGraphProblem(8, SampleGraph.triangle())

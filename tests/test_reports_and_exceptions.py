@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import reports
@@ -16,6 +18,9 @@ from repro.exceptions import (
     SchemaViolationError,
     UncoveredOutputError,
 )
+
+# Generated with `PYTHONPATH=src python -m repro.reports > tests/goldens/paper_reports.txt`.
+GOLDEN_REPORTS = os.path.join(os.path.dirname(__file__), "goldens", "paper_reports.txt")
 
 
 class TestExceptionHierarchy:
@@ -113,6 +118,12 @@ class TestReportsCli:
         assert exit_code == 0
         for fragment in ("Table 1", "Table 2", "Figure 1", "Section 6.3", "Section 1.2"):
             assert fragment in captured.out
+
+    def test_main_all_reports_match_golden(self, capsys):
+        """Every printed number of every report, pinned byte for byte."""
+        reports.main([])
+        with open(GOLDEN_REPORTS, encoding="utf-8") as handle:
+            assert capsys.readouterr().out == handle.read()
 
     def test_main_rejects_unknown_report(self):
         with pytest.raises(SystemExit):

@@ -8,12 +8,17 @@ import pytest
 
 from repro.datagen import chain_join_instance, multiway_join_oracle, star_join_instance
 from repro.exceptions import ConfigurationError
-from repro.problems import JoinQuery, MultiwayJoinProblem, NaturalJoinProblem, TriangleProblem
+from repro.problems import (
+    JoinQuery,
+    MultiwayJoinProblem,
+    NaturalJoinProblem,
+    TriangleProblem,
+    star_join_replication_lower_bound,
+)
 from repro.schemas import (
     SharesSchema,
     chain_join_replication_upper_bound,
     chain_join_shares,
-    star_join_replication_lower_bound,
     star_join_replication_upper_bound,
     star_join_shares,
 )
