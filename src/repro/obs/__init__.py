@@ -47,14 +47,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullMetricsRegistry,
 )
-from repro.obs.record import (
-    PredictionRecord,
-    RunRecord,
-    capture_env,
-    current_git_rev,
-    make_run_record,
-    run_fingerprint,
-)
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer, walk
 
 __all__ = [
@@ -71,19 +63,13 @@ __all__ = [
     "Observability",
     "PHASES",
     "POWER_OF_TWO_BUCKETS",
-    "PredictionRecord",
-    "RunRecord",
     "SPAN_PHASE",
     "Span",
     "Tracer",
-    "capture_env",
     "chrome_trace",
-    "current_git_rev",
     "latency_breakdown",
-    "make_run_record",
     "prometheus_text",
     "query_phase_rows",
-    "run_fingerprint",
     "walk",
     "write_chrome_trace",
 ]

@@ -60,7 +60,6 @@ from repro.mapreduce.columnar import SpilledRows
 from repro.mapreduce.engine import JobResult, MapReduceEngine, PipelineResult
 from repro.mapreduce.metrics import PipelineMetrics
 from repro.mapreduce.partitioner import stable_hash
-from repro.obs.record import PredictionRecord
 from repro.pipeline.logical import BinaryJoinOp, RelationLeaf
 from repro.pipeline.planner import PipelinePlan, PipelineRound, replan_round
 from repro.planner.cache import default_schema_cache
@@ -206,58 +205,40 @@ class PipelineRunResult:
         )
 
     def frontier(self) -> List[dict]:
-        """Per-round table: estimated vs observed, certificates, re-plans."""
+        """Per-round table: predicted vs observed, certificates, re-plans.
+
+        ``method`` is the size-bound estimator that priced the round (the
+        certificate's method when the round carries no estimate), ``kind``
+        the certificate's kind, ``admission_price`` what admission control
+        charged and ``seconds`` the round's engine wall-clock.  The
+        ``est_*`` columns are the planner's calibrated estimates, not
+        bounds; ``certified_load`` is the bound.
+        """
         rows: List[dict] = []
         for executed, result in zip(self.executed, self.result.round_results):
+            certification = executed.certification
             rows.append(
                 {
                     "round": executed.index,
                     "op": executed.op_label,
                     "plan": executed.plan_name,
+                    "method": executed.estimate_method
+                    or (certification.method if certification is not None else ""),
+                    "kind": certification.kind.value if certification is not None else "",
                     "certified_load": executed.certified_load,
                     "observed_max_load": executed.observed_max_load,
+                    "admission_price": executed.admission_price,
+                    "est_rows_in": executed.estimated_inputs,
+                    "rows_in": executed.observed_inputs,
                     "est_rows_out": executed.estimated_output,
                     "rows_out": executed.observed_output,
                     "communication": result.communication_cost,
                     "replanned": executed.replanned,
+                    "reused": executed.reused,
+                    "seconds": executed.seconds,
                 }
             )
         return rows
-
-    def prediction_records(self, query: str = "") -> List[PredictionRecord]:
-        """Per-round prediction/observation pairs for the telemetry ledger.
-
-        ``query`` labels the records (a service handle label, a benchmark
-        scenario name); defaults to the plan's name.
-        """
-        label = query or self.plan.name
-        records: List[PredictionRecord] = []
-        for executed in self.executed:
-            certification = executed.certification
-            records.append(
-                PredictionRecord(
-                    query=label,
-                    round_index=executed.index,
-                    op=executed.op_label,
-                    plan=executed.plan_name,
-                    method=executed.estimate_method
-                    or (certification.method if certification is not None else ""),
-                    kind=(
-                        certification.kind.value
-                        if certification is not None
-                        else ""
-                    ),
-                    estimated_rows=executed.estimated_output,
-                    observed_rows=float(executed.observed_output),
-                    certified_load=executed.certified_load,
-                    observed_max_load=float(executed.observed_max_load),
-                    admission_price=executed.admission_price,
-                    replanned=executed.replanned,
-                    reused=executed.reused,
-                    seconds=executed.seconds,
-                )
-            )
-        return records
 
 
 # ----------------------------------------------------------------------

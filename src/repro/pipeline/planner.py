@@ -67,8 +67,9 @@ class PipelineRound:
     """One planned round of a pipeline: a logical op bound to a physical plan.
 
     ``estimated_inputs`` is the record count entering the round (base rows
-    plus intermediate size bounds); ``estimated_output`` the upper bound on
-    the rows it produces; ``cost`` the round's absolute priced cost —
+    plus intermediate size bounds); ``estimated_output`` the calibrated
+    estimate of the rows it produces (``estimated_output_bound`` the sound
+    bound); ``cost`` the round's absolute priced cost —
     ``a·r·inputs`` plus the breakdown's processing and wall-clock terms.
     ``estimate_exact`` records whether every histogram feeding the bounds
     was exact, i.e. whether the round's certificate is a sound upper bound

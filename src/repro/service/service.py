@@ -58,7 +58,6 @@ from repro.exceptions import AdmissionError, ConfigurationError
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.executor import Executor, ExecutorSpec, resolve_executor
 from repro.obs import NULL_METRICS, NULL_OBSERVABILITY, NULL_TRACER, Observability
-from repro.obs.record import PredictionRecord, RunRecord, make_run_record
 from repro.pipeline.execute import (
     PipelineRunResult,
     RoundOutcome,
@@ -72,11 +71,6 @@ from repro.service.intermediates import IntermediateStore
 from repro.service.tuning import ReplanTuner
 
 logger = logging.getLogger(__name__)
-
-#: Ceiling on retained per-round prediction records; beyond it new
-#: records are counted as dropped instead of growing without bound in a
-#: long-lived service.
-TELEMETRY_PREDICTION_CAP = 20000
 
 
 class QueryHandle:
@@ -201,10 +195,6 @@ class QueryService:
         behind it that dispatch pass — in-flight load then drains until
         the starved round fits.  ``None`` disables aging (the pre-PR-10
         behaviour: strict priority, unbounded starvation).
-    telemetry:
-        Whether finished queries' per-round
-        :class:`~repro.obs.record.PredictionRecord`\\ s are accumulated
-        for :meth:`run_record` (bounded by a fixed cap).  On by default.
     """
 
     def __init__(
@@ -217,7 +207,6 @@ class QueryService:
         spill_threshold: Optional[int] = None,
         observer: Optional[Observability] = None,
         aging_seconds: Optional[float] = 30.0,
-        telemetry: bool = True,
     ) -> None:
         if max_workers <= 0:
             raise ConfigurationError(
@@ -228,7 +217,6 @@ class QueryService:
                 f"aging_seconds must be positive or None, got {aging_seconds}"
             )
         self.aging_seconds = aging_seconds
-        self.telemetry = telemetry
         self.observer = observer or NULL_OBSERVABILITY
         self._tracer = self.observer.tracer
         self._metrics = self.observer.metrics
@@ -268,14 +256,6 @@ class QueryService:
         #: class — the starvation witness surfaced by ``describe()``
         #: (merged there with the live ages of still-queued rounds).
         self._max_queued_wait: Dict[float, float] = {}
-        #: Finished queries' prediction/observation pairs (capped), the
-        #: raw material of :meth:`run_record`.
-        self._predictions: List[PredictionRecord] = []
-        self._predictions_dropped = 0
-        #: First-submit / last-settle timestamps: the workload wall-clock
-        #: window :meth:`run_record` derives throughput from.
-        self._first_submit_at: Optional[float] = None
-        self._last_settle_at: Optional[float] = None
 
     def _register_instruments(self) -> None:
         """Create the service's metric instruments once, up front.
@@ -365,8 +345,6 @@ class QueryService:
             )
             self._active_queries[query_id] = state
             self._submitted += 1
-            if self._first_submit_at is None:
-                self._first_submit_at = time.perf_counter()
         state.handle.replan_factor = state.replan_factor
         state.submitted_at = time.perf_counter()
         state.span = self._tracer.start_span(
@@ -722,21 +700,9 @@ class QueryService:
     # Completion / failure
     # ------------------------------------------------------------------
     def _finish_query(self, state: _QueryState, result: PipelineRunResult) -> None:
-        # Duck-typed: scripted/stub results in the scheduler tests (and
-        # any custom driver) may not be PipelineRunResults.
-        extractor = (
-            getattr(result, "prediction_records", None) if self.telemetry else None
-        )
-        records = extractor(state.handle.label) if callable(extractor) else []
         with self._lock:
             self._active_queries.pop(state.query_id, None)
             self._finished += 1
-            if records:
-                room = TELEMETRY_PREDICTION_CAP - len(self._predictions)
-                if room < len(records):
-                    self._predictions_dropped += len(records) - max(room, 0)
-                if room > 0:
-                    self._predictions.extend(records[:room])
             self._idle.notify_all()
         self._settle_observation(state, "ok")
         logger.debug(
@@ -759,10 +725,9 @@ class QueryService:
             )
             state.span.finish()
         self._m_queries.inc(status=status)
-        self._last_settle_at = time.perf_counter()
         if state.submitted_at:
             self._m_query_latency.observe(
-                self._last_settle_at - state.submitted_at, status=status
+                time.perf_counter() - state.submitted_at, status=status
             )
 
     def _fail_query(self, state: _QueryState, exc: BaseException) -> None:
@@ -778,6 +743,17 @@ class QueryService:
         """
         if self._active_queries.pop(state.query_id, None) is None:
             return
+        # Run the coroutine's ``finally`` now, so no spilled intermediate
+        # outlives the query (the stored exception's traceback would keep
+        # the generator alive for as long as the caller holds the handle).
+        # The generator is never executing here.  ``_start_query`` and
+        # ``_advance`` fail a query after its ``next``/``send`` raised, so
+        # the generator has finished.  Every other caller fails a query
+        # with no step in flight: ``_run_round`` (the round ran outside
+        # the generator), a closed-pool spawn and ``close``'s queue sweep
+        # (suspended at a yield), and submit's race with ``close`` (never
+        # started).
+        state.gen.close()
         if state.producing_key is not None:
             # Waiters were counting on this materialization; requeue
             # them — the first re-offered claims the key afresh and
@@ -858,10 +834,6 @@ class QueryService:
                 "attempts": admission.admitted + admission.deferrals,
                 "dispatch_passes": self._dispatch_passes,
             }
-            snapshot["telemetry"] = {
-                "predictions": len(self._predictions),
-                "predictions_dropped": self._predictions_dropped,
-            }
             warm_stats = getattr(self.executor, "warm_stats", None)
             if callable(warm_stats):
                 stats = warm_stats()
@@ -884,64 +856,6 @@ class QueryService:
         return {
             f"{priority:g}": wait for priority, wait in sorted(waits.items())
         }
-
-    def run_record(
-        self,
-        bench: str = "service",
-        *,
-        quick: bool = False,
-        fingerprint_extra: Optional[Dict[str, Any]] = None,
-    ) -> RunRecord:
-        """Export this service's run as one
-        :class:`~repro.obs.record.RunRecord`.
-
-        Headline metrics come from :meth:`describe` (throughput over the
-        first-submit → last-settle window, admission deferrals, replan
-        win rate, reuse and capacity accounting); the prediction
-        pairs are every finished query's per-round records (when
-        ``telemetry`` is on).
-        """
-        snapshot = self.describe()
-        with self._lock:
-            predictions = tuple(self._predictions)
-            first = self._first_submit_at
-            last = self._last_settle_at
-        wall = (last - first) if first is not None and last is not None else 0.0
-        queries = snapshot["queries"]
-        tuner = snapshot["tuner"]
-        scored = tuner.get("wins", 0) + tuner.get("losses", 0)
-        metrics: Dict[str, float] = {
-            "queries_submitted": float(queries["submitted"]),
-            "queries_finished": float(queries["finished"]),
-            "queries_failed": float(queries["failed"]),
-            "wall_seconds": wall,
-            "queries_per_second": queries["finished"] / wall if wall > 0 else 0.0,
-            "deferrals": float(snapshot["admission"]["deferrals"]),
-            "peak_in_flight_load": snapshot["admission"]["peak_in_flight_load"],
-            "capacity": snapshot["admission"]["capacity"],
-            "rounds_reused": float(snapshot["intermediates"].get("reused", 0)),
-            "replan_wins": float(tuner.get("wins", 0)),
-            "replan_losses": float(tuner.get("losses", 0)),
-            "replan_win_rate": tuner.get("wins", 0) / scored if scored else 0.0,
-            "overcapacity_clamped": float(
-                snapshot["rounds"]["overcapacity_clamped"]
-            ),
-        }
-        waits = snapshot["rounds"]["max_queued_wait_by_priority"].values()
-        if waits:
-            metrics["max_queued_wait"] = max(waits)
-        return make_run_record(
-            bench,
-            quick=quick,
-            metrics=metrics,
-            meta={"snapshot": snapshot},
-            predictions=predictions,
-            fingerprint_extra={
-                "capacity": snapshot["admission"]["capacity"],
-                "submitted": queries["submitted"],
-                **(fingerprint_extra or {}),
-            },
-        )
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """Block until every submitted query has finished or failed."""

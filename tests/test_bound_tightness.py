@@ -12,6 +12,10 @@ PostBOUND-style contracts over the pluggable bound registry:
   cannot be refactored away).
 * **Tightness** — on FD-bearing key→FK chains the degree bound is orders
   of magnitude tighter than AGM, and the tightness ratios stay pinned.
+* **Planned join nodes** — on a key→FK and a Zipf chain planned by the
+  pipeline planner and executed, every registered method's candidate at
+  each join node covers the node's executed output, degree ≤ AGM there
+  too, and the executed rounds' bounding certificates hold.
 * **Metadata plumbing** — ``max_degree`` / ``functional_dependencies``
   agree between batch and streaming profilers and survive the JSON
   round-trip that ships profiles between planner and service.
@@ -235,6 +239,124 @@ class TestTightness:
         # head, so the full per-value sum is at least as tight.
         assert decision.method == METHOD_HISTOGRAM
         assert histogram.value <= topk.value
+
+
+# ----------------------------------------------------------------------
+# Planned and executed join nodes
+# ----------------------------------------------------------------------
+class _RecordingRegistry:
+    """Delegates to the default registry and keeps each join node's first
+    decision, with every method's candidate, keyed by its base relations,
+    and the set of methods its decisions chose."""
+
+    def __init__(self):
+        self.decisions = {}
+        self.chosen = {}
+
+    def evaluate(self, context):
+        decision = default_bound_registry.evaluate(context)
+        if context.is_join:
+            key = tuple(sorted(r.name for r in context.query.relations))
+            self.decisions.setdefault(key, decision)
+            self.chosen.setdefault(key, set()).add(decision.method)
+        return decision
+
+
+def _planned_join_nodes(relations, domain=120):
+    """Plan a chain-3 cascade through the recorder, execute it, and pair
+    each join round's decision with its frontier row and with the methods
+    the registry chose at that node."""
+    from repro.mapreduce import MapReduceEngine
+    from repro.pipeline import PipelinePlanner
+    from repro.planner import CostBasedPlanner
+    from repro.problems.joins import MultiwayJoinProblem
+    from repro.schemas import SharesSchema
+
+    recorder = _RecordingRegistry()
+    planner = PipelinePlanner(
+        CostBasedPlanner.min_replication(), bound_registry=recorder
+    )
+    result = planner.plan(
+        MultiwayJoinProblem(CHAIN, domain_size=domain),
+        q=2000.0,
+        profile=profile_relations(relations),
+    )
+    cascade = result.cascades()[0]
+    run = cascade.execute(
+        SharesSchema.input_records(relations), engine=MapReduceEngine()
+    )
+    keys = [tuple(sorted(set(round_.op.base_relations))) for round_ in cascade.rounds]
+    nodes = [(recorder.decisions[key], row) for key, row in zip(keys, run.frontier())]
+    chosen = [recorder.chosen[key] for key in keys]
+    return run, nodes, chosen
+
+
+class TestPlannedJoinNodes:
+    """Every method's candidate at a join node the pipeline planner priced
+    covers the size the node's round actually produced."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            pytest.param(
+                lambda: fk_chain_join_instance(
+                    3, 60, 120, degree_cap=2, fk_skew=0.6, seed=5
+                ),
+                id="fk-chain",
+            ),
+            pytest.param(
+                lambda: skewed_chain_join_instance(3, 60, 120, skew=1.2, seed=7),
+                id="zipf-chain",
+            ),
+        ],
+    )
+    def planned(self, request):
+        return _planned_join_nodes(request.param())
+
+    def test_every_method_bounds_the_executed_node(self, planned):
+        _, nodes, _ = planned
+        assert nodes
+        methods = set()
+        for decision, row in nodes:
+            for candidate in decision.candidates:
+                methods.add(candidate.method)
+                assert candidate.value >= row["rows_out"], candidate.method
+        assert methods == {METHOD_AGM, METHOD_DEGREE, METHOD_HISTOGRAM, METHOD_TOPK}
+
+    def test_degree_bound_never_exceeds_agm_per_node(self, planned):
+        _, nodes, _ = planned
+        compared = 0
+        for decision, _ in nodes:
+            agm = decision.candidate(METHOD_AGM)
+            degree = decision.candidate(METHOD_DEGREE)
+            if agm is not None and degree is not None:
+                assert degree.value <= agm.value
+                compared += 1
+        assert compared > 0
+
+    def test_frontier_names_the_registry_choice(self, planned):
+        # A re-planned round is priced again on the observed profile,
+        # outside the recorded planning pass.
+        _, nodes, chosen = planned
+        planned_rows = [
+            (row, methods)
+            for (_, row), methods in zip(nodes, chosen)
+            if not row["replanned"]
+        ]
+        assert planned_rows
+        for row, methods in planned_rows:
+            assert row["method"] in methods
+
+    def test_bounding_certificates_hold(self, planned):
+        from repro.planner.certify import CertificationKind
+
+        bounding = {
+            CertificationKind.EXACT.value,
+            CertificationKind.HIGH_PROBABILITY.value,
+        }
+        run, nodes, _ = planned
+        assert run.certificates_hold()
+        assert any(row["kind"] in bounding for _, row in nodes)
 
 
 # ----------------------------------------------------------------------

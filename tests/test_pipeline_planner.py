@@ -445,6 +445,117 @@ class TestAdaptiveExecution:
         assert run.max_certified_load >= run.max_observed_load
         for row in run.frontier():
             assert row["observed_max_load"] <= row["certified_load"]
+        # The same table through the service: its second identical query
+        # adopts the first one's rounds instead of executing them.
+        from repro.service import QueryService
+
+        with QueryService(capacity=10_000.0) as service:
+            service_runs = [
+                service.submit(zipf_result.best, records).result(timeout=120)
+                for _ in range(2)
+            ]
+        rows = [row for served in [run, *service_runs] for row in served.frontier()]
+        assert any(row["reused"] for row in rows)
+        planned = zipf_result.best.rounds
+        for row in rows:
+            assert row["method"]
+            assert row["kind"] == "exact"
+            # ``est_rows_out`` is the calibrated estimate, which may fall
+            # short on a projected intermediate (1852 vs 1885 here); the
+            # planned round's sound size bound must not.
+            assert planned[row["round"]].estimated_output_bound >= row["rows_out"]
+            assert row["admission_price"] is not None
+            assert row["admission_price"] >= row["observed_max_load"]
+            if not row["reused"]:
+                assert row["seconds"] > 0
+
+    def test_frontier_inputs_and_communication_give_each_rounds_r(
+        self, zipf_setup, zipf_result
+    ):
+        """``rows_in`` counts what the round read (its base relations plus
+        the intermediates it consumes) and ``communication / rows_in`` is
+        the round's replication rate."""
+        problem, relations, profile = zipf_setup
+        sizes = {relation.name: relation.size for relation in relations}
+        plan = zipf_result.best
+        run = plan.execute(
+            SharesSchema.input_records(relations), engine=MapReduceEngine()
+        )
+        rows_out = {}
+        for round_, row, job in zip(
+            plan.rounds, run.frontier(), run.result.round_results
+        ):
+            op = round_.op
+            assert row["rows_in"] == sum(
+                sizes[child.relation.name]
+                if isinstance(child, RelationLeaf)
+                else rows_out[child.schema.name]
+                for child in (op.left, op.right)
+            )
+            assert row["communication"] == pytest.approx(
+                job.metrics.replication_rate * row["rows_in"]
+            )
+            assert row["est_rows_in"] > 0
+            rows_out[op.schema.name] = row["rows_out"]
+        assert len(rows_out) == 2
+
+    def test_frontier_method_falls_back_to_the_certificate(
+        self, zipf_setup, zipf_result
+    ):
+        import dataclasses
+
+        problem, relations, profile = zipf_setup
+        run = zipf_result.best.execute(
+            SharesSchema.input_records(relations), engine=MapReduceEngine()
+        )
+        unestimated = dataclasses.replace(
+            run,
+            executed=[
+                dataclasses.replace(executed, estimate_method="")
+                for executed in run.executed
+            ],
+        )
+        for row, executed in zip(unestimated.frontier(), run.executed):
+            assert executed.estimate_method
+            assert row["method"] == executed.certification.method
+        uncertified = dataclasses.replace(
+            unestimated,
+            executed=[
+                dataclasses.replace(executed, certification=None)
+                for executed in unestimated.executed
+            ],
+        )
+        for row in uncertified.frontier():
+            assert (row["method"], row["kind"], row["certified_load"]) == (
+                "",
+                "",
+                None,
+            )
+
+    def test_reused_frontier_rows_repeat_the_producers(
+        self, zipf_setup, zipf_result
+    ):
+        """A query whose rounds all come from the service's shared store
+        reports the producer's observations, and no engine time."""
+        from repro.service import QueryService
+
+        problem, relations, profile = zipf_setup
+        records = SharesSchema.input_records(relations)
+        with QueryService(capacity=10_000.0) as service:
+            producer, adopter = [
+                service.submit(zipf_result.best, records).result(timeout=120)
+                for _ in range(2)
+            ]
+        assert sorted(adopter.outputs) == sorted(producer.outputs)
+        produced, adopted = producer.frontier(), adopter.frontier()
+        assert len(adopted) == len(produced) == 2
+        for made, reused in zip(produced, adopted):
+            assert (made["reused"], reused["reused"]) == (False, True)
+            assert made["seconds"] > 0
+            assert reused["seconds"] == 0.0
+            for column in ("reused", "seconds"):
+                del made[column], reused[column]
+            assert reused == made
 
     def test_replan_disabled_keeps_planned_rounds(self, zipf_setup, zipf_result):
         problem, relations, profile = zipf_setup

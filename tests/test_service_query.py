@@ -367,6 +367,142 @@ class TestQueryService:
         assert snapshot["queries"]["failed"] == 1
         assert snapshot["queries"]["active"] == 0
 
+    def test_failed_round_after_a_spill_leaves_no_files(
+        self, chain3, tmp_path, monkeypatch
+    ):
+        """The failed query's spilled intermediate is gone when ``result()``
+        raises, while the caller still holds the handle (whose stored
+        exception keeps the coroutine's frames reachable)."""
+        import tempfile
+
+        from repro.exceptions import ExecutionError
+        from repro.mapreduce.engine import MapReduceEngine
+
+        result, records, _ = chain3
+        plan = result.cascades()[0]
+        run_job = MapReduceEngine.run
+        rounds = []
+
+        def failing_second_round(engine, job, inputs, **kwargs):
+            rounds.append(job.name)
+            if len(rounds) == 2:
+                # Round 1's intermediate is on disk by now.
+                assert len(list(tmp_path.iterdir())) == 1
+                raise ExecutionError("round 2 failed")
+            return run_job(engine, job, inputs, **kwargs)
+
+        monkeypatch.setattr(MapReduceEngine, "run", failing_second_round)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with QueryService(
+            capacity=1e9, executor="serial", spill_threshold=1
+        ) as service:
+            handle = service.submit(plan, records)
+            with pytest.raises(ExecutionError, match="round 2 failed"):
+                handle.result(timeout=60)
+            assert list(tmp_path.iterdir()) == []
+        assert len(rounds) == 2
+
+    def test_closed_pool_spawn_after_a_spill_leaves_no_files(
+        self, chain3, tmp_path, monkeypatch
+    ):
+        """``close(wait=False)`` while round 1 runs: round 2's spawn meets
+        the closed pool and fails the query, whose coroutine is suspended
+        with round 1's output spilled."""
+        import tempfile
+
+        from repro.mapreduce.engine import MapReduceEngine
+
+        result, records, _ = chain3
+        plan = result.cascades()[0]
+        run_job = MapReduceEngine.run
+        gate = threading.Event()
+
+        def gated_run(engine, job, inputs, **kwargs):
+            assert gate.wait(timeout=60), "round gate never released"
+            return run_job(engine, job, inputs, **kwargs)
+
+        monkeypatch.setattr(MapReduceEngine, "run", gated_run)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        service = QueryService(capacity=1e9, executor="serial", spill_threshold=1)
+        try:
+            handle = service.submit(plan, records)
+            _wait_until(lambda: service.describe()["rounds"]["running"] == 1)
+            service.close(wait=False)
+            gate.set()
+            with pytest.raises(AdmissionError, match="finished"):
+                handle.result(timeout=60)
+            assert list(tmp_path.iterdir()) == []
+        finally:
+            gate.set()
+            service.close(wait=False)
+
+    def test_close_sweeping_a_queued_round_after_a_spill_leaves_no_files(
+        self, chain3, tmp_path, monkeypatch
+    ):
+        """``close(wait=False)`` with round 2 queued: the queue sweep fails
+        the query, whose coroutine is suspended with round 1's output
+        spilled."""
+        import tempfile
+
+        result, records, _ = chain3
+        plan = result.cascades()[0]
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        service = QueryService(capacity=1e9, executor="serial", spill_threshold=1)
+        try:
+            reserve = service.admission.try_reserve
+            admitted = []
+
+            def admit_the_first_round_only(load):
+                if admitted:
+                    return False
+                admitted.append(load)
+                return reserve(load)
+
+            monkeypatch.setattr(
+                service.admission, "try_reserve", admit_the_first_round_only
+            )
+            handle = service.submit(plan, records)
+            _wait_until(lambda: service.describe()["rounds"]["queued"] == 1)
+            assert len(list(tmp_path.iterdir())) == 1
+            service.close(wait=False)
+            with pytest.raises(AdmissionError, match="scheduled"):
+                handle.result(timeout=60)
+            assert list(tmp_path.iterdir()) == []
+        finally:
+            service.close(wait=False)
+
+    def test_failed_recertification_after_a_spill_leaves_no_files(
+        self, chain3, tmp_path, monkeypatch
+    ):
+        """A failure inside the coroutine (re-certifying round 2 on round
+        1's observed output) finishes it; closing the finished coroutine
+        again is harmless and the handle settles."""
+        import tempfile
+
+        from repro.exceptions import ExecutionError
+        from repro.pipeline import execute
+
+        result, records, _ = chain3
+        plan = result.cascades()[0]
+
+        def failing_certification(round_, profile):
+            # Round 1's intermediate is on disk by now.
+            assert len(list(tmp_path.iterdir())) == 1
+            raise ExecutionError("re-certification failed")
+
+        monkeypatch.setattr(
+            execute, "_fingerprinted_certification", failing_certification
+        )
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with QueryService(
+            capacity=1e9, executor="serial", spill_threshold=1
+        ) as service:
+            handle = service.submit(plan, records)
+            with pytest.raises(ExecutionError, match="re-certification failed"):
+                handle.result(timeout=60)
+            assert list(tmp_path.iterdir()) == []
+            assert service.describe()["queries"]["failed"] == 1
+
     def test_mixed_workload_matmul_and_join(self, chain3):
         import numpy as np
 
