@@ -19,7 +19,6 @@ Run with:  python examples/social_triangles.py
 
 from __future__ import annotations
 
-from repro.analysis.sparse import edge_target_reducer_size, overload_probability
 from repro.datagen import (
     count_triangles_oracle,
     enumerate_triangles_oracle,
@@ -30,6 +29,7 @@ from repro.datagen import (
 from repro.mapreduce import ClusterConfig, MapReduceEngine
 from repro.planner import CostBasedPlanner
 from repro.problems import TriangleProblem
+from repro.problems.sparse import edge_target_reducer_size, overload_probability
 
 PLANNER = CostBasedPlanner.min_replication()
 

@@ -10,16 +10,19 @@ The package is organized as follows:
   engine on which schemas execute and are measured;
 * :mod:`repro.problems` — concrete problems (Hamming distance, triangles,
   sample graphs, 2-paths, joins, matrix multiplication, word count,
-  grouping);
-* :mod:`repro.schemas` — the constructive algorithms (upper bounds);
+  grouping), each the home of its g(q) and closed-form lower bounds, plus
+  sparse-data scaling;
+* :mod:`repro.schemas` — the constructive algorithms and Table 2's upper
+  bounds;
+* :mod:`repro.bounds` — exact fractional edge covers and the planner's
+  size-bound registry;
 * :mod:`repro.planner` — the cost-based planner that enumerates registered
   schema families, prices them with the cluster cost model, and returns
   ranked executable plans;
 * :mod:`repro.pipeline` — the multi-round pipeline planner: cascade
   enumeration, intermediate-size bounds, and adaptive mid-flight
   re-planning on top of the single-round planner;
-* :mod:`repro.analysis` — closed-form bounds, Table 1/2 regeneration,
-  fractional edge covers, sparse-data scaling, approximations;
+* :mod:`repro.reports` — Tables 1–2 and the headline figures as text;
 * :mod:`repro.datagen` — synthetic workload generators;
 * :mod:`repro.obs` — span tracing, metrics and telemetry exporters
   (Chrome trace / Prometheus text / latency breakdowns).

@@ -7,7 +7,8 @@ Public surface:
 * The built-in estimators — :class:`PerValueHistogramBound`,
   :class:`AGMBound`, :class:`DegreeConstraintBound`,
   :class:`TopKFrequencyBound`.
-* :func:`agm_bound` and the canonical-query cover cache.
+* :func:`fractional_edge_cover` (exact, cached per canonical query) and
+  :func:`agm_bound`.
 """
 
 from repro.bounds.base import (
@@ -25,11 +26,12 @@ from repro.bounds.base import (
     default_bound_registry,
 )
 from repro.bounds.cover import (
+    FractionalEdgeCover,
     agm_bound,
-    cached_fractional_edge_cover,
     canonical_query_key,
     clear_cover_cache,
     cover_cache_stats,
+    fractional_edge_cover,
 )
 from repro.bounds.estimators import (
     AGMBound,
@@ -53,13 +55,14 @@ __all__ = [
     "BoundRegistry",
     "ChildView",
     "DegreeConstraintBound",
+    "FractionalEdgeCover",
     "PerValueHistogramBound",
     "TopKFrequencyBound",
     "agm_bound",
-    "cached_fractional_edge_cover",
     "canonical_query_key",
     "clear_cover_cache",
     "cover_cache_stats",
     "default_bound_registry",
+    "fractional_edge_cover",
     "per_value_sum",
 ]

@@ -4,7 +4,7 @@ The join problems are parameterized by a *query hypergraph*: nodes are
 attributes (variables), hyperedges are relation schemas.  The size bound on
 the number of outputs coverable with ``q`` inputs is ``g(q) = q^ρ`` where
 ``ρ`` is the optimal fractional edge cover value of the hypergraph
-(Atserias–Grohe–Marx), computed in :mod:`repro.analysis.fractional_cover`.
+(Atserias–Grohe–Marx), computed in :mod:`repro.bounds.cover`.
 """
 
 from __future__ import annotations
@@ -245,12 +245,12 @@ class MultiwayJoinProblem(Problem):
     def rho(self) -> float:
         """The fractional edge cover value ρ used in g(q) = q^ρ.
 
-        Computed lazily from the query hypergraph unless supplied at
-        construction time.  Imported here (not at module import) to keep the
-        problems package import-light.
+        Read from the cached cover of the query hypergraph unless supplied
+        at construction time.  Imported here (not at module import) to keep
+        the problems package import-light.
         """
         if self._rho is None:
-            from repro.analysis.fractional_cover import fractional_edge_cover
+            from repro.bounds.cover import fractional_edge_cover
 
             self._rho = fractional_edge_cover(self.query).value
         return self._rho

@@ -1,4 +1,4 @@
-"""Sparse-data adjustments (Sections 2.3, 4.2 and 5.3).
+"""Sparse-data adjustments (Sections 2.3 and 4.2).
 
 The model's bounds are stated over the *complete* input domain.  When only a
 random fraction of the potential inputs is actually present, a reducer
@@ -7,7 +7,7 @@ where ``x`` is the presence probability.  The paper exploits this to restate
 the graph bounds in terms of the number of present edges ``m``: choosing the
 target ``q_t = q·n(n-1)/(2m)`` makes the expected actual load ``q``.
 
-This module packages those conversions plus a concentration check that the
+This module packages that conversion plus a concentration check that the
 paper waves at ("a vanishingly small chance of significant deviation for
 large q"): a Chernoff-style tail bound on the probability that a reducer
 exceeds its intended actual load.
@@ -18,17 +18,6 @@ from __future__ import annotations
 import math
 
 from repro.exceptions import ConfigurationError
-
-
-def presence_probability(num_present: int, num_potential: int) -> float:
-    """Fraction ``x`` of potential inputs that are actually present."""
-    if num_potential <= 0:
-        raise ConfigurationError("the potential-input count must be positive")
-    if not 0 <= num_present <= num_potential:
-        raise ConfigurationError(
-            f"present count {num_present} outside [0, {num_potential}]"
-        )
-    return num_present / num_potential
 
 
 def target_reducer_size(q_actual: float, presence: float) -> float:
@@ -53,18 +42,6 @@ def edge_target_reducer_size(q_actual: float, n: int, m: int) -> float:
     return target_reducer_size(q_actual, m / possible)
 
 
-def sparse_replication_lower_bound(
-    dense_bound_at, q_actual: float, presence: float
-) -> float:
-    """Re-evaluate a dense-domain bound at the scaled target reducer size.
-
-    ``dense_bound_at`` is the bound as a function of the *potential* reducer
-    size; the sparse bound is its value at ``q_t = q/x``.  For the triangle
-    bound ``n/√(2·q_t)`` this reproduces the ``Ω(√(m/q))`` form.
-    """
-    return float(dense_bound_at(target_reducer_size(q_actual, presence)))
-
-
 def overload_probability(q_target_actual: float, tolerance_factor: float) -> float:
     """Chernoff upper bound on P[actual load > tolerance_factor · expected].
 
@@ -80,29 +57,3 @@ def overload_probability(q_target_actual: float, tolerance_factor: float) -> flo
     delta = tolerance_factor - 1.0
     exponent = -(delta * delta) * q_target_actual / (2.0 + delta)
     return math.exp(exponent)
-
-
-def safety_margin_for_confidence(q_actual: float, failure_probability: float) -> float:
-    """Factor by which to lower the target so overload is unlikely.
-
-    Solves the Chernoff bound for δ given the desired failure probability,
-    returning ``1/(1+δ)`` — multiply the target ``q_t`` by this factor so
-    that the chance any single reducer exceeds ``q_actual`` is at most the
-    requested probability.
-    """
-    if q_actual <= 0:
-        raise ConfigurationError("q must be positive")
-    if not 0.0 < failure_probability < 1.0:
-        raise ConfigurationError("failure probability must be in (0, 1)")
-    # Solve delta^2 * mu / (2 + delta) = ln(1/p) for delta, where the mean
-    # after scaling is mu = q_actual / (1 + delta).  A few fixed-point
-    # iterations on the closed-form quadratic solution converge quickly.
-    log_term = math.log(1.0 / failure_probability)
-    mu = float(q_actual)
-    delta = 0.0
-    for _ in range(8):
-        # Quadratic in delta: mu*delta^2 - log_term*delta - 2*log_term = 0.
-        discriminant = log_term * log_term + 8.0 * mu * log_term
-        delta = (log_term + math.sqrt(discriminant)) / (2.0 * mu)
-        mu = q_actual / (1.0 + delta)
-    return 1.0 / (1.0 + delta)

@@ -3,7 +3,8 @@
 Every schema family can (a) build an explicit, verifiable mapping schema for
 small domains, (b) report its closed-form replication rate and reducer size
 for arbitrary parameters, and (c) produce an executable map-reduce job for
-the simulated engine.
+the simulated engine.  Table 2's closed-form upper bounds on r sit next to
+the schema that reaches them.
 """
 
 from repro.schemas.hamming_distance_d import BallTwoSchema, SegmentDeletionSchema
@@ -11,6 +12,8 @@ from repro.schemas.hamming_splitting import (
     PairReducersSchema,
     SingleReducerSchema,
     SplittingSchema,
+    hamming1_achievable_upper_bound,
+    hamming1_upper_bound,
     splitting_points,
 )
 from repro.schemas.hamming_weight import HypercubeWeightSchema, WeightPartitionSchema
@@ -22,9 +25,10 @@ from repro.schemas.join_shares import (
     star_join_replication_upper_bound,
     star_join_shares,
 )
-from repro.schemas.matmul_one_phase import OnePhaseTilingSchema
+from repro.schemas.matmul_one_phase import OnePhaseTilingSchema, matmul_upper_bound
 from repro.schemas.sample_graphs import (
     PartitionSampleGraphSchema,
+    alon_upper_bound_edges,
     degree_balanced_boundaries,
     enumerate_sample_graph_oracle,
 )
@@ -34,8 +38,8 @@ from repro.schemas.matmul_two_phase import (
     one_phase_total_communication,
     two_phase_total_communication,
 )
-from repro.schemas.triangles import PartitionTriangleSchema
-from repro.schemas.two_paths import TwoPathSchema
+from repro.schemas.triangles import PartitionTriangleSchema, triangle_upper_bound
+from repro.schemas.two_paths import TwoPathSchema, two_path_upper_bound
 
 __all__ = [
     "BallTwoSchema",
@@ -52,14 +56,20 @@ __all__ = [
     "TwoPathSchema",
     "TwoPhaseMatMulAlgorithm",
     "WeightPartitionSchema",
+    "alon_upper_bound_edges",
     "chain_join_replication_upper_bound",
     "chain_join_shares",
     "communication_crossover_q",
     "degree_balanced_boundaries",
     "enumerate_sample_graph_oracle",
+    "hamming1_achievable_upper_bound",
+    "hamming1_upper_bound",
+    "matmul_upper_bound",
     "one_phase_total_communication",
     "splitting_points",
     "star_join_replication_upper_bound",
     "star_join_shares",
+    "triangle_upper_bound",
+    "two_path_upper_bound",
     "two_phase_total_communication",
 ]

@@ -387,3 +387,27 @@ def splitting_points(b: int) -> List[Tuple[int, float, float]]:
         if b % c == 0:
             points.append((c, b / c, float(c)))
     return points
+
+
+def hamming1_upper_bound(b: int, q: float) -> float:
+    """Table 2's idealized ``r = b / log2 q`` for the Splitting algorithm.
+
+    Exact when ``log2 q`` divides ``b``; for other ``q`` the rate actually
+    reached is :func:`hamming1_achievable_upper_bound`, never below this.
+    """
+    if b <= 0:
+        raise ConfigurationError("b must be positive")
+    if q < 2:
+        return float("inf")
+    return max(1.0, b / math.log2(q))
+
+
+def hamming1_achievable_upper_bound(b: int, q: float) -> float:
+    """The rate the Splitting family reaches within reducer size ``q``.
+
+    The smallest segment count ``c`` dividing ``b`` whose reducer size
+    ``2^{b/c}`` fits in ``q``; infinity when even ``c = b`` (reducer size 2)
+    does not.
+    """
+    rates = [rate for _, log_q, rate in splitting_points(b) if 2.0 ** log_q <= q]
+    return min(rates, default=float("inf"))

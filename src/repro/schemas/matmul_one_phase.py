@@ -345,3 +345,12 @@ class OnePhaseTilingBatchKernel(BatchKernel):
         return list(
             zip(row_ids.tolist(), column_ids.tolist(), totals.ravel().tolist())
         )
+
+
+def matmul_upper_bound(n: int, q: float) -> float:
+    """Table 2's ``r = 2n²/q`` for ``2n <= q <= 2n²``, reached by tiling."""
+    if n <= 0:
+        raise ConfigurationError("matrix dimension must be positive")
+    if q < 2 * n:
+        return float("inf")
+    return max(1.0, 2.0 * n * n / q)

@@ -266,3 +266,10 @@ def enumerate_sample_graph_oracle(
         )
         instances.add(instance)
     return frozenset(instances)
+
+
+def alon_upper_bound_edges(m: int, s: int, q: float) -> float:
+    """Table 2's ``r = O((√(m/q))^{s-2})`` for Alon-class samples (from [2])."""
+    if q <= 0:
+        return float("inf")
+    return max(1.0, math.sqrt(m / q) ** (s - 2))

@@ -299,3 +299,14 @@ class TriangleBatchKernel(BatchKernel):
                 nodes[node_index].tolist(),
             )
         )
+
+
+def triangle_upper_bound(n: int, q: float) -> float:
+    """Table 2's ``r = 3n/√(2q)`` for the partition schema.
+
+    ``k`` buckets give reducers of ``C(3n/k, 2) < (3n/k)²/2`` edges, so the
+    schema's ``r = k`` stays below ``3n/√(2q)`` when ``k`` divides ``n``.
+    """
+    if q <= 0:
+        return float("inf")
+    return max(1.0, 3.0 * n / math.sqrt(2.0 * q))

@@ -264,3 +264,15 @@ class TwoPathBatchKernel(BatchKernel):
         first = neighbours[left[keep]].tolist()
         second = neighbours[right[keep]].tolist()
         return [(v_node, middle, w_node) for v_node, w_node in zip(first, second)]
+
+
+def two_path_upper_bound(n: int, q: float) -> float:
+    """Table 2's 2-path rate: ``2(k-1)`` with ``k = 2n/q`` buckets.
+
+    The paper quotes ``O(2n/q)``; the construction's exact rate is
+    ``2(k-1)``, about twice the lower bound ``2n/q``.
+    """
+    if q <= 0:
+        return float("inf")
+    k = max(2.0, 2.0 * n / q)
+    return 2.0 * (k - 1.0)

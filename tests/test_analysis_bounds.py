@@ -2,7 +2,8 @@
 
 Table 1's lower bounds live on the problem classes; each analytic g(q) is
 also checked against the exact maximum coverage of every input subset of a
-small instance.
+small instance.  Table 2's upper bounds live next to their schemas; each is
+checked against its construction executed on a small full domain.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis import upper_bounds as ub
-from repro.analysis.tables import format_table, table1_rows, table2_rows
 from repro.core import LowerBoundRecipe
+from repro.datagen import integer_matrix, multiplication_records
 from repro.exceptions import ConfigurationError
+from repro.mapreduce import MapReduceEngine
 from repro.problems import (
     HammingDistanceProblem,
     JoinQuery,
@@ -28,7 +29,25 @@ from repro.problems import (
     TwoPathProblem,
     star_join_replication_lower_bound,
 )
-from repro.schemas import chain_join_replication_upper_bound
+from repro.problems.sparse import (
+    edge_target_reducer_size,
+    overload_probability,
+    target_reducer_size,
+)
+from repro.reports import table1_rows, table2_rows
+from repro.schemas import (
+    OnePhaseTilingSchema,
+    PartitionTriangleSchema,
+    SplittingSchema,
+    TwoPathSchema,
+    alon_upper_bound_edges,
+    chain_join_replication_upper_bound,
+    hamming1_achievable_upper_bound,
+    hamming1_upper_bound,
+    matmul_upper_bound,
+    triangle_upper_bound,
+    two_path_upper_bound,
+)
 
 
 def _recipe_bound(problem, q: float) -> float:
@@ -57,29 +76,24 @@ class TestHammingBounds:
         problem = HammingDistanceProblem(20)
         for exponent in (2, 4, 5, 10, 20):
             q = 2 ** exponent
-            assert ub.hamming1_upper_bound(20, q) == pytest.approx(problem.lower_bound(q))
+            assert hamming1_upper_bound(20, q) == pytest.approx(problem.lower_bound(q))
 
     def test_achievable_upper_bound_uses_divisors(self):
         # b = 12, q = 2^5: the largest feasible segment count is c = 3
         # (reducer size 2^4 <= 32); c = 2 would need reducers of 2^6 > 32.
-        assert ub.hamming1_achievable_upper_bound(12, 2 ** 5) == 3.0
-        assert ub.hamming1_achievable_upper_bound(12, 2 ** 12) == 1.0
-        assert ub.hamming1_achievable_upper_bound(12, 1) == float("inf")
+        assert hamming1_achievable_upper_bound(12, 2 ** 5) == 3.0
+        assert hamming1_achievable_upper_bound(12, 2 ** 12) == 1.0
+        assert hamming1_achievable_upper_bound(12, 1) == float("inf")
 
     def test_achievable_never_beats_ideal(self):
-        for q in (4, 10, 100, 5000):
-            assert ub.hamming1_achievable_upper_bound(12, q) >= ub.hamming1_upper_bound(12, q) - 1e-9
-
-    def test_weight_partition_upper_bound(self):
-        assert ub.weight_partition_upper_bound(32, 4) == pytest.approx(1.5)
-        assert ub.weight_partition_upper_bound(32, 4, dimensions=4) == pytest.approx(2.0)
-        with pytest.raises(ConfigurationError):
-            ub.weight_partition_upper_bound(32, 0)
-
-    def test_hamming_d_upper_bound(self):
-        assert ub.hamming_d_upper_bound(10, 2) == pytest.approx(45.0)
-        with pytest.raises(ConfigurationError):
-            ub.hamming_d_upper_bound(3, 3)
+        """``b / log2 q`` is Table 2's idealization of the Splitting rate: it
+        never exceeds the achievable rate and equals it when log2 q | b."""
+        for b in (6, 8, 12):
+            for q in range(2, 2 ** b + 1):
+                ideal = hamming1_upper_bound(b, q)
+                assert hamming1_achievable_upper_bound(b, q) >= ideal - 1e-9
+                if q & (q - 1) == 0 and b % (q.bit_length() - 1) == 0:
+                    assert hamming1_achievable_upper_bound(b, q) == pytest.approx(ideal)
 
 
 class TestTriangleAndSubgraphBounds:
@@ -106,18 +120,15 @@ class TestTriangleAndSubgraphBounds:
     def test_triangle_upper_vs_lower_constant(self):
         problem = TriangleProblem(1000)
         for q in (50, 500, 5000):
-            upper = ub.triangle_upper_bound(1000, q)
+            upper = triangle_upper_bound(1000, q)
             lower = problem.lower_bound(q)
             assert 1.0 <= upper / lower <= 3.01
-
-    def test_triangle_upper_bound_edges(self):
-        assert ub.triangle_upper_bound_edges(20_000, 100) > 1.0
 
     def test_alon_bounds(self):
         problem = SampleGraphProblem(100, SampleGraph.clique(4))
         assert problem.lower_bound(100) == pytest.approx(100.0)
         assert problem.lower_bound_sparse(100, m=10_000) == pytest.approx(100.0)
-        assert ub.alon_upper_bound_edges(10_000, 4, 100) == pytest.approx(100.0)
+        assert alon_upper_bound_edges(10_000, 4, 100) == pytest.approx(100.0)
         with pytest.raises(ConfigurationError):
             SampleGraph([])  # fewer than two nodes
 
@@ -133,7 +144,7 @@ class TestTriangleAndSubgraphBounds:
         problem = TwoPathProblem(100)
         assert problem.lower_bound(10) == pytest.approx(20.0)
         assert problem.lower_bound(10 ** 6) == 1.0
-        upper = ub.two_path_upper_bound(100, 10)
+        upper = two_path_upper_bound(100, 10)
         assert upper == pytest.approx(2 * (20 - 1))
         with pytest.raises(ConfigurationError):
             TwoPathProblem(2)
@@ -195,12 +206,36 @@ class TestMatmulBounds:
     def test_upper_matches_lower_in_valid_range(self):
         problem = MatrixMultiplicationProblem(100)
         for q in (200, 2000, 20000):
-            assert ub.matmul_upper_bound(100, q) == pytest.approx(problem.lower_bound(q))
+            assert matmul_upper_bound(100, q) == pytest.approx(problem.lower_bound(q))
 
     def test_upper_infinite_below_2n(self):
-        assert ub.matmul_upper_bound(100, 100) == float("inf")
+        assert matmul_upper_bound(100, 100) == float("inf")
         with pytest.raises(ConfigurationError):
-            ub.matmul_upper_bound(0, 100)
+            matmul_upper_bound(0, 100)
+
+
+class TestSparseScaling:
+    def test_target_reducer_size(self):
+        assert target_reducer_size(100, 0.25) == pytest.approx(400.0)
+        with pytest.raises(ConfigurationError):
+            target_reducer_size(0, 0.5)
+        with pytest.raises(ConfigurationError):
+            target_reducer_size(10, 0.0)
+
+    def test_edge_target_matches_paper_formula(self):
+        n, m, q = 100, 990, 10
+        expected = q * n * (n - 1) / (2 * m)
+        assert edge_target_reducer_size(q, n, m) == pytest.approx(expected)
+        with pytest.raises(ConfigurationError):
+            edge_target_reducer_size(q, 10, 1000)
+
+    def test_overload_probability_decreases_with_margin(self):
+        p_tight = overload_probability(100, 1.1)
+        p_loose = overload_probability(100, 2.0)
+        assert 0.0 < p_loose < p_tight < 1.0
+        assert overload_probability(100, 1.0) == 1.0
+        with pytest.raises(ConfigurationError):
+            overload_probability(0, 2.0)
 
 
 class TestTables:
@@ -225,12 +260,6 @@ class TestTables:
             value = row.evaluate(256.0)
             assert value >= 1.0 or value == float("inf")
 
-    def test_format_table_renders_every_row(self):
-        rows = table1_rows()
-        text = format_table(rows, q_values=[64, 1024])
-        assert text.count("q=64") == len(rows)
-        assert "Hamming" in text
-
     def test_lower_bounds_never_exceed_upper_bounds(self):
         """Row-by-row, the Table 2 value is >= the Table 1 value at the same q
         (for parameters where both are finite)."""
@@ -243,6 +272,71 @@ class TestTables:
                 upper = table2[index].evaluate(q)
                 if math.isfinite(upper):
                     assert upper >= lower - 1e-9
+
+
+# ----------------------------------------------------------------------
+# Table 2 against the constructions that reach it
+# ----------------------------------------------------------------------
+def _divisors(n: int) -> list:
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
+def _table2_cases():
+    """(family, problem, full-domain inputs, achievable r at q), k | n."""
+    for b in (6, 8):
+        for c in _divisors(b):
+            yield pytest.param(
+                SplittingSchema(b, c),
+                HammingDistanceProblem(b),
+                range(2 ** b),
+                lambda q, b=b: hamming1_achievable_upper_bound(b, q),
+                id=f"hamming1-b{b}-c{c}",
+            )
+    for n in (6, 12):
+        for k in _divisors(n):
+            yield pytest.param(
+                PartitionTriangleSchema(n, k),
+                TriangleProblem(n),
+                TriangleProblem(n).inputs(),
+                lambda q, n=n: triangle_upper_bound(n, q),
+                id=f"triangles-n{n}-k{k}",
+            )
+    for n in (6, 8, 12):
+        for k in _divisors(n)[1:]:
+            yield pytest.param(
+                TwoPathSchema(n, k),
+                TwoPathProblem(n),
+                TwoPathProblem(n).inputs(),
+                lambda q, n=n: two_path_upper_bound(n, q),
+                id=f"two-paths-n{n}-k{k}",
+            )
+    for n in (4, 6):
+        for s in _divisors(n):
+            yield pytest.param(
+                OnePhaseTilingSchema(n, s),
+                MatrixMultiplicationProblem(n),
+                multiplication_records(integer_matrix(n, seed=1), integer_matrix(n, seed=2)),
+                lambda q, n=n: matmul_upper_bound(n, q),
+                id=f"matmul-n{n}-s{s}",
+            )
+
+
+class TestTable2AgainstConstructions:
+    """Each Table 2 row, executed on a small full domain at every reachable q.
+
+    The measured replication never exceeds the row's achievable form at the
+    measured reducer size; two-paths at k >= 3 and matrix tiling meet it
+    exactly, so a formula that undercounts the construction fails here.
+    """
+
+    @pytest.mark.parametrize("family, problem, inputs, achievable", _table2_cases())
+    def test_measured_rate_within_achievable_form(self, family, problem, inputs, achievable):
+        family.build(problem).validate().raise_if_invalid()
+        result = MapReduceEngine().run(family.job(), list(inputs))
+        r = result.replication_rate
+        q = result.metrics.shuffle.max_reducer_size
+        assert r == pytest.approx(family.replication_rate_formula())
+        assert r <= achievable(q) + 1e-9, (r, q, achievable(q))
 
 
 def _exact_max_coverage(problem) -> list:

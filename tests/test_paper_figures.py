@@ -21,10 +21,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis import upper_bounds as ub
-from repro.analysis.fractional_cover import fractional_edge_cover
-from repro.analysis.sparse import edge_target_reducer_size
-from repro.analysis.tables import table1_rows
+from repro.bounds import fractional_edge_cover
 from repro.core import AlgorithmPoint, ClusterCostModel, LowerBoundRecipe, TradeoffCurve
 from repro.datagen import (
     all_pairs_at_distance,
@@ -57,6 +54,8 @@ from repro.problems import (
     TwoPathProblem,
     star_join_replication_lower_bound,
 )
+from repro.problems.sparse import edge_target_reducer_size
+from repro.reports import table1_rows
 from repro.schemas import (
     BallTwoSchema,
     HypercubeWeightSchema,
@@ -68,12 +67,15 @@ from repro.schemas import (
     TwoPathSchema,
     TwoPhaseMatMulAlgorithm,
     WeightPartitionSchema,
+    alon_upper_bound_edges,
     chain_join_replication_upper_bound,
     communication_crossover_q,
     enumerate_sample_graph_oracle,
     one_phase_total_communication,
     splitting_points,
     star_join_replication_upper_bound,
+    triangle_upper_bound,
+    two_path_upper_bound,
     two_phase_total_communication,
 )
 
@@ -406,8 +408,8 @@ class TestTables:
 
     @pytest.mark.parametrize("q", [2 ** 6, 2 ** 10, 2 ** 14])
     def test_table2_graph_gaps_are_small_constants(self, q):
-        triangles = ub.triangle_upper_bound(1000, q) / TriangleProblem(1000).lower_bound(q)
-        two_paths = ub.two_path_upper_bound(1000, q) / TwoPathProblem(1000).lower_bound(q)
+        triangles = triangle_upper_bound(1000, q) / TriangleProblem(1000).lower_bound(q)
+        two_paths = two_path_upper_bound(1000, q) / TwoPathProblem(1000).lower_bound(q)
         assert 1.0 <= triangles <= 3.1
         assert 1.0 <= two_paths <= 2.1
 
@@ -568,7 +570,7 @@ class TestSec52SampleGraphsAndTwoPaths:
         assert sample.is_in_alon_class()
         problem = SampleGraphProblem(self.N, sample)
         for q in (10_000, 100_000):
-            assert ub.alon_upper_bound_edges(
+            assert alon_upper_bound_edges(
                 self.M, sample.num_nodes, q
             ) == pytest.approx(problem.lower_bound_sparse(q, self.M))
 
