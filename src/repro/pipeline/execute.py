@@ -63,11 +63,7 @@ from repro.mapreduce.partitioner import stable_hash
 from repro.pipeline.logical import BinaryJoinOp, RelationLeaf
 from repro.pipeline.planner import PipelinePlan, PipelineRound, replan_round
 from repro.planner.cache import default_schema_cache
-from repro.planner.certify import (
-    Certification,
-    CertificationKind,
-    certify_max_reducer_load,
-)
+from repro.planner.certify import Certification, certify_max_reducer_load
 from repro.stats.profile import (
     DatasetProfile,
     RelationProfile,
@@ -189,17 +185,9 @@ class PipelineRunResult:
         return self.result.max_certified_load
 
     def certificates_hold(self) -> bool:
-        """Whether every *bounding* certificate covers its observed load.
-
-        Only exact and high-probability certificates claim to bound the
-        load; EXPECTED-kind certifications (rounds planned without a
-        profile — the paper's §5.5 accounting) are expectations that skew
-        may legitimately exceed, so they are not checked here, mirroring
-        how the single-round stack distinguishes certification kinds.
-        """
+        """Whether every round's certificate covers its observed load."""
         return all(
             round_.certification is None
-            or round_.certification.kind is CertificationKind.EXPECTED
             or round_.observed_max_load <= round_.certification.bound
             for round_ in self.executed
         )

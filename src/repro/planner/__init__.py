@@ -26,7 +26,6 @@ from repro.planner.certify import (
     certify_max_reducer_load,
     certify_sample_graph_load,
     exact_certification,
-    expected_certification,
     high_probability_certification,
 )
 from repro.planner.plan import (
@@ -70,7 +69,6 @@ __all__ = [
     "default_registry",
     "default_schema_cache",
     "exact_certification",
-    "expected_certification",
     "high_probability_certification",
     "optimize_shares",
     "repair_shares",

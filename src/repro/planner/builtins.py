@@ -24,20 +24,20 @@ size fits the budget, and every candidate carries a
 For all single-round graph/Hamming/matmul families the certification is an
 exact combinatorial bound over the problem's full input domain
 (ceil-corrected where the closed forms use real-valued approximations).
-For the Shares join it is, by default, the expected hash-balanced size —
-the quantity the paper's Section 5.5 analysis budgets, which skew can
-violate.  When the planner passes a
-:class:`~repro.stats.profile.DatasetProfile`, the profile-aware builders
-(joins, sample graphs) replace that expectation with per-bucket tail
-bounds on the actual instance (exact from full histograms, Hoeffding
-high-probability from samples) and additionally enumerate skew-resistant
-candidates: :class:`~repro.schemas.join_shares.SkewAwareSharesSchema`
-grids isolating profiled heavy hitters, and degree-balanced non-uniform
-sample-graph bucketings.
+The Shares join is always certified by per-bucket load bounds on a
+:class:`~repro.stats.profile.DatasetProfile`: the planner's profile of the
+actual instance (exact from full histograms, Hoeffding high-probability
+from samples), or, without one, the exact profile of the model's full
+domain.  The paper's Section 5.5 hash-balanced expectation is never
+accepted as a bound, since unbalanced buckets exceed it.  Profile-aware
+builders also enumerate skew-resistant candidates:
+:class:`~repro.schemas.join_shares.SkewAwareSharesSchema` grids isolating
+profiled heavy hitters, and degree-balanced non-uniform sample-graph
+bucketings.
 
 Candidate *builds* — constructing the schema-family object and evaluating
 its certified size and replication closed forms, which for the weight-grid
-(exact binomial populations) and Shares (share-vector expectation) families
+(exact binomial populations) and Shares (per-bucket certification) families
 is the expensive part of planning — are routed through
 :data:`repro.planner.cache.default_schema_cache`.  The cache key is the
 family tag plus every parameter that determines the build, so a
@@ -48,7 +48,6 @@ each build exactly once.  Only the budget *filter* runs per call.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -60,7 +59,6 @@ from repro.planner.certify import (
     certify_max_reducer_load,
     certify_sample_graph_load,
     exact_certification,
-    expected_certification,
 )
 from repro.planner.registry import PlanCandidate, default_registry, thin_parameter_sweep
 from repro.planner.share_opt import (
@@ -70,7 +68,7 @@ from repro.planner.share_opt import (
     optimize_shares,
     optimize_skew_shares,
 )
-from repro.stats.profile import DatasetProfile
+from repro.stats.profile import AttributeProfile, DatasetProfile, RelationProfile
 from repro.problems.grouping import GroupByAggregationProblem
 from repro.problems.hamming import HammingDistanceProblem
 from repro.problems.joins import JoinQuery, MultiwayJoinProblem
@@ -521,44 +519,10 @@ def _query_cache_key(query: JoinQuery) -> Tuple[Any, ...]:
     )
 
 
-def _build_shares_candidate(
-    query: JoinQuery, shares: Dict[str, int], domain_size: int
-) -> PlanCandidate:
-    schema = SharesSchema(query, shares, domain_size)
-    expected = schema.max_reducer_size_formula()
-    return PlanCandidate(
-        name=schema.name,
-        q=expected,
-        replication_rate=schema.replication_rate_formula(),
-        job_factory=_shares_job(schema, query),
-        family=schema,
-        needs_inputs=True,
-        certification=expected_certification(
-            expected, detail="hash-balanced expectation (Section 5.5)"
-        ),
-    )
-
-
-def _recertify_candidate(
-    candidate: PlanCandidate,
-    profile: DatasetProfile,
-    bucket_cache: Dict[Any, Any],
-) -> PlanCandidate:
-    """Replace a Shares candidate's expected q with a profiled tail bound."""
-    certification = certify_max_reducer_load(
-        candidate.family, profile, bucket_cache=bucket_cache
-    )
-    return dataclasses.replace(
-        candidate,
-        q=max(certification.bound, 1.0),
-        certification=certification,
-    )
-
-
 def _certified_candidate(
     schema: SharesSchema, query: JoinQuery, certification: Any
 ) -> PlanCandidate:
-    """A profile-only Shares candidate: its q *is* its certificate."""
+    """A Shares candidate whose q *is* its profile certificate."""
     return PlanCandidate(
         name=schema.name,
         q=max(certification.bound, 1.0),
@@ -570,12 +534,35 @@ def _certified_candidate(
     )
 
 
-def _usable_profile(
-    query: JoinQuery, profile: Optional[DatasetProfile]
-) -> Optional[DatasetProfile]:
-    """The profile, when it covers every relation of the query."""
-    names = [relation.name for relation in query.relations]
-    return profile if profile is not None and profile.covers(names) else None
+def _model_domain_profile(query: JoinQuery, domain_size: int) -> DatasetProfile:
+    """The exact profile of the model's full input domain, built from counts.
+
+    Relation ``R_e`` holds all ``n^arity`` tuples over ``range(n)``, so
+    every value of each attribute occurs in ``n^(arity-1)`` of them.  No
+    tuple is materialized; certifying against this profile bounds every
+    reducer's load on the full domain, where the paper's Section 5.5
+    expectation ignores unbalanced hash buckets.
+    """
+    n = domain_size
+    relations = {}
+    for relation in query.relations:
+        rows = n ** relation.arity
+        degree = n ** (relation.arity - 1)
+        relations[relation.name] = RelationProfile(
+            name=relation.name,
+            total_rows=rows,
+            attributes={
+                attribute: AttributeProfile(
+                    attribute=attribute,
+                    total_count=rows,
+                    distinct_estimate=float(n),
+                    histogram={value: degree for value in range(n)},
+                    max_degree=degree,
+                )
+                for attribute in relation.attributes
+            },
+        )
+    return DatasetProfile(relations=relations)
 
 
 # Every Shares variant sends each input to at least one grid point: the
@@ -584,49 +571,50 @@ def _usable_profile(
 def join_candidates(
     problem: MultiwayJoinProblem, q: float, profile: Optional[DatasetProfile] = None
 ) -> Iterator[PlanCandidate]:
-    """Shares candidates, tail-certified and skew-hardened when profiled.
+    """Shares candidates, each certified by a per-bucket load bound.
 
-    Without a profile this is the paper's enumeration: every share vector
-    whose *expected* hash-balanced reducer size fits the budget.  With a
-    :class:`~repro.stats.profile.DatasetProfile` covering the query's
-    relations, each vanilla candidate is re-certified with a per-bucket
-    tail bound on the actual instance — candidates whose bound blows the
-    budget are rejected even though their expectation fit — and two kinds
-    of profile-only candidates join the enumeration, certified through the
-    same path: *optimized* share vectors chosen per reducer budget by the
-    Lagrangean optimizer in :mod:`repro.planner.share_opt` (never worse
-    than the best fixed-grid vector under the certified bound), and
-    skew-resistant variants (profiled heavy hitters isolated onto
-    dedicated sub-grids).
+    Every candidate's q is :func:`certify_max_reducer_load` on a profile:
+    the caller's :class:`~repro.stats.profile.DatasetProfile` when it
+    covers the query's relations, else the exact profile of the model's
+    full domain.  A candidate whose bound blows the budget is rejected.
+    Besides the fixed share-vector grid, the enumeration holds *optimized*
+    share vectors chosen per reducer budget by the Lagrangean optimizer in
+    :mod:`repro.planner.share_opt` (never worse than the best fixed-grid
+    vector under the certified bound), and skew-resistant variants
+    (profiled heavy hitters isolated onto dedicated sub-grids), which a
+    uniform profile never enumerates.
     """
     query = problem.query
     query_key = _query_cache_key(query)
-    usable = _usable_profile(query, profile)
-    fingerprint = usable.fingerprint() if usable is not None else None
+    names = [relation.name for relation in query.relations]
+    if profile is None or not profile.covers(names):
+        profile = default_schema_cache.get(
+            ("model-domain-profile", query_key, problem.domain_size),
+            lambda: _model_domain_profile(query, problem.domain_size),
+        )
+    fingerprint = profile.fingerprint()
     # The epsilon-free bucket-weight table every candidate kind below
     # shares: its cells depend on the profile alone, and an oracle records
     # a sampled cell before looking it up, so sharing changes no
     # certificate.  It lives for this call — cache hits rebuild nothing.
     bucket_cache: Dict[Any, Any] = {}
+
+    def certified(shares: Dict[str, int]) -> PlanCandidate:
+        schema = SharesSchema(query, shares, problem.domain_size)
+        return _certified_candidate(
+            schema,
+            query,
+            certify_max_reducer_load(schema, profile, bucket_cache=bucket_cache),
+        )
+
     for shares in _share_vectors(query):
         shares_key = tuple(sorted(shares.items()))
         candidate = default_schema_cache.get(
-            ("shares", query_key, problem.domain_size, shares_key),
-            lambda shares=shares: _build_shares_candidate(
-                query, shares, problem.domain_size
-            ),
+            ("shares", query_key, problem.domain_size, shares_key, fingerprint),
+            lambda shares=shares: certified(shares),
         )
-        if usable is not None:
-            candidate = default_schema_cache.get(
-                ("shares-cert", query_key, problem.domain_size, shares_key, fingerprint),
-                lambda candidate=candidate: _recertify_candidate(
-                    candidate, usable, bucket_cache
-                ),
-            )
         if candidate.q <= q:
             yield candidate
-    if usable is None:
-        return
 
     def optimized(budget: int) -> PlanCandidate:
         # Cached under the profile fingerprint: the same (query, domain,
@@ -635,7 +623,7 @@ def join_candidates(
         return default_schema_cache.get(
             ("opt-shares", query_key, problem.domain_size, budget, fingerprint),
             lambda: _build_optimized_shares_candidate(
-                problem, budget, usable, bucket_cache
+                problem, budget, profile, bucket_cache
             ),
         )
 
@@ -644,7 +632,7 @@ def join_candidates(
         if candidate.q <= q:
             yield candidate
     yield from _skew_candidates(
-        problem, q, usable, query_key, fingerprint, bucket_cache, optimized
+        problem, q, profile, query_key, fingerprint, bucket_cache, optimized
     )
 
 

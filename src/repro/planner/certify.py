@@ -1,9 +1,10 @@
 """Reducer-size certification: from dataset statistics to trusted budgets.
 
 The paper's Section 5.5 budgets a Shares join candidate by its *expected*
-hash-balanced reducer load.  On skewed inputs that expectation says nothing
-about the maximum — one heavy join value can blow a single reducer far past
-the budget while the average stays tiny — so a cluster that *enforces* its
+hash-balanced reducer load.  That expectation says nothing about the
+maximum: one heavy join value can blow a single reducer far past the budget
+while the average stays tiny, and even the uniform full domain hashes into
+unbalanced buckets when the domain is small.  A cluster that *enforces* its
 capacity cannot trust expectation-certified plans.  This module replaces
 the expectation with per-bucket tail bounds computed from a
 :class:`~repro.stats.profile.DatasetProfile`:
@@ -12,9 +13,6 @@ the expectation with per-bucket tail bounds computed from a
   hash bucket is known, so ``min`` over a relation's attributes of its
   bucket weights upper-bounds the relation's tuples at a grid point, and
   the sum over relations bounds the reducer's load.  Deterministic.
-* **expected** — the paper's original certificate, kept for candidates
-  planned without a profile; carried so reports can display what kind of
-  promise a plan actually makes.
 * **high-probability** — from reservoir samples, bucket weights are
   estimated and inflated by a Hoeffding term; a union bound over every
   consulted cell makes *all* the estimates simultaneously valid with
@@ -55,7 +53,6 @@ class CertificationKind(enum.Enum):
     """How a plan's reducer-size claim is backed."""
 
     EXACT = "exact"
-    EXPECTED = "expected"
     HIGH_PROBABILITY = "high-probability"
 
 
@@ -80,9 +77,9 @@ class Certification:
     load: Optional[LoadSummary] = None
     #: The bound-derivation method behind the certificate (e.g.
     #: ``per-bucket-histogram``, ``hoeffding-sample``, ``closed-form``,
-    #: ``degree-sequence``, ``expectation``) — surfaced in plan tables next
-    #: to the certification kind so a reader can see *why* a plan was
-    #: priced the way it was.  Empty when the certifier predates the label.
+    #: ``degree-sequence``) — surfaced in plan tables next to the
+    #: certification kind so a reader can see *why* a plan was priced the
+    #: way it was.  Empty when the certifier predates the label.
     method: str = ""
 
     def __post_init__(self) -> None:
@@ -117,12 +114,6 @@ def exact_certification(
 ) -> Certification:
     return Certification(
         CertificationKind.EXACT, float(bound), detail=detail, load=load, method=method
-    )
-
-
-def expected_certification(bound: float, detail: str = "") -> Certification:
-    return Certification(
-        CertificationKind.EXPECTED, float(bound), detail=detail, method="expectation"
     )
 
 
@@ -352,23 +343,6 @@ def certify_max_reducer_load(
         # is reserved for exact histograms (ISSUE: certified-load pricing).
         load=LoadSummary(bound),
         method="hoeffding-sample",
-    )
-
-
-def expected_load_certification(schema, profile: DatasetProfile) -> Certification:
-    """The paper's expectation-only certificate, evaluated on the instance.
-
-    Wraps :meth:`~repro.schemas.join_shares.SharesSchema.expected_reducer_load`
-    with the profiled relation sizes.  This is the claim the tail
-    certificates replace; it is exposed so reports and tests can show the
-    expectation a skewed instance violates.
-    """
-    row_counts = {
-        name: relation.total_rows for name, relation in profile.relations.items()
-    }
-    return expected_certification(
-        schema.expected_reducer_load(row_counts),
-        detail="hash-balanced expectation on profiled relation sizes",
     )
 
 

@@ -8,7 +8,8 @@ point on the replication/parallelism tradeoff curve should this job run at?*
 1. **Enumerate**: ask the :class:`~repro.planner.registry.SchemaRegistry`
    for every feasible candidate (schema family + parameters) within ``q``.
 2. **Bound**: evaluate the problem's Section 2.4 lower-bound recipe at each
-   candidate's reducer size, recording the optimality gap.
+   candidate's reducer size, recording the optimality gap (unprofiled
+   plans only: the recipe counts the model's full domain).
 3. **Cost**: price each candidate with the Section 1.2 cluster cost model
    ``a·r + b·q (+ c·t(q))`` built from the cluster's rate constants.
 4. **Rank**: sort ascending by total predicted cost (deterministic
@@ -105,10 +106,13 @@ class CostBasedPlanner:
             Optional dataset statistics.  Profile-aware builders (the Shares
             join, sample graphs) then certify their candidates with
             per-bucket tail bounds on the *actual* instance instead of the
-            expectation-only closed forms, rejecting candidates whose tail
-            bound blows the budget and adding skew-resistant variants.  Each
+            model's full domain, rejecting candidates whose tail bound
+            blows the budget and adding skew-resistant variants.  Each
             plan's :attr:`~repro.planner.plan.ExecutionPlan.certification`
-            records which kind of bound its ``q`` is.
+            records which kind of bound its ``q`` is.  A profiled plan
+            carries no ``lower_bound`` and no tradeoff curve: the paper's
+            curve is a theorem about the model's full domain, and says
+            nothing about a sparse instance's far fewer outputs.
         """
         started = time.perf_counter()
         cluster = cluster or ClusterConfig()
@@ -124,7 +128,7 @@ class CostBasedPlanner:
             processing_rate=cluster.worker_cost_per_unit,
             planning_rate=cluster.planning_cost_per_second,
         )
-        curve = self._tradeoff_curve(problem, candidates)
+        curve = self._tradeoff_curve(problem, candidates) if profile is None else None
         priced = self._price(candidates, model, curve)
         # Planning-time accounting (ROADMAP leftover): the wall-clock this
         # call spent enumerating/certifying/ranking, attached *after* the

@@ -46,10 +46,10 @@ class PlanCandidate:
         Certified maximum reducer input size over the problem's full input
         domain.  Builders must guarantee ``q <= budget`` for every candidate
         they yield; for most families this is an exact closed form, for the
-        Shares join it is the expected (hash-balanced) size — unless a
-        dataset profile was supplied, in which case it is the certified
-        tail bound on the actual instance and ``certification.load``
-        carries the per-reducer load summary behind it.
+        Shares join it is the certified per-bucket bound on the profiled
+        instance (the model's full domain when no profile was supplied),
+        and ``certification.load`` carries the per-reducer load summary
+        behind it.
     replication_rate:
         Replication rate of the construction (closed form, exact).
     job_factory:
@@ -64,9 +64,8 @@ class PlanCandidate:
         True when ``job_factory`` must receive the fully materialized input
         records (data-dependent jobs); False when inputs may stay streamed.
     certification:
-        What kind of promise ``q`` makes — an exact worst-case bound, the
-        expected hash-balanced load (the paper's Section 5.5 accounting), or
-        a high-probability tail bound from sampled statistics.  ``None`` is
+        What kind of promise ``q`` makes — an exact worst-case bound or a
+        high-probability tail bound from sampled statistics.  ``None`` is
         treated as exact by reports (the combinatorial families' closed
         forms are worst-case bounds by construction).
     """

@@ -182,20 +182,17 @@ class SharesSchema(SchemaFamily):
         return total_pairs / total_inputs
 
     def max_reducer_size_formula(self) -> float:
-        """Expected inputs per reducer over the full domain.
+        """The Section 5.5 expectation of a reducer's load on the full domain.
 
-        Relation ``R_e`` spreads its ``n^arity`` tuples over
-        ``Π_{A ∈ A_e} s_A`` distinct coordinate combinations, so each grid
-        point receives about ``n^arity / Π_{A ∈ A_e} s_A`` of them.
+        :meth:`expected_reducer_load` at ``n^arity`` rows per relation.  It
+        is an average, not a bound (hash buckets on a small domain are not
+        balanced), and the planner does not read it: it certifies Shares
+        candidates on the model domain's exact profile instead.
         """
         n = self.domain_size
-        expected = 0.0
-        for relation in self.query.relations:
-            covered_shares = 1
-            for attribute in relation.attributes:
-                covered_shares *= self.shares[attribute]
-            expected += n ** relation.arity / covered_shares
-        return expected
+        return self.expected_reducer_load(
+            {relation.name: n ** relation.arity for relation in self.query.relations}
+        )
 
     def expected_communication(self, row_counts: Mapping[str, int]) -> float:
         """Shuffled pairs on an actual instance: ``Σ_e |R_e| · Π_{A∉A_e} s_A``.
@@ -207,14 +204,13 @@ class SharesSchema(SchemaFamily):
         return shares_communication(self.query, self.shares, row_counts)
 
     def expected_reducer_load(self, row_counts: Mapping[str, int]) -> float:
-        """Hash-balanced expected load per reducer on an *actual* instance.
+        """Hash-balanced expected load per reducer (the Section 5.5 analysis).
 
-        The Section 5.5 expectation of :meth:`max_reducer_size_formula`
-        evaluated with real relation sizes instead of the model's full
-        ``n^arity`` domains: relation ``R_e`` spreads its ``|R_e|`` tuples
-        over ``Π_{A ∈ A_e} s_A`` coordinate combinations.  On skewed inputs
-        the observed maximum can exceed this freely — that gap is exactly
-        what the profile-based tail certificates close.
+        Relation ``R_e`` spreads its ``row_counts[R_e]`` tuples over
+        ``Π_{A ∈ A_e} s_A`` coordinate combinations.  On skewed inputs, and
+        on small domains where hash buckets are unbalanced, the observed
+        maximum can exceed this freely — that gap is exactly what the
+        profile-based certificates close.
         """
         expected = 0.0
         for relation in self.query.relations:

@@ -30,7 +30,8 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         "--full-sweep",
         action="store_true",
         help="run all 78 seeded bound-first planning cases, not the tier-1 stride, "
-        "and both triangle reducer oracles on benchmark-sized graphs",
+        "both triangle reducer oracles on benchmark-sized graphs, and the "
+        "model-domain below-curve sweep at domain size 8",
     )
 
 

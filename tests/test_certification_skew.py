@@ -8,8 +8,9 @@ Three contracts are pinned here:
    probability (sampled profiles; the fixed seeds make the check
    deterministic) on the same instances.
 2. **The acceptance scenario** — on a seeded Zipf(1.2) multiway join, the
-   vanilla Shares winner's expected-size certificate is violated by its
-   observed load; the profile-aware planner rejects every vanilla candidate
+   Shares winner's hash-balanced expected load is exceeded by its observed
+   load while its full-domain certificate holds; the profile-aware planner
+   rejects every vanilla candidate
    at an instance-scale budget and selects a skew-resistant candidate whose
    certificate holds, producing the correct join.
 3. **Plumbing** — certification kinds survive through ``ExecutionPlan`` /
@@ -35,9 +36,8 @@ from repro.planner import (
     CostBasedPlanner,
     certify_max_reducer_load,
     certify_sample_graph_load,
-    expected_certification,
+    exact_certification,
 )
-from repro.planner.certify import expected_load_certification
 from repro.problems import JoinQuery, MultiwayJoinProblem
 from repro.problems.subgraphs import SampleGraph, SampleGraphProblem
 from repro.schemas import SharesSchema, SkewAwareSharesSchema
@@ -125,6 +125,7 @@ class TestZipfAcceptanceScenario:
 
     DOMAIN = 60
     BUDGET = 120  # instance-scale reducer budget
+    MODEL_BUDGET = 2000  # a budget some grid fits on the model's full domain
 
     @pytest.fixture(scope="class")
     def workload(self):
@@ -139,15 +140,17 @@ class TestZipfAcceptanceScenario:
     def test_vanilla_expected_certificate_is_a_fiction(self, workload):
         problem, relations, profile, records = workload
         planner = CostBasedPlanner.min_replication()
-        vanilla = planner.plan(problem, q=500).best
-        assert vanilla.certification.kind is CertificationKind.EXPECTED
-        expected = expected_load_certification(vanilla.family, profile)
+        vanilla = planner.plan(problem, q=self.MODEL_BUDGET).best
+        assert vanilla.certification.kind is CertificationKind.EXACT
+        expected = vanilla.family.expected_reducer_load(profile.row_counts())
         result = vanilla.execute(records, engine=MapReduceEngine())
         observed = result.metrics.shuffle.max_reducer_size
         # The observed maximum blows through the hash-balanced expectation
-        # (and through the instance-scale budget the profiled planner holds).
-        assert observed > expected.bound
+        # (and through the instance-scale budget the profiled planner holds),
+        # while the model-domain certificate bounds every instance.
+        assert observed > expected
         assert observed > self.BUDGET
+        assert vanilla.certification.bound >= observed
 
     def test_profiled_planner_rejects_vanilla_and_selects_certified(self, workload):
         problem, relations, profile, records = workload
@@ -240,11 +243,11 @@ class TestZipfAcceptanceScenario:
         assert plan.certification.load is not None
         assert plan.certification.load.max_load == plan.certification.bound
         assert plan.certification.load.has_profile
-        # And the expectation-only path still labels itself honestly: no
-        # certified load to price from, so the b·q term uses the bound.
-        vanilla = planner.plan(problem, q=500).best
-        assert vanilla.describe()["certified"] == "expected"
-        assert vanilla.describe()["pricing"] == "bound"
+        # The profile-less path is certified the same way, on the model's
+        # full domain.
+        vanilla = planner.plan(problem, q=self.MODEL_BUDGET).best
+        assert vanilla.describe()["certified"] == "exact"
+        assert vanilla.describe()["pricing"] == "certified-load"
 
 
 class TestSkewAwareSchema:
@@ -356,7 +359,7 @@ class TestCertificationValidation:
         with pytest.raises(ConfigurationError):
             high_probability_certification(10.0, delta=0.0)
         with pytest.raises(ConfigurationError):
-            expected_certification(-1.0)
+            exact_certification(-1.0)
 
     def test_uniform_inputs_enumerate_no_skew_candidates(self):
         problem = MultiwayJoinProblem(JoinQuery.chain(3), domain_size=8)

@@ -154,8 +154,14 @@ class TestPlanningBasics:
             name="ternary-join",
         )
         problem = MultiwayJoinProblem(query, 10)
-        best = planner.plan(problem, None, q=q).best
+        try:
+            best = planner.plan(problem, None, q=q).best
+        except PlanningError:
+            # No grid's certified full-domain load fits q = 100.
+            assert q == 100.0
+            return
         assert problem.lower_bound(q) <= best.replication_rate
+        assert best.certification.bound <= q
 
     def test_non_alon_sample_graph_plans_without_lower_bound(self, planner):
         problem = SampleGraphProblem(60, SampleGraph.path(2))

@@ -36,6 +36,7 @@ from repro.datagen.relations import (
 )
 from repro.exceptions import ConfigurationError
 from repro.planner import (
+    CertificationKind,
     CostBasedPlanner,
     default_schema_cache,
     optimize_shares,
@@ -314,9 +315,13 @@ class TestPlannerIntegration:
         for plan in optimized:
             assert plan.certification is not None
             assert plan.certification.bound == plan.q
-        # Without a profile the enumeration falls back to the grid sweep.
+        # Without a profile the optimizer serves the model's full domain.
         unprofiled = planner.plan(problem, q=200)
-        assert not any(plan.name.startswith("opt-") for plan in unprofiled.plans)
+        assert any(plan.name.startswith("opt-") for plan in unprofiled.plans)
+        assert all(
+            plan.certification.kind is CertificationKind.EXACT
+            for plan in unprofiled.plans
+        )
 
     def test_two_profiles_never_share_a_certificate(self):
         """PR-4 cache satellite: fingerprint keys prevent stale reuse.
