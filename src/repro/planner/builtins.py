@@ -12,7 +12,7 @@ SampleGraphProblem        generalized partition schema over ``k``
 HammingDistanceProblem    d=1: Splitting / pair-reducers / single-reducer /
                           weight-partition grids; d=2: segment deletion and
                           Ball-2; d>2: segment deletion
-MultiwayJoinProblem       Shares over chain/star/uniform share vectors
+MultiwayJoinProblem       Shares over the share optimizer's vectors
 MatrixMultiplicationPr.   one-phase tilings and the two-phase chain
 WordCountProblem          direct per-word grouping (replication exactly 1)
 GroupByAggregationProbl.  direct per-group aggregation, with/without combiner
@@ -55,16 +55,13 @@ from repro.datagen.relations import RelationInstance
 from repro.exceptions import ConfigurationError
 from repro.mapreduce.job import JobChain, MapReduceJob
 from repro.planner.cache import default_schema_cache
-from repro.planner.certify import (
-    certify_max_reducer_load,
-    certify_sample_graph_load,
-    exact_certification,
-)
+from repro.planner.certify import certify_sample_graph_load, exact_certification
 from repro.planner.registry import PlanCandidate, default_registry, thin_parameter_sweep
 from repro.planner.share_opt import (
     GRID_REDUCER_SWEEP,
     GRID_SKEW_SUBSHARES,
-    GRID_UNIFORM_SHARES,
+    CertificationCache,
+    ShareVector,
     optimize_shares,
     optimize_skew_shares,
 )
@@ -83,13 +80,7 @@ from repro.schemas.hamming_splitting import (
     SplittingSchema,
 )
 from repro.schemas.hamming_weight import HypercubeWeightSchema
-from repro.schemas.join_shares import (
-    SharesSchema,
-    SkewAwareSharesSchema,
-    binary_join_share_grid,
-    chain_join_shares,
-    star_join_shares,
-)
+from repro.schemas.join_shares import SharesSchema, SkewAwareSharesSchema
 from repro.schemas.matmul_one_phase import OnePhaseTilingSchema
 from repro.schemas.matmul_two_phase import TwoPhaseMatMulAlgorithm
 from repro.schemas.sample_graphs import (
@@ -99,15 +90,6 @@ from repro.schemas.sample_graphs import (
 from repro.schemas.triangles import PartitionTriangleSchema
 from repro.schemas.two_paths import TwoPathSchema
 
-#: Grid sizes tried for the Shares join (total reducers per share vector)
-#: and uniform shares tried on the join's shared attributes.  Defined in
-#: :mod:`repro.planner.share_opt` so the optimizer's "never worse than the
-#: grid" floor and this enumeration can never drift apart.
-_SHARES_REDUCER_SWEEP = GRID_REDUCER_SWEEP
-_SHARES_UNIFORM_SWEEP = GRID_UNIFORM_SHARES
-#: Sub-grid shares tried for profiled heavy-hitter isolation.  Shared with
-#: the skew sub-grid optimizer, whose seed pool treats these as its floor.
-_SKEW_SUBSHARE_SWEEP = GRID_SKEW_SUBSHARES
 #: At most this many heavy values are isolated onto dedicated sub-grids.
 _MAX_HEAVY_VALUES = 6
 #: Non-uniform sample-graph bucketings tried per profiled graph.
@@ -573,16 +555,21 @@ def join_candidates(
 ) -> Iterator[PlanCandidate]:
     """Shares candidates, each certified by a per-bucket load bound.
 
-    Every candidate's q is :func:`certify_max_reducer_load` on a profile:
+    Every candidate's q is
+    :func:`~repro.planner.certify.certify_max_reducer_load` on a profile:
     the caller's :class:`~repro.stats.profile.DatasetProfile` when it
     covers the query's relations, else the exact profile of the model's
     full domain.  A candidate whose bound blows the budget is rejected.
-    Besides the fixed share-vector grid, the enumeration holds *optimized*
-    share vectors chosen per reducer budget by the Lagrangean optimizer in
-    :mod:`repro.planner.share_opt` (never worse than the best fixed-grid
-    vector under the certified bound), and skew-resistant variants
-    (profiled heavy hitters isolated onto dedicated sub-grids), which a
-    uniform profile never enumerates.
+    The share vectors are the optimizer's (:mod:`repro.planner.share_opt`):
+    per reducer budget of the sweep, every vector it certified — its
+    seeds, its climb and the fixed grid — that no other beats on
+    replication rate, effective load and certified maximum, so the
+    cheapest vector under any cluster cost model is offered; the union
+    over the budgets holds each vector once.  Skew-resistant variants
+    (profiled heavy hitters isolated onto dedicated sub-grids) follow,
+    which a uniform profile never enumerates.  One
+    :class:`~repro.planner.share_opt.CertificationCache` serves the whole
+    enumeration, so no schema is certified twice.
     """
     query = problem.query
     query_key = _query_cache_key(query)
@@ -593,78 +580,47 @@ def join_candidates(
             lambda: _model_domain_profile(query, problem.domain_size),
         )
     fingerprint = profile.fingerprint()
-    # The epsilon-free bucket-weight table every candidate kind below
-    # shares: its cells depend on the profile alone, and an oracle records
-    # a sampled cell before looking it up, so sharing changes no
-    # certificate.  It lives for this call — cache hits rebuild nothing.
-    bucket_cache: Dict[Any, Any] = {}
+    cache = CertificationCache(query, profile, problem.domain_size)
 
-    def certified(shares: Dict[str, int]) -> PlanCandidate:
-        schema = SharesSchema(query, shares, problem.domain_size)
-        return _certified_candidate(
-            schema,
-            query,
-            certify_max_reducer_load(schema, profile, bucket_cache=bucket_cache),
-        )
-
-    for shares in _share_vectors(query):
-        shares_key = tuple(sorted(shares.items()))
-        candidate = default_schema_cache.get(
-            ("shares", query_key, problem.domain_size, shares_key, fingerprint),
-            lambda shares=shares: certified(shares),
-        )
-        if candidate.q <= q:
-            yield candidate
-
-    def optimized(budget: int) -> PlanCandidate:
+    def optimized(budget: int) -> Tuple[ShareVector, Tuple[PlanCandidate, ...]]:
         # Cached under the profile fingerprint: the same (query, domain,
         # budget) under a different profile is a different optimization
         # problem and must never reuse a stale vector or certificate.
         return default_schema_cache.get(
             ("opt-shares", query_key, problem.domain_size, budget, fingerprint),
-            lambda: _build_optimized_shares_candidate(
-                problem, budget, profile, bucket_cache
-            ),
+            lambda: _build_optimized_shares_candidates(problem, budget, cache),
         )
 
-    for budget in _SHARES_REDUCER_SWEEP:
-        candidate = optimized(budget)
-        if candidate.q <= q:
-            yield candidate
+    offered = set()
+    for budget in GRID_REDUCER_SWEEP:
+        for candidate in optimized(budget)[1]:
+            if candidate.name not in offered and candidate.q <= q:
+                offered.add(candidate.name)
+                yield candidate
     yield from _skew_candidates(
-        problem, q, profile, query_key, fingerprint, bucket_cache, optimized
+        problem, q, query_key, fingerprint, cache, lambda budget: optimized(budget)[0]
     )
 
 
 # -- profile-optimized share vectors ------------------------------------
-def _build_optimized_shares_candidate(
-    problem: MultiwayJoinProblem,
-    budget: int,
-    profile: DatasetProfile,
-    bucket_cache: Dict[Any, Any],
-) -> PlanCandidate:
-    """Optimize a share vector for ``budget`` reducers, certified.
+def _build_optimized_shares_candidates(
+    problem: MultiwayJoinProblem, budget: int, cache: CertificationCache
+) -> Tuple[ShareVector, Tuple[PlanCandidate, ...]]:
+    """The optimizer's winner for ``budget`` and its frontier as candidates.
 
-    The optimizer scores by the certified bound and hands back the
-    winner's certification, so no second certification pass runs here;
-    the candidate is named ``opt-shares[...]`` to stay distinguishable
-    from the grid enumeration even when the optimizer lands on a grid
-    point.
+    Each candidate carries the certificate the optimizer certified it
+    with, and is named ``opt-shares[...]`` after its source.
     """
     query = problem.query
     optimization = optimize_shares(
-        query,
-        budget,
-        profile=profile,
-        domain_size=problem.domain_size,
-        bucket_cache=bucket_cache,
+        query, budget, cache.profile, problem.domain_size, cache=cache
     )
-    schema = SharesSchema(query, optimization.shares, problem.domain_size)
-    schema.name = f"opt-{schema.name}"
-    # The caller guarantees a covering profile, so the optimizer's metric
-    # was the certified bound and the winner arrives certified.
-    assert optimization.certification is not None
-    return _certified_candidate(schema, query, optimization.certification)
+    candidates = []
+    for shares, certification in optimization.frontier:
+        schema = SharesSchema(query, shares, problem.domain_size)
+        schema.name = f"opt-{schema.name}"
+        candidates.append(_certified_candidate(schema, query, certification))
+    return optimization.shares, tuple(candidates)
 
 
 # -- profiled heavy-hitter isolation -----------------------------------
@@ -714,20 +670,19 @@ def _profiled_skew(
 def _skew_candidates(
     problem: MultiwayJoinProblem,
     q: float,
-    profile: DatasetProfile,
     query_key: Tuple[Any, ...],
     fingerprint: int,
-    bucket_cache: Dict[Any, Any],
-    optimized: Callable[[int], PlanCandidate],
+    cache: CertificationCache,
+    main_shares: Callable[[int], ShareVector],
 ) -> Iterator[PlanCandidate]:
     """Heavy-hitter sub-grids: the fixed sweep, then one optimized per budget.
 
-    ``optimized(budget)`` is the enumeration's (cached) ``opt-shares``
-    candidate; its share vector is the main grid the sub-grid optimizer
-    would otherwise re-derive with a second ``optimize_shares`` run.
+    ``main_shares(budget)`` is the enumeration's (cached) optimizer winner
+    for the budget: the main grid the sub-grid optimizer would otherwise
+    re-derive with a second ``optimize_shares`` run.
     """
     query = problem.query
-    selection = _profiled_skew(query, profile)
+    selection = _profiled_skew(query, cache.profile)
     if selection is None:
         return
     skew_attribute, heavy_values = selection
@@ -744,24 +699,15 @@ def _skew_candidates(
         return
     heavy_key = tuple(sorted(heavy_values, key=repr))
 
-    def build(shares: Dict[str, int], heavy_shares: Dict[str, int]) -> PlanCandidate:
-        schema = SkewAwareSharesSchema(
-            query,
-            shares,
-            problem.domain_size,
-            skew_attribute=skew_attribute,
-            heavy_values=heavy_values,
-            heavy_shares=heavy_shares,
+    def build(shares: ShareVector, heavy_shares: ShareVector) -> PlanCandidate:
+        schema, certification, _ = cache.skew_shares(
+            shares, skew_attribute, heavy_values, heavy_shares
         )
-        return _certified_candidate(
-            schema,
-            query,
-            certify_max_reducer_load(schema, profile, bucket_cache=bucket_cache),
-        )
+        return _certified_candidate(schema, query, certification)
 
-    for shares in _share_vectors(query):
+    for shares in cache.grid:
         shares_key = tuple(sorted(shares.items()))
-        for sub_share in _SKEW_SUBSHARE_SWEEP:
+        for sub_share in GRID_SKEW_SUBSHARES:
             heavy_shares = {attribute: sub_share for attribute in co_occurring}
             candidate = default_schema_cache.get(
                 (
@@ -780,7 +726,7 @@ def _skew_candidates(
             )
             if candidate.q <= q:
                 yield candidate
-    for budget in _SHARES_REDUCER_SWEEP:
+    for budget in GRID_REDUCER_SWEEP:
         candidate = default_schema_cache.get(
             (
                 "opt-skew-shares",
@@ -796,9 +742,8 @@ def _skew_candidates(
                 budget,
                 skew_attribute,
                 heavy_values,
-                profile,
-                bucket_cache,
-                optimized(budget).family.shares,
+                cache,
+                main_shares(budget),
             ),
         )
         if candidate.q <= q:
@@ -810,9 +755,8 @@ def _build_optimized_skew_candidate(
     budget: int,
     skew_attribute: str,
     heavy_values: Tuple[int, ...],
-    profile: DatasetProfile,
-    bucket_cache: Dict[Any, Any],
-    main_shares: Dict[str, int],
+    cache: CertificationCache,
+    main_shares: ShareVector,
 ) -> PlanCandidate:
     """Optimize a non-uniform heavy-hitter sub-grid for ``budget``.
 
@@ -827,12 +771,12 @@ def _build_optimized_skew_candidate(
     optimization = optimize_skew_shares(
         query,
         budget,
-        profile=profile,
+        profile=cache.profile,
         domain_size=problem.domain_size,
         skew_attribute=skew_attribute,
         heavy_values=heavy_values,
         shares=main_shares,
-        bucket_cache=bucket_cache,
+        cache=cache,
     )
     schema = SkewAwareSharesSchema(
         query,
@@ -843,40 +787,7 @@ def _build_optimized_skew_candidate(
         heavy_shares=optimization.heavy_shares,
     )
     schema.name = f"opt-{schema.name}"
-    assert optimization.certification is not None
     return _certified_candidate(schema, query, optimization.certification)
-
-
-def _share_vectors(query: JoinQuery) -> List[Dict[str, int]]:
-    """Candidate share vectors: trivial, shape-specific, uniform-on-shared.
-
-    Two-relation queries additionally enumerate the binary hash-join /
-    skew-splitting shapes of :func:`binary_join_shares` — the shapes the
-    multi-round pipeline planner's cascade rounds run on.
-    """
-    vectors: List[Dict[str, int]] = [{a: 1 for a in query.attributes}]
-    if query.name.startswith("chain-join"):
-        for reducers in _SHARES_REDUCER_SWEEP:
-            vectors.append(chain_join_shares(query.num_relations, reducers))
-    elif query.name.startswith("star-join"):
-        num_dimensions = query.num_relations - 1
-        for reducers in _SHARES_REDUCER_SWEEP:
-            vectors.append(star_join_shares(num_dimensions, reducers))
-    vectors.extend(binary_join_share_grid(query, _SHARES_REDUCER_SWEEP))
-    membership: Dict[str, int] = {}
-    for relation in query.relations:
-        for attribute in relation.attributes:
-            membership[attribute] = membership.get(attribute, 0) + 1
-    shared = {a for a, count in membership.items() if count >= 2}
-    for share in _SHARES_UNIFORM_SWEEP:
-        vectors.append(
-            {a: share if a in shared else 1 for a in query.attributes}
-        )
-    unique: Dict[Tuple[Tuple[str, int], ...], Dict[str, int]] = {}
-    for vector in vectors:
-        key = tuple(sorted(vector.items()))
-        unique.setdefault(key, vector)
-    return list(unique.values())
 
 
 def _shares_job(schema: SharesSchema, query: JoinQuery) -> Any:

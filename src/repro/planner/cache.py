@@ -80,8 +80,8 @@ class SchemaCache:
     ----------
     maxsize:
         Maximum number of cached entries; ``None`` (the default) means
-        unbounded.  Measured: one profiled 3-chain round enters 63
-        candidates, one two-relation cascade round ~416.  When bounded,
+        unbounded.  Measured: one profiled 3-chain round enters 45
+        entries, one two-relation cascade round ~190.  When bounded,
         the least recently used entry is evicted first.
     """
 
@@ -154,10 +154,10 @@ class SchemaCache:
 
 #: The cache the built-in candidate builders share.  Bounded (LRU) so
 #: long-lived sessions sweeping many distinct problem parameters cannot
-#: grow it without limit.  A cold 3-chain pipeline plan enters 63 entries
-#: when the bound-first search prunes both cascades (1 727 before it, and
-#: still when ``complete()`` plans them): the bound holds two fully
-#: planned such queries at once, not three.
+#: grow it without limit.  A cold 3-chain pipeline plan enters 45 entries
+#: when the bound-first search prunes both cascades and 789 when
+#: ``complete()`` plans them: the bound holds five fully planned such
+#: queries at once.
 #: Tests that assert build counts should ``clear()`` it first to start
 #: from known counters.
 default_schema_cache = SchemaCache(maxsize=4096)

@@ -1,17 +1,14 @@
 """Profile-driven share-vector optimization for the Shares algorithm.
 
-The planner's fixed grids (:data:`GRID_REDUCER_SWEEP` crossed with
-chain/star/uniform shapes — the constants live here and
-:mod:`repro.planner.builtins` imports them) sample the share space at a
-handful of hand-picked points.  The Shares analysis, however, poses a concrete
-optimization problem: given a reducer budget ``k``, pick integer shares
-``s_A ≥ 1`` with ``Π_A s_A ≤ k`` minimizing the communication
+The Shares analysis poses a concrete optimization problem: given a reducer
+budget ``k``, pick integer shares ``s_A ≥ 1`` with ``Π_A s_A ≤ k``
+minimizing the communication
 
     C(s) = Σ_e  w_e · Π_{A ∉ A_e} s_A
 
-where ``w_e`` is relation ``R_e``'s size — the model's ``n^arity`` in the
-paper, the *profiled row count* when a :class:`~repro.stats.profile.
-DatasetProfile` is available.  In log-shares ``x_A = ln s_A`` the objective
+where ``w_e`` is relation ``R_e``'s profiled row count (the model's
+``n^arity`` on the exact full-domain profile the planner certifies against
+when it has no data).  In log-shares ``x_A = ln s_A`` the objective
 ``Σ_e w_e · exp(Σ_{A∉e} x_A)`` is convex and the budget becomes the simplex
 constraint ``Σ x_A = ln k, x ≥ 0``, so the continuous relaxation is solved
 exactly by projected gradient descent (the Lagrangean stationarity
@@ -26,33 +23,37 @@ Integers are recovered in three guarded steps:
    below 1), so the reducer budget is *never* exceeded and no share can
    reach 0; the invariant is asserted on every returned vector;
 3. **local search** — hill-climb over ±1 neighbours inside the budget on
-   the selection metric.
+   the **certified maximum reducer load**
+   (:func:`~repro.planner.certify.certify_max_reducer_load` — exact
+   per-bucket tail bounds, the same certificates the planner enforces),
+   profiled communication breaking ties.
 
-The selection metric is where the profile earns its keep: with a covering
-profile, candidate vectors are scored by their **certified maximum reducer
-load** (:func:`~repro.planner.certify.certify_max_reducer_load` — exact
-per-bucket tail bounds, the same certificates the planner enforces), with
-profiled communication as the tie-break; without a profile, by expected
-communication alone.  The paper-shaped grid vectors for the same budget —
-budget-repaired like every vector the optimizer may return, since the
-closed forms round *up* and can overshoot ``k`` — are always included in
-the scored pool, so the optimizer's choice is by construction **never
-worse under the metric than the best fixed-grid vector that fits the
-budget**.  (The planner's vanilla enumeration separately offers the
-unrepaired shapes, which may spend more than ``k`` reducers; both
-candidate sets meet in the ranked plan list, so nothing is lost either
-way.)  (Abo Khamis–Ngo–Suciu make the same move for
-worst-case-optimal joins: instance statistics turn a shape-generic bound
-into a materially tighter one.)
+The fixed grid (:func:`grid_share_vectors`: trivial, chain/star closed
+forms, binary hash-join shapes and uniform shares on the shared
+attributes) is defined here and nowhere else.  Its shapes for the budget,
+repaired into it, seed the climb, so the winner is **never worse under the
+certified bound than the best grid vector that fits the budget**.  After
+the climb the whole sweep grid is certified as well, and the optimizer
+returns as its ``frontier`` every vector it certified that no other beats
+on replication rate, effective load and certified maximum — the three
+numbers a :class:`~repro.core.cost.ClusterCostModel` prices a certified
+candidate by — so the cheapest vector under any such cost model is in it.
+The planner's Shares candidates are these frontiers and nothing else.
+(Abo Khamis–Ngo–Suciu make the same move for worst-case-optimal joins:
+instance statistics turn a shape-generic bound into a materially tighter
+one.)
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.exceptions import ConfigurationError
 from repro.planner.certify import Certification, certify_max_reducer_load
@@ -74,11 +75,9 @@ _MAX_ROUNDING_COORDINATES = 10
 #: Hill-climbing steps before the local search gives up.
 _MAX_LOCAL_SEARCH_STEPS = 64
 
-#: The fixed-grid enumeration constants.  These are the *single source of
-#: truth* — :mod:`repro.planner.builtins` imports them for its grid sweep —
-#: so the vectors the optimizer treats as its floor are exactly the vectors
-#: the planner would otherwise enumerate; a value added to the grid is
-#: automatically in the optimizer's scored pool too.
+#: The fixed grid: the reducer counts the planner optimizes for (and the
+#: chain/star/binary shapes are taken at), and the uniform shares tried on
+#: the join's shared attributes.
 GRID_REDUCER_SWEEP = (2, 4, 8, 16, 27, 32, 64, 128, 256)
 GRID_UNIFORM_SHARES = (2, 3, 4, 6, 8)
 #: Uniform per-value sub-grid shares tried for heavy-hitter isolation —
@@ -86,28 +85,28 @@ GRID_UNIFORM_SHARES = (2, 3, 4, 6, 8)
 GRID_SKEW_SUBSHARES = (2, 4, 8)
 
 ShareVector = Dict[str, int]
+VectorKey = Tuple[Tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
 class ShareOptimization:
     """The outcome of one share-vector optimization at one reducer budget.
 
-    ``shares`` is the chosen integer vector (``Π ≤ budget`` guaranteed);
+    ``shares`` is the climb's winner (``Π ≤ budget`` guaranteed),
     ``continuous`` the Lagrangean relaxation's solution it was rounded
-    from; ``score`` the selection-metric value of the winner and
-    ``metric`` which metric ranked the pool (``"certified-bound"`` with a
-    profile, ``"expected-communication"`` without).
+    from, ``score`` and ``certification`` the winner's certified maximum
+    reducer load and certificate.  ``frontier`` holds every vector the
+    optimization certified (seeds, climb and the sweep grid) that no other
+    beats on replication rate, effective load and certified maximum, each
+    with its certificate, ordered by those three.
     """
 
     shares: ShareVector
     continuous: Dict[str, float]
     score: float
-    metric: str
     budget: int
-    #: The winner's certification, when the selection metric was the
-    #: certified bound — callers building plan candidates can reuse it
-    #: instead of certifying the same schema a second time.
-    certification: Optional[Certification] = None
+    certification: Certification
+    frontier: Tuple[Tuple[ShareVector, Certification], ...] = ()
     #: Wall-clock seconds this optimization took (relaxation + rounding +
     #: certification + hill-climb) — the quantity the cost model's
     #: ``planning_rate`` term prices so optimizer cost can be amortized.
@@ -115,42 +114,100 @@ class ShareOptimization:
 
     @property
     def num_reducers(self) -> int:
-        product = 1
-        for share in self.shares.values():
-            product *= share
-        return product
+        return share_product(self.shares)
+
+
+class Certified(NamedTuple):
+    """One certified schema, with the model-domain replication rate it ranks by."""
+
+    schema: SharesSchema
+    certification: Certification
+    replication_rate: float
+
+
+class CertificationCache:
+    """Shares certificates over one profile, each schema certified once.
+
+    Scoped to one candidate enumeration — one query, profile and domain
+    size: every budget's optimization, its climb, the sweep grid and the
+    heavy-hitter sub-grids certify through one instance, so no schema is
+    certified twice, and all of them share the epsilon-free bucket-weight
+    table (its cells depend on the profile alone, and an oracle records a
+    sampled cell before looking it up, so sharing changes no certificate).
+    ``grid`` is the query's sweep grid, built on first use.
+    """
+
+    def __init__(
+        self, query: JoinQuery, profile: DatasetProfile, domain_size: int
+    ) -> None:
+        self.query = query
+        self.profile = profile
+        self.domain_size = domain_size
+        self._buckets: Dict[Tuple, Tuple[float, ...]] = {}
+        self._certified: Dict[Tuple, Certified] = {}
+
+    @functools.cached_property
+    def grid(self) -> List[ShareVector]:
+        return grid_share_vectors(self.query)
+
+    def shares(self, shares: Mapping[str, int]) -> Certified:
+        """The Shares schema of ``shares``, certified."""
+        return self._certify(
+            (_vector_key(shares),),
+            lambda: SharesSchema(self.query, shares, self.domain_size),
+        )
+
+    def skew_shares(
+        self,
+        shares: Mapping[str, int],
+        skew_attribute: str,
+        heavy_values: Sequence[int],
+        heavy_shares: Mapping[str, int],
+    ) -> Certified:
+        """The heavy-hitter schema on main grid ``shares``, certified."""
+        return self._certify(
+            (
+                _vector_key(shares),
+                skew_attribute,
+                tuple(heavy_values),
+                _vector_key(heavy_shares),
+            ),
+            lambda: SkewAwareSharesSchema(
+                self.query,
+                shares,
+                self.domain_size,
+                skew_attribute=skew_attribute,
+                heavy_values=heavy_values,
+                heavy_shares=heavy_shares,
+            ),
+        )
+
+    def _certify(self, key: Tuple, build: Callable[[], SharesSchema]) -> Certified:
+        entry = self._certified.get(key)
+        if entry is None:
+            schema = build()
+            entry = self._certified[key] = Certified(
+                schema,
+                certify_max_reducer_load(
+                    schema, self.profile, bucket_cache=self._buckets
+                ),
+                schema.replication_rate_formula(),
+            )
+        return entry
 
 
 # ----------------------------------------------------------------------
 # Weights
 # ----------------------------------------------------------------------
-def relation_weights(
-    query: JoinQuery,
-    profile: Optional[DatasetProfile] = None,
-    domain_size: Optional[int] = None,
-) -> Dict[str, float]:
-    """Communication weight per relation: profiled rows, else ``n^arity``.
+def relation_weights(query: JoinQuery, profile: DatasetProfile) -> Dict[str, float]:
+    """Communication weight per relation: its profiled row count.
 
-    A profile that does not cover every relation of the query is ignored
-    (same rule the profile-aware candidate builders apply).  Only the
-    *query's* relations are weighted — a profile collected over a larger
-    dataset may carry unrelated (and much bigger) relations whose counts
-    would otherwise distort the relaxation's normalization.
+    Only the *query's* relations are weighted — a profile collected over a
+    larger dataset may carry unrelated (and much bigger) relations whose
+    counts would otherwise distort the relaxation's normalization.
     """
-    if profile is not None and profile.covers(
-        [relation.name for relation in query.relations]
-    ):
-        counts = profile.row_counts()
-        return {
-            relation.name: float(counts[relation.name])
-            for relation in query.relations
-        }
-    if domain_size is not None:
-        return {
-            relation.name: float(domain_size**relation.arity)
-            for relation in query.relations
-        }
-    return {relation.name: 1.0 for relation in query.relations}
+    counts = profile.row_counts()
+    return {relation.name: float(counts[relation.name]) for relation in query.relations}
 
 
 # ----------------------------------------------------------------------
@@ -317,39 +374,45 @@ def _rounding_candidates(
     return [repair_shares(vector, budget) for vector in vectors]
 
 
-def grid_share_vectors(query: JoinQuery, budget: int) -> List[ShareVector]:
-    """The fixed-grid vectors for this budget: the optimizer's floor.
+def grid_share_vectors(
+    query: JoinQuery, budget: Optional[int] = None
+) -> List[ShareVector]:
+    """The fixed grid: trivial, chain/star closed forms, binary, uniform.
 
-    Mirrors the shapes the builtins' grid sweep enumerates — trivial,
-    chain/star closed forms, uniform-on-shared — every one repaired into
-    the budget so the comparison is at equal reducer count.  The chain and
-    star closed forms round *up* (``chain_join_shares(3, 8)`` yields 3×3 =
-    9 reducers), so the repaired vector here can differ from the vanilla
-    candidate builtins enumerates for the same nominal ``reducers`` value;
-    the dominance guarantee is over vectors that *fit the budget*, which
-    is the constraint the optimizer itself must honour.
+    Without ``budget``, the sweep grid: the chain/star closed forms and the
+    binary hash-join / skew-splitting shapes (two-relation queries, through
+    the one gate :func:`~repro.schemas.join_shares.binary_join_share_grid`)
+    at every count of :data:`GRID_REDUCER_SWEEP`, plus every uniform share
+    of :data:`GRID_UNIFORM_SHARES` on the shared attributes, as built.
+    With ``budget``, the climb's seeds: the shapes at that one count and
+    the uniform vectors that fit it, each repaired into the budget — the
+    closed forms round *up* (``chain_join_shares(3, 8)`` yields 3×3 = 9
+    reducers), and the optimizer must honour the budget.
     """
+    reducer_counts = GRID_REDUCER_SWEEP if budget is None else (budget,)
     vectors: List[ShareVector] = [{a: 1 for a in query.attributes}]
     if query.name.startswith("chain-join"):
-        vectors.append(chain_join_shares(query.num_relations, budget))
+        for reducers in reducer_counts:
+            vectors.append(chain_join_shares(query.num_relations, reducers))
     elif query.name.startswith("star-join"):
-        vectors.append(star_join_shares(query.num_relations - 1, budget))
-    # The binary hash-join / skew-splitting shapes builtins enumerates for
-    # two-relation queries (one shared gate, so the optimizer's scored pool
-    # keeps the never-worse-than-the-grid guarantee there too).
-    vectors.extend(binary_join_share_grid(query, (budget,)))
+        for reducers in reducer_counts:
+            vectors.append(star_join_shares(query.num_relations - 1, reducers))
+    vectors.extend(binary_join_share_grid(query, reducer_counts))
     membership: Dict[str, int] = {}
     for relation in query.relations:
         for attribute in relation.attributes:
             membership[attribute] = membership.get(attribute, 0) + 1
     shared = {a for a, count in membership.items() if count >= 2}
     for share in GRID_UNIFORM_SHARES:
-        uniform = {
-            a: share if a in shared else 1 for a in query.attributes
-        }
-        if share_product(uniform) <= budget:
+        uniform = {a: share if a in shared else 1 for a in query.attributes}
+        if budget is None or share_product(uniform) <= budget:
             vectors.append(uniform)
-    return [repair_shares(vector, budget) for vector in vectors]
+    if budget is not None:
+        vectors = [repair_shares(vector, budget) for vector in vectors]
+    unique: Dict[VectorKey, ShareVector] = {}
+    for vector in vectors:
+        unique.setdefault(_vector_key(vector), vector)
+    return list(unique.values())
 
 
 def _neighbours(shares: ShareVector, budget: int) -> List[ShareVector]:
@@ -366,8 +429,42 @@ def _neighbours(shares: ShareVector, budget: int) -> List[ShareVector]:
     return moves
 
 
-def _vector_key(shares: Mapping[str, int]) -> Tuple[Tuple[str, int], ...]:
+def _vector_key(shares: Mapping[str, int]) -> VectorKey:
     return tuple(sorted(shares.items()))
+
+
+def _frontier(
+    entries: Iterable[Certified],
+) -> Tuple[Tuple[ShareVector, Certification], ...]:
+    """The entries no other beats on replication, effective and max load.
+
+    Those three are all :meth:`~repro.core.cost.ClusterCostModel.cost_at`
+    reads of a certified candidate, each priced by a non-negative rate, so
+    a dropped entry never costs less than one kept.  Of entries equal on
+    all three the first schema name stays, the planner's own tie-break.
+    Sorted on the three, an entry is beaten exactly when a kept one is no
+    worse on effective and maximum load.
+    """
+    ranked = sorted(
+        (
+            (
+                rate,
+                certification.load.effective_load(),
+                certification.bound,
+                schema.name,
+            ),
+            schema,
+            certification,
+        )
+        for schema, certification, rate in entries
+    )
+    kept: List[Tuple[float, float]] = []
+    frontier: List[Tuple[ShareVector, Certification]] = []
+    for (_, effective, maximum, _), schema, certification in ranked:
+        if not any(e <= effective and m <= maximum for e, m in kept):
+            kept.append((effective, maximum))
+            frontier.append((schema.shares, certification))
+    return tuple(frontier)
 
 
 # ----------------------------------------------------------------------
@@ -376,78 +473,54 @@ def _vector_key(shares: Mapping[str, int]) -> Tuple[Tuple[str, int], ...]:
 def optimize_shares(
     query: JoinQuery,
     budget: int,
-    profile: Optional[DatasetProfile] = None,
-    domain_size: Optional[int] = None,
-    weights: Optional[Mapping[str, float]] = None,
-    bucket_cache: Optional[Dict[Tuple, Tuple[float, ...]]] = None,
+    profile: DatasetProfile,
+    domain_size: int,
+    cache: Optional[CertificationCache] = None,
 ) -> ShareOptimization:
-    """Choose a Shares vector for ``budget`` reducers, profile-informed.
+    """Choose Shares vectors for ``budget`` reducers, certified on ``profile``.
 
-    Solves the continuous log-share relaxation under the (profiled)
-    communication weights, recovers integers (rounding + budget repair +
-    hill-climbing), and selects among the recovered vectors *and* the
-    fixed-grid vectors for the same budget:
+    Solves the continuous log-share relaxation under the profiled row
+    counts, recovers integers (rounding + budget repair), seeds the pool
+    with the fixed-grid vectors for the same budget and hill-climbs from
+    the best by certified maximum reducer load, communication breaking
+    ties — so the winner's certificate is never worse than the best grid
+    vector's.  The whole sweep grid is then certified too, and the
+    returned :class:`ShareOptimization` carries the winner
+    (``Π s_A ≤ budget``, every share ≥ 1) and the ``frontier`` of
+    everything certified.
 
-    * with a covering exact-or-sampled ``profile`` (and ``domain_size``
-      for the schema's closed forms), by certified maximum reducer load,
-      communication as tie-break — so the returned vector's certificate is
-      never worse than the best grid vector's;
-    * otherwise by expected communication under ``weights`` (explicit, or
-      derived from the profile / ``domain_size``).
-
-    The returned :class:`ShareOptimization` always satisfies
-    ``Π s_A ≤ budget`` with every share ≥ 1.  ``bucket_cache`` optionally
-    shares the epsilon-free bucket-weight table with other optimizations
-    over the same profile (the table's cells are budget-independent, so a
-    caller sweeping many budgets avoids rebucketing the histograms per
-    budget).
+    ``profile`` must cover the query's relations; ``domain_size`` fixes
+    the schemas' model-domain replication rates.  ``cache`` shares
+    certificates with other optimizations of the same query, profile and
+    domain size (a caller sweeping many budgets certifies each schema
+    once); by default the call certifies into a private one.
     """
     if budget < 1:
         raise ConfigurationError(f"reducer budget must be >= 1, got {budget}")
+    if not profile.covers([relation.name for relation in query.relations]):
+        raise ConfigurationError(
+            "optimize_shares needs a profile covering every relation of "
+            f"query {query.name!r}; scoring is by certified reducer load"
+        )
     started = time.perf_counter()
-    resolved_weights = (
-        dict(weights)
-        if weights is not None
-        else relation_weights(query, profile=profile, domain_size=domain_size)
-    )
-    usable_profile = (
-        profile
-        if profile is not None
-        and domain_size is not None
-        and profile.covers([relation.name for relation in query.relations])
-        else None
-    )
+    if cache is None:
+        cache = CertificationCache(query, profile, domain_size)
+    weights = relation_weights(query, profile)
+    # What this optimization certified: the frontier is taken over these
+    # alone, whatever else the shared cache holds.
+    certified: List[Certified] = []
+    scored: Dict[VectorKey, Tuple[float, float]] = {}
 
-    score_cache: Dict[Tuple[Tuple[str, int], ...], Tuple[float, ...]] = {}
-    certifications: Dict[Tuple[Tuple[str, int], ...], Certification] = {}
-    # One epsilon-free bucket-weight table for every vector scored in this
-    # call (or across calls, when the caller passes one in): share values
-    # recur heavily across the pool and the hill-climb neighbourhood, and
-    # rebucketing the histograms per certification is otherwise the
-    # optimizer's dominant cost.
-    if bucket_cache is None:
-        bucket_cache = {}
-
-    def score(shares: ShareVector) -> Tuple[float, ...]:
+    def score(shares: ShareVector) -> Tuple[float, float]:
         key = _vector_key(shares)
-        cached = score_cache.get(key)
-        if cached is not None:
-            return cached
-        communication = shares_communication(query, shares, resolved_weights)
-        if usable_profile is not None:
-            schema = SharesSchema(query, shares, domain_size)
-            certification = certify_max_reducer_load(
-                schema, usable_profile, bucket_cache=bucket_cache
-            )
-            certifications[key] = certification
-            result: Tuple[float, ...] = (certification.bound, communication)
-        else:
-            result = (communication,)
-        score_cache[key] = result
-        return result
+        if key not in scored:
+            certified.append(cache.shares(shares))
+            bound = certified[-1].certification.bound
+            scored[key] = (bound, shares_communication(query, shares, weights))
+        return scored[key]
 
-    continuous = optimize_log_shares(query, budget, resolved_weights)
-    pool: Dict[Tuple[Tuple[str, int], ...], ShareVector] = {}
+    continuous = optimize_log_shares(query, budget, weights)
+    pool: Dict[VectorKey, ShareVector] = {}
     for vector in _rounding_candidates(continuous, budget):
         pool.setdefault(_vector_key(vector), vector)
     for vector in grid_share_vectors(query, budget):
@@ -467,18 +540,16 @@ def optimize_shares(
         if not improved:
             break
 
-    metric = (
-        "certified-bound" if usable_profile is not None else "expected-communication"
-    )
     chosen = repair_shares(best, budget)
-    chosen_score = score(chosen)[0]
+    for vector in cache.grid:
+        score(vector)
     return ShareOptimization(
         shares=chosen,
         continuous=continuous,
-        score=chosen_score,
-        metric=metric,
+        score=score(chosen)[0],
         budget=budget,
-        certification=certifications.get(_vector_key(chosen)),
+        certification=cache.shares(chosen).certification,
+        frontier=_frontier(certified),
         elapsed_seconds=time.perf_counter() - started,
     )
 
@@ -504,7 +575,7 @@ class SkewShareOptimization:
     heavy_values: Tuple[int, ...]
     score: float
     budget: int
-    certification: Optional[Certification] = None
+    certification: Certification
     elapsed_seconds: float = 0.0
 
 
@@ -516,7 +587,7 @@ def optimize_skew_shares(
     skew_attribute: str,
     heavy_values: Sequence[int],
     shares: Optional[Mapping[str, int]] = None,
-    bucket_cache: Optional[Dict[Tuple, Tuple[float, ...]]] = None,
+    cache: Optional[CertificationCache] = None,
 ) -> SkewShareOptimization:
     """Hill-climb a *non-uniform* heavy-hitter sub-grid, certified.
 
@@ -543,7 +614,8 @@ def optimize_skew_shares(
     ``shares`` optionally pins the main-grid vector; by default it is the
     certified winner of :func:`optimize_shares` at the same budget.
     ``profile`` must cover the query's relations — scoring is by
-    certificate, which needs the histograms.
+    certificate, which needs the histograms.  ``cache`` is as for
+    :func:`optimize_shares`.
     """
     if budget < 1:
         raise ConfigurationError(f"reducer budget must be >= 1, got {budget}")
@@ -572,44 +644,23 @@ def optimize_skew_shares(
             f"skew attribute {skew_attribute!r} co-occurs with no other "
             "attribute; a sub-grid cannot spread its tuples"
         )
+    if cache is None:
+        cache = CertificationCache(query, profile, domain_size)
     if shares is not None:
         main_shares: ShareVector = repair_shares(shares, budget)
     else:
         main_shares = optimize_shares(
-            query,
-            budget,
-            profile=profile,
-            domain_size=domain_size,
-            bucket_cache=bucket_cache,
+            query, budget, profile=profile, domain_size=domain_size, cache=cache
         ).shares
-    if bucket_cache is None:
-        bucket_cache = {}
 
-    score_cache: Dict[Tuple[Tuple[str, int], ...], Tuple[float, float]] = {}
-    certifications: Dict[Tuple[Tuple[str, int], ...], Certification] = {}
+    def certified(heavy: ShareVector) -> Certified:
+        return cache.skew_shares(main_shares, skew_attribute, heavy_values, heavy)
 
     def score(heavy: ShareVector) -> Tuple[float, float]:
-        key = _vector_key(heavy)
-        cached = score_cache.get(key)
-        if cached is not None:
-            return cached
-        schema = SkewAwareSharesSchema(
-            query,
-            main_shares,
-            domain_size,
-            skew_attribute=skew_attribute,
-            heavy_values=heavy_values,
-            heavy_shares=heavy,
-        )
-        certification = certify_max_reducer_load(
-            schema, profile, bucket_cache=bucket_cache
-        )
-        certifications[key] = certification
-        result = (certification.bound, schema.replication_rate_formula())
-        score_cache[key] = result
-        return result
+        entry = certified(heavy)
+        return (entry.certification.bound, entry.replication_rate)
 
-    pool: Dict[Tuple[Tuple[str, int], ...], ShareVector] = {}
+    pool: Dict[VectorKey, ShareVector] = {}
     trivial = {attribute: 1 for attribute in co_occurring}
     pool[_vector_key(trivial)] = trivial
     for sub_share in GRID_SKEW_SUBSHARES:
@@ -626,7 +677,6 @@ def optimize_skew_shares(
         if not improved:
             break
 
-    best_key = _vector_key(best)
     return SkewShareOptimization(
         shares=main_shares,
         heavy_shares=best,
@@ -634,6 +684,6 @@ def optimize_skew_shares(
         heavy_values=tuple(heavy_values),
         score=score(best)[0],
         budget=budget,
-        certification=certifications.get(best_key),
+        certification=certified(best).certification,
         elapsed_seconds=time.perf_counter() - started,
     )

@@ -29,7 +29,8 @@ def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
         "--full-sweep",
         action="store_true",
-        help="run all 78 seeded bound-first planning cases, not the tier-1 stride, "
+        help="run all 78 seeded bound-first planning and Shares census cases, "
+        "not the tier-1 stride, "
         "both triangle reducer oracles on benchmark-sized graphs, and the "
         "model-domain below-curve sweep at domain size 8",
     )

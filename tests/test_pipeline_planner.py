@@ -303,7 +303,8 @@ class TestPlanningTimeTerm:
         assert len(seconds) == 1
 
     def test_optimizer_reports_elapsed_seconds(self):
-        outcome = optimize_shares(JoinQuery.chain(3), 16, domain_size=10)
+        profile = profile_relations(chain_join_instance(3, 20, 10, seed=0))
+        outcome = optimize_shares(JoinQuery.chain(3), 16, profile=profile, domain_size=10)
         assert outcome.elapsed_seconds > 0.0
 
     def test_planning_rate_charges_into_ranked_totals(self):

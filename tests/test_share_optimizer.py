@@ -17,9 +17,10 @@ Four contracts are pinned here:
    are keyed by the profile fingerprint so two profiles can never share a
    stale certificate (the PR-4 cache-correctness satellite).
 5. **Enumeration-scoped state** — one ``join_candidates`` enumeration
-   shares one bucket-weight table and one skew selection across its four
-   candidate kinds and optimizes each budget's main grid once; every
-   candidate's certificate equals the one a private table would give.
+   certifies through one certification cache and one skew selection
+   across its three candidate kinds, optimizes each budget's main grid
+   once and certifies no schema twice; every candidate's certificate
+   equals the one a private certification would give.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class TestRepairInvariant:
         ),
     )
     @settings(max_examples=120, deadline=None)
-    def test_optimizer_output_respects_budget_for_random_chains(
+    def test_rounded_relaxation_respects_budget_for_random_chains(
         self, num_relations, budget, sizes
     ):
         query = JoinQuery.chain(num_relations)
@@ -96,16 +97,23 @@ class TestRepairInvariant:
             relation.name: float(sizes[index % len(sizes)])
             for index, relation in enumerate(query.relations)
         }
-        result = optimize_shares(query, budget, weights=weights)
-        assert result.num_reducers <= budget
-        assert all(share >= 1 for share in result.shares.values())
-        assert result.metric == "expected-communication"
+        continuous = optimize_log_shares(query, budget, weights)
+        assert math.prod(continuous.values()) == pytest.approx(budget, rel=1e-9)
+        vectors = share_opt._rounding_candidates(continuous, budget)
+        assert vectors
+        for vector in vectors:
+            assert share_product(vector) <= budget
+            assert all(share >= 1 for share in vector.values())
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ConfigurationError):
             repair_shares({"A": 2}, 0)
+        query = JoinQuery.chain(2)
+        profile = profile_relations(chain_join_instance(2, 10, 4, seed=0))
         with pytest.raises(ConfigurationError):
-            optimize_shares(JoinQuery.chain(2), 0)
+            optimize_shares(query, 0, profile=profile, domain_size=4)
+        with pytest.raises(ConfigurationError, match="covering every relation"):
+            optimize_shares(JoinQuery.chain(3), 4, profile=profile, domain_size=4)
 
 
 def _instance(kind: str, seed: int):
@@ -222,7 +230,24 @@ class TestEnumerationScopedState:
         assert sorted(budgets) == sorted(GRID_REDUCER_SWEEP)
         assert len(selections) == 1 and selections[0] is not None
         kinds = {candidate.name.split("[")[0] for candidate in candidates}
-        assert kinds == {"shares", "opt-shares", "skew-shares", "opt-skew-shares"}
+        assert kinds == {"opt-shares", "skew-shares", "opt-skew-shares"}
+
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    def test_no_schema_is_certified_twice(self, mode, monkeypatch):
+        certified = []
+        for module in (builtins, share_opt):
+            real = getattr(module, "certify_max_reducer_load", None)
+            if real is None:
+                continue
+
+            def spy(schema, profile, *args, _real=real, **kwargs):
+                certified.append((schema.name, profile.fingerprint()))
+                return _real(schema, profile, *args, **kwargs)
+
+            monkeypatch.setattr(module, "certify_max_reducer_load", spy)
+        _, candidates, _ = self._enumerate(mode)
+        assert len(certified) >= len(candidates)
+        assert len(set(certified)) == len(certified)
 
     @pytest.mark.parametrize("mode", ["exact", "sample"])
     def test_every_certificate_equals_a_private_tables(self, mode):
@@ -266,7 +291,11 @@ class TestEnumerationScopedState:
     @settings(max_examples=25, deadline=None)
     def test_repair_is_idempotent_on_optimizer_output(self, seed, budget, profiled):
         """What feeding ``optimize_skew_shares(shares=...)`` rests on."""
-        profile = profile_relations(_instance("zipf", seed)) if profiled else None
+        profile = (
+            profile_relations(_instance("zipf", seed))
+            if profiled
+            else builtins._model_domain_profile(self.QUERY, DOMAIN)
+        )
         shares = optimize_shares(
             self.QUERY, budget, profile=profile, domain_size=DOMAIN
         ).shares
@@ -299,7 +328,8 @@ class TestRelaxationStructure:
 
     def test_budget_one_is_all_ones(self):
         query = JoinQuery.chain(4)
-        result = optimize_shares(query, 1, weights={f"R{i}": 1.0 for i in (1, 2, 3, 4)})
+        profile = profile_relations(chain_join_instance(4, 20, 6, seed=0))
+        result = optimize_shares(query, 1, profile=profile, domain_size=6)
         assert all(share == 1 for share in result.shares.values())
 
 
