@@ -15,7 +15,7 @@ The package is organized as follows:
 * :mod:`repro.schemas` — the constructive algorithms and Table 2's upper
   bounds;
 * :mod:`repro.bounds` — exact fractional edge covers and the planner's
-  size-bound registry;
+  one join size bound, ``size_bound``;
 * :mod:`repro.planner` — the cost-based planner that enumerates registered
   schema families, prices them with the cluster cost model, and returns
   ranked executable plans;

@@ -1,30 +1,15 @@
-"""Pluggable size/load bound estimation (the planner's bound registry).
+"""Join output-size bounds: one :func:`size_bound` over the AGM ceiling.
 
 Public surface:
 
-* :class:`BoundRegistry` / :data:`default_bound_registry` — the strategy
-  registry every planning and certification path routes through.
-* The built-in estimators — :class:`PerValueHistogramBound`,
-  :class:`AGMBound`, :class:`DegreeConstraintBound`,
-  :class:`TopKFrequencyBound`.
+* :func:`size_bound` — AGM computed once per :class:`BoundContext`, with
+  the per-value histogram, degree-constraint and top-k frequency
+  refinements under it; returns a :class:`BoundDecision` naming the
+  winning method and listing every candidate.
 * :func:`fractional_edge_cover` (exact, cached per canonical query) and
   :func:`agm_bound`.
 """
 
-from repro.bounds.base import (
-    METHOD_AGM,
-    METHOD_DEGREE,
-    METHOD_DOMAIN,
-    METHOD_HISTOGRAM,
-    METHOD_TOPK,
-    BoundCandidate,
-    BoundContext,
-    BoundDecision,
-    BoundEstimator,
-    BoundRegistry,
-    ChildView,
-    default_bound_registry,
-)
 from repro.bounds.cover import (
     FractionalEdgeCover,
     agm_bound,
@@ -34,11 +19,17 @@ from repro.bounds.cover import (
     fractional_edge_cover,
 )
 from repro.bounds.estimators import (
-    AGMBound,
-    DegreeConstraintBound,
-    PerValueHistogramBound,
-    TopKFrequencyBound,
+    METHOD_AGM,
+    METHOD_DEGREE,
+    METHOD_DOMAIN,
+    METHOD_HISTOGRAM,
+    METHOD_TOPK,
+    BoundCandidate,
+    BoundContext,
+    BoundDecision,
+    ChildView,
     per_value_sum,
+    size_bound,
 )
 
 __all__ = [
@@ -47,22 +38,16 @@ __all__ = [
     "METHOD_DOMAIN",
     "METHOD_HISTOGRAM",
     "METHOD_TOPK",
-    "AGMBound",
     "BoundCandidate",
     "BoundContext",
     "BoundDecision",
-    "BoundEstimator",
-    "BoundRegistry",
     "ChildView",
-    "DegreeConstraintBound",
     "FractionalEdgeCover",
-    "PerValueHistogramBound",
-    "TopKFrequencyBound",
     "agm_bound",
     "canonical_query_key",
     "clear_cover_cache",
     "cover_cache_stats",
-    "default_bound_registry",
     "fractional_edge_cover",
     "per_value_sum",
+    "size_bound",
 ]

@@ -27,9 +27,7 @@ Entry point::
 from repro.pipeline.estimate import (
     IntermediateEstimate,
     SizeEstimator,
-    agm_bound,
     approximate_histogram,
-    per_value_join_bound,
 )
 from repro.pipeline.execute import (
     ExecutedRound,
@@ -76,12 +74,10 @@ __all__ = [
     "RoundOutcome",
     "RoundWork",
     "SizeEstimator",
-    "agm_bound",
     "approximate_histogram",
     "drive_rounds",
     "enumerate_join_trees",
     "execute_pipeline",
-    "per_value_join_bound",
     "pipeline_rounds",
     "replan_round",
 ]

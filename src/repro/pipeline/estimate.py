@@ -10,9 +10,10 @@ single record, so it needs two things about every intermediate result:
   certify_max_reducer_load`, :func:`~repro.planner.share_opt.
   optimize_shares`) unchanged.
 
-Size bounds come from the pluggable registry in :mod:`repro.bounds` —
-every applicable estimator answers, the minimum wins, and the decision
-records which method produced it.  The default registry holds:
+Size bounds come from :func:`repro.bounds.size_bound`: the AGM bound
+computed once as the ceiling, each applicable refinement offered under
+it, the minimum winning, and the decision recording which method produced
+it.  The candidates are:
 
 1. **per-value histogram bounds** — with exact histograms on both join
    sides, ``|L ⋈ R| ≤ min_{s ∈ shared} Σ_v cnt_L(s=v) · cnt_R(s=v)``;
@@ -56,52 +57,18 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
 
 from repro.bounds import (
-    METHOD_AGM,
     METHOD_DOMAIN,
     METHOD_HISTOGRAM,
     BoundContext,
-    BoundRegistry,
     ChildView,
-    agm_bound,
-    default_bound_registry,
     per_value_sum,
+    size_bound,
 )
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import NULL_METRICS
 from repro.pipeline.logical import BinaryJoinOp, LogicalOp, RelationLeaf
 from repro.problems.joins import JoinQuery
 from repro.stats.profile import AttributeProfile, DatasetProfile, RelationProfile
-
-# ``agm_bound`` and the method labels live in :mod:`repro.bounds` now; the
-# re-exports above keep this module's historical import surface working.
-_per_value_sum = per_value_sum
-
-
-def per_value_join_bound(
-    left: RelationProfile,
-    right: RelationProfile,
-    shared_attributes: Tuple[str, ...],
-) -> Optional[float]:
-    """``min_s Σ_v cnt_L(s=v)·cnt_R(s=v)`` from exact histograms.
-
-    Returns ``None`` when either side lacks a full histogram on some
-    shared attribute.  Exact when a single attribute is shared (each
-    distinct tuple pair yields a distinct output tuple); an upper bound
-    otherwise, since matching on one attribute over-counts pairs that
-    disagree elsewhere.
-    """
-    if not shared_attributes:
-        return None
-    best: Optional[float] = None
-    for attribute in shared_attributes:
-        left_stats = left.attribute(attribute)
-        right_stats = right.attribute(attribute)
-        if not (left_stats.exact and right_stats.exact):
-            return None
-        total = _per_value_sum(left_stats.histogram, right_stats.histogram)
-        best = total if best is None else min(best, total)
-    return best
-
 
 def approximate_histogram(stats: AttributeProfile) -> Dict[Hashable, float]:
     """A calibrated value → count map for an attribute of any fidelity.
@@ -183,7 +150,6 @@ class SizeEstimator:
         query: JoinQuery,
         domain_size: int,
         profile: Optional[DatasetProfile] = None,
-        bounds: Optional[BoundRegistry] = None,
         metrics: Any = NULL_METRICS,
     ) -> None:
         if domain_size <= 0:
@@ -194,7 +160,6 @@ class SizeEstimator:
         self.profile = (
             profile if profile is not None and profile.covers(names) else None
         )
-        self.bounds = bounds if bounds is not None else default_bound_registry
         self.metrics = metrics
         self._estimates: Dict[str, IntermediateEstimate] = {}
 
@@ -310,14 +275,14 @@ class SizeEstimator:
         """Sound output bound for the whole query, with the winning method.
 
         The one-round planner prices its single round with this — the same
-        registry the cascade nodes go through, evaluated over the full
-        query instead of a subtree.
+        :func:`~repro.bounds.size_bound` the cascade nodes go through,
+        evaluated over the full query instead of a subtree.
         """
         row_counts = {
             relation.name: self.leaf_rows(relation.name)
             for relation in self.query.relations
         }
-        decision = self.bounds.evaluate(
+        decision = size_bound(
             BoundContext(
                 query=self.query,
                 row_counts=row_counts,
@@ -334,13 +299,13 @@ class SizeEstimator:
         right: IntermediateEstimate,
     ) -> IntermediateEstimate:
         shared = op.shared_attributes
-        # Every applicable registered bound, minimum wins — AGM over the
+        # Every applicable bound, minimum wins — AGM over the
         # subtree's induced sub-query (clamped by the children's cross
         # product), per-value sums over sound histograms, degree-constraint
         # chains, top-k frequency pairings.
         induced = self.query.induced(sorted(set(op.base_relations)))
         row_counts = {name: self.leaf_rows(name) for name in set(op.base_relations)}
-        decision = self.bounds.evaluate(
+        decision = size_bound(
             BoundContext(
                 query=induced,
                 row_counts=row_counts,
@@ -362,8 +327,8 @@ class SizeEstimator:
         # The calibrated estimate: per-value sums over the approximate
         # histograms (exact inputs make this coincide with the bound for a
         # single shared attribute), clamped by the sound bound and by any
-        # estimate-grade refinement a registered bound offered (e.g. the
-        # top-k estimator's KMV-paired tail).
+        # estimate-grade refinement a candidate offered (e.g. the top-k
+        # pairing's KMV-paired tail).
         estimate = min(size, decision.estimate)
         profile = None
         if left.profile is not None and right.profile is not None:
@@ -485,7 +450,7 @@ class SizeEstimator:
         """``min_s Σ_v ĉ_L(s=v)·ĉ_R(s=v)`` over the approximate histograms."""
         best: Optional[float] = None
         for attribute in shared_attributes:
-            total = _per_value_sum(left_hists[attribute], right_hists[attribute])
+            total = per_value_sum(left_hists[attribute], right_hists[attribute])
             best = total if best is None else min(best, total)
         return best
 

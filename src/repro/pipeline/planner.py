@@ -44,7 +44,6 @@ from repro.core.cost import ClusterCostModel, CostBreakdown
 from repro.core.problem import Problem
 from repro.exceptions import BoundDerivationError, PlanningError
 from repro.mapreduce.cluster import ClusterConfig
-from repro.bounds import BoundRegistry
 from repro.pipeline.estimate import SizeEstimator
 from repro.pipeline.logical import (
     AggregateOp,
@@ -410,13 +409,10 @@ class PipelinePlanner:
         planner: Optional[CostBasedPlanner] = None,
         include_bushy: bool = True,
         max_bushy_relations: int = 6,
-        bound_registry: Optional["BoundRegistry"] = None,
     ) -> None:
         self.planner = planner or CostBasedPlanner()
         self.include_bushy = include_bushy
         self.max_bushy_relations = max_bushy_relations
-        #: ``None`` means the process-wide default registry.
-        self.bound_registry = bound_registry
 
     # ------------------------------------------------------------------
     # Planning
@@ -523,11 +519,7 @@ class PipelinePlanner:
         """
         query = problem.query
         estimator = SizeEstimator(
-            query,
-            problem.domain_size,
-            profile,
-            bounds=self.bound_registry,
-            metrics=cluster.metrics,
+            query, problem.domain_size, profile, metrics=cluster.metrics
         )
         floor_rate = model.communication_rate * self.planner.registry.replication_floor(
             problem

@@ -141,7 +141,7 @@ def _build_triangle_candidate(n: int, k: int) -> PlanCandidate:
 
 @default_registry.register(TriangleProblem)
 def triangle_candidates(
-    problem: TriangleProblem, q: float
+    problem: TriangleProblem, q: float, profile: Optional[DatasetProfile] = None
 ) -> Iterator[PlanCandidate]:
     n = problem.n
     feasible = [k for k in range(1, n + 1) if _triangle_certified_q(n, k) <= q]
@@ -166,7 +166,7 @@ def _build_two_path_candidate(n: int, k: int) -> PlanCandidate:
 
 @default_registry.register(TwoPathProblem)
 def two_path_candidates(
-    problem: TwoPathProblem, q: float
+    problem: TwoPathProblem, q: float, profile: Optional[DatasetProfile] = None
 ) -> Iterator[PlanCandidate]:
     n = problem.n
     feasible = [k for k in range(2, n + 1) if _two_path_certified_q(n, k) <= q]
@@ -290,7 +290,7 @@ def _balanced_sample_graph_candidates(
 # ----------------------------------------------------------------------
 @default_registry.register(HammingDistanceProblem)
 def hamming_candidates(
-    problem: HammingDistanceProblem, q: float
+    problem: HammingDistanceProblem, q: float, profile: Optional[DatasetProfile] = None
 ) -> Iterator[PlanCandidate]:
     if problem.distance == 1:
         yield from _hamming1_candidates(problem, q)
@@ -412,7 +412,7 @@ def _build_one_phase_candidate(n: int, s: int) -> PlanCandidate:
 
 @default_registry.register(MatrixMultiplicationProblem)
 def matmul_candidates(
-    problem: MatrixMultiplicationProblem, q: float
+    problem: MatrixMultiplicationProblem, q: float, profile: Optional[DatasetProfile] = None
 ) -> Iterator[PlanCandidate]:
     n = problem.n
     for s in _divisors(n):
@@ -831,7 +831,7 @@ def _relations_from_records(
 # the flat tradeoff "curve" the paper contrasts with Figure 1's hyperbola.
 @default_registry.register(WordCountProblem)
 def wordcount_candidates(
-    problem: WordCountProblem, q: float
+    problem: WordCountProblem, q: float, profile: Optional[DatasetProfile] = None
 ) -> Iterator[PlanCandidate]:
     peak = problem.peak_multiplicity
     if peak <= q:
@@ -848,7 +848,7 @@ def wordcount_candidates(
 
 @default_registry.register(GroupByAggregationProblem)
 def grouping_candidates(
-    problem: GroupByAggregationProblem, q: float
+    problem: GroupByAggregationProblem, q: float, profile: Optional[DatasetProfile] = None
 ) -> Iterator[PlanCandidate]:
     # A group's reducer receives every domain tuple sharing its A-value:
     # exactly |B| inputs.  With a combiner the pairs crossing the shuffle

@@ -6,18 +6,19 @@ That knowledge is decentralized — each family in :mod:`repro.schemas` knows
 its own feasibility and closed forms — so the registry collects it behind a
 single lookup keyed by problem type.
 
-A *candidate builder* is a function ``(problem, q) -> iterable of
-PlanCandidate`` registered for a problem class.  Lookup walks the problem's
-MRO, so a builder registered for :class:`MultiwayJoinProblem` also serves
-:class:`NaturalJoinProblem`.  The default registry is populated by
-:mod:`repro.planner.builtins` with every family shipped in
+A *candidate builder* is a function ``(problem, q, profile=None) ->
+iterable of PlanCandidate`` registered for a problem class.  ``profile`` is
+the caller's :class:`~repro.stats.profile.DatasetProfile` or ``None``;
+builders whose certificates do not depend on data ignore it.  Lookup walks
+the problem's MRO, so a builder registered for :class:`MultiwayJoinProblem`
+also serves :class:`NaturalJoinProblem`.  The default registry is populated
+by :mod:`repro.planner.builtins` with every family shipped in
 :mod:`repro.schemas`; downstream code can register additional builders (new
 problem families, custom schemas) without touching the planner.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
 
@@ -93,31 +94,12 @@ class PlanCandidate:
 CandidateBuilder = Callable[..., Iterable[PlanCandidate]]
 
 
-def _accepts_profile(builder: CandidateBuilder) -> bool:
-    """Whether a builder's signature declares a ``profile`` parameter.
-
-    Builders come in two shapes: the original ``(problem, q)`` and the
-    statistics-aware ``(problem, q, profile=None)``.  Detecting the shape at
-    registration keeps both working without touching existing builders.
-    """
-    try:
-        parameters = inspect.signature(builder).parameters
-    except (TypeError, ValueError):  # builtins / C callables: assume legacy
-        return False
-    return "profile" in parameters or any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
-
-
 class SchemaRegistry:
     """Mapping from problem types to candidate builders."""
 
     def __init__(self) -> None:
-        #: Per problem class: ``(builder, takes a profile, declared floor)``.
-        self._builders: Dict[
-            Type[Problem], List[Tuple[CandidateBuilder, bool, float]]
-        ] = {}
+        #: Per problem class: ``(builder, declared floor)``.
+        self._builders: Dict[Type[Problem], List[Tuple[CandidateBuilder, float]]] = {}
 
     # ------------------------------------------------------------------
     # Registration
@@ -146,7 +128,7 @@ class SchemaRegistry:
 
         def decorator(fn: CandidateBuilder) -> CandidateBuilder:
             self._builders.setdefault(problem_type, []).append(
-                (fn, _accepts_profile(fn), float(replication_floor))
+                (fn, float(replication_floor))
             )
             return fn
 
@@ -164,12 +146,10 @@ class SchemaRegistry:
     def replication_floor(self, problem: Problem) -> float:
         """Least replication any candidate for ``problem`` can have: the
         minimum of its builders' declared floors, 0.0 once one declared none."""
-        return min((entry[2] for entry in self._entries_for(problem)), default=0.0)
+        return min((entry[1] for entry in self._entries_for(problem)), default=0.0)
 
-    def _entries_for(
-        self, problem: Problem
-    ) -> List[Tuple[CandidateBuilder, bool, float]]:
-        found: List[Tuple[CandidateBuilder, bool, float]] = []
+    def _entries_for(self, problem: Problem) -> List[Tuple[CandidateBuilder, float]]:
+        found: List[Tuple[CandidateBuilder, float]] = []
         for klass in type(problem).__mro__:
             if klass in self._builders:
                 found.extend(self._builders[klass])
@@ -198,12 +178,9 @@ class SchemaRegistry:
         that floor.  Duplicate names (e.g. the same family reachable through
         two builders) are collapsed, keeping the first occurrence.
 
-        When a :class:`~repro.stats.profile.DatasetProfile` is supplied it
-        is forwarded to every builder that declares a ``profile`` parameter;
-        such builders re-certify their data-dependent candidates with tail
-        bounds (and may enumerate profile-specific candidates like the
-        skew-aware Shares grids).  Legacy two-argument builders are called
-        unchanged.
+        ``profile`` is forwarded to every builder; profile-aware builders
+        re-certify their data-dependent candidates on it (and may enumerate
+        profile-specific candidates like the skew-aware Shares grids).
         """
         if q <= 0:
             raise ConfigurationError(f"reducer-size budget q must be positive, got {q}")
@@ -214,12 +191,8 @@ class SchemaRegistry:
                 f"{type(problem).__name__}; register a candidate builder for it"
             )
         seen: Dict[str, PlanCandidate] = {}
-        for builder, takes_profile, floor in entries:
-            if takes_profile:
-                produced = builder(problem, q, profile=profile)
-            else:
-                produced = builder(problem, q)
-            for candidate in produced:
+        for builder, floor in entries:
+            for candidate in builder(problem, q, profile=profile):
                 if candidate.replication_rate < floor:
                     raise ConfigurationError(
                         f"candidate {candidate.name!r} replicates "

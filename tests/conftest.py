@@ -24,6 +24,8 @@ from repro.problems import (
     TwoPathProblem,
 )
 
+from bound_oracle import check_size_bound
+
 
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
@@ -34,6 +36,15 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         "both triangle reducer oracles on benchmark-sized graphs, and the "
         "model-domain below-curve sweep at domain size 8",
     )
+
+
+@pytest.fixture(scope="module")
+def size_bound_checks():
+    """From first use to the end of the module, every size bound a
+    ``SizeEstimator`` draws must equal the pre-``size_bound`` registry's
+    (``bound_oracle``); yields the list of checked decisions."""
+    with pytest.MonkeyPatch.context() as patch:
+        yield check_size_bound(patch)
 
 
 @pytest.fixture

@@ -17,6 +17,9 @@ oracle (``exhaustive_plan``), and these contracts are pinned against it:
    raises; an undeclared floor prunes nothing.
 4. **The deferred half is robust** — a crash mid-completion changes
    nothing and a retry finishes; infeasible budgets report as before.
+5. **One size bound, the registry's numbers** — every ``size_bound``
+   evaluation this module's planning makes equals the pre-``size_bound``
+   bound registry's decision (``bound_oracle``), candidates and all.
 
 The seeded sweep has 78 instance × profile-mode cases, each a cold
 exhaustive plan (~0.2 s); tier-1 runs every seventh (all five kinds, both
@@ -64,11 +67,7 @@ TIER1_STRIDE = 7
 def exhaustive_join_structures(self, problem, cluster, budget, model, profile):
     query = problem.query
     estimator = SizeEstimator(
-        query,
-        problem.domain_size,
-        profile,
-        bounds=self.bound_registry,
-        metrics=cluster.metrics,
+        query, problem.domain_size, profile, metrics=cluster.metrics
     )
     plans = []
     rejected = []
@@ -195,6 +194,9 @@ def _cases():
 
 CASES = _cases()
 assert len(CASES) == 78
+
+#: Every size bound planned in this module equals the oracle registry's.
+pytestmark = pytest.mark.usefixtures("size_bound_checks")
 
 MODELS = {
     "min-replication": lambda: CostBasedPlanner.min_replication(),
@@ -336,7 +338,7 @@ class TestSoundnessIsEnforced:
         assert registry.replication_floor(problem) == 1.0
         declared = _planner(registry=registry).plan(problem, q=160, profile=profile)
         assert declared.pruned
-        registry.register(MultiwayJoinProblem, lambda problem, q: [])
+        registry.register(MultiwayJoinProblem, lambda problem, q, profile=None: [])
         assert registry.replication_floor(problem) == 0.0
         undeclared = _planner(registry=registry).plan(problem, q=160, profile=profile)
         assert undeclared.pruned == [] and len(undeclared) == 3
@@ -349,7 +351,7 @@ class TestSoundnessIsEnforced:
         registry = SchemaRegistry()
 
         @registry.register(MultiwayJoinProblem, replication_floor=2.0)
-        def thin(problem, q):
+        def thin(problem, q, profile=None):
             yield PlanCandidate(
                 name="thin", q=1.0, replication_rate=1.5, job_factory=lambda _: None
             )
@@ -539,3 +541,10 @@ class TestDecisionIsObservable:
         for plan in result.complete():
             assert (plan.planning_seconds, plan.planning_cost) == (seconds, cost)
             assert plan.total_cost == plan.rounds_cost + cost
+
+
+def test_size_bound_checks_saw_the_planning(size_bound_checks):
+    before = len(size_bound_checks)
+    problem, profile = _zipf()
+    _planner().plan(problem, q=160, profile=profile).complete()
+    assert len(size_bound_checks) > before

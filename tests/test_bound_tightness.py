@@ -1,21 +1,22 @@
-"""Bound-tightness regression suite (PR-9 acceptance criteria).
+"""Bound-tightness regression suite.
 
-PostBOUND-style contracts over the pluggable bound registry:
+PostBOUND-style contracts over :func:`repro.bounds.size_bound`:
 
 * **Soundness** — on seeded uniform, Zipf and key→FK chain instances,
-  every candidate a registered estimator emits upper-bounds the *true*
-  join size, for exact and sampled profiles alike (sampled profiles only
-  feed the estimators deterministic sketch bounds, so soundness holds
-  without probability qualifiers).
+  every candidate ``size_bound`` emits upper-bounds the *true* join size,
+  for exact and sampled profiles alike (sampled profiles only feed the
+  refinements deterministic sketch bounds, so soundness holds without
+  probability qualifiers).  Every decision these tests make also equals
+  the pre-``size_bound`` bound registry's (``bound_oracle``).
 * **Dominance** — the degree-constraint bound never exceeds AGM whenever
   both apply (it is clamped by construction; pinned here so the clamp
   cannot be refactored away).
 * **Tightness** — on FD-bearing key→FK chains the degree bound is orders
   of magnitude tighter than AGM, and the tightness ratios stay pinned.
 * **Planned join nodes** — on a key→FK and a Zipf chain planned by the
-  pipeline planner and executed, every registered method's candidate at
-  each join node covers the node's executed output, degree ≤ AGM there
-  too, and the executed rounds' bounding certificates hold.
+  pipeline planner and executed, every method's candidate at each join
+  node covers the node's executed output, degree ≤ AGM there too, and the
+  executed rounds' bounding certificates hold.
 * **Metadata plumbing** — ``max_degree`` / ``functional_dependencies``
   agree between batch and streaming profilers and survive the JSON
   round-trip that ships profiles between planner and service.
@@ -34,7 +35,7 @@ from repro.bounds import (
     METHOD_TOPK,
     BoundContext,
     ChildView,
-    default_bound_registry,
+    size_bound,
 )
 from repro.datagen.relations import (
     chain_join_instance,
@@ -51,6 +52,8 @@ from repro.stats import (
     profile_relations,
 )
 from repro.stats.profile import profile_relation
+
+from bound_oracle import oracle_registry, route_size_bound
 
 CHAIN = JoinQuery.chain(3)
 
@@ -121,6 +124,7 @@ def _node_checks(relations, profile):
 # ----------------------------------------------------------------------
 # Soundness
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("size_bound_checks")
 class TestSoundness:
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("shape", ["uniform", "zipf", "fk"])
@@ -128,9 +132,9 @@ class TestSoundness:
         relations = _instances(seed)[shape]
         profile = profile_relations(relations)
         truth = _truth(relations)
-        decision = default_bound_registry.evaluate(
-            _whole_query_context(relations, profile)
-        )
+        context = _whole_query_context(relations, profile)
+        decision = size_bound(context)
+        assert decision == oracle_registry().evaluate(context)
         for candidate in decision.candidates:
             assert candidate.value >= truth, candidate.method
         assert decision.value >= truth
@@ -161,7 +165,10 @@ class TestSoundness:
         size=st.integers(min_value=5, max_value=40),
         domain=st.integers(min_value=4, max_value=10),
     )
-    def test_binary_join_bound_sound_on_random_instances(self, seed, size, domain):
+    def test_binary_join_bound_sound_on_random_instances(
+        self, seed, size, domain, size_bound_checks
+    ):
+        checked = len(size_bound_checks)
         size = min(size, domain * domain)  # distinct tuples need room
         relations = chain_join_instance(2, size, domain, seed=seed)[:2]
         query = JoinQuery.chain(2)
@@ -170,6 +177,7 @@ class TestSoundness:
         leaves = {r.name: RelationLeaf(query.relation(r.name)) for r in relations}
         op = BinaryJoinOp(leaves[relations[0].name], leaves[relations[1].name])
         assert estimator.estimate(op).size_bound >= _truth(relations)
+        assert len(size_bound_checks) > checked
 
 
 # ----------------------------------------------------------------------
@@ -181,9 +189,7 @@ class TestTightness:
     def test_degree_bound_never_exceeds_agm(self, shape, seed):
         relations = _instances(seed)[shape]
         profile = profile_relations(relations)
-        decision = default_bound_registry.evaluate(
-            _whole_query_context(relations, profile)
-        )
+        decision = size_bound(_whole_query_context(relations, profile))
         agm = decision.candidate(METHOD_AGM)
         degree = decision.candidate(METHOD_DEGREE)
         assert agm is not None
@@ -197,9 +203,7 @@ class TestTightness:
         )
         profile = profile_relations(relations)
         truth = _truth(relations)
-        decision = default_bound_registry.evaluate(
-            _whole_query_context(relations, profile)
-        )
+        decision = size_bound(_whole_query_context(relations, profile))
         agm = decision.candidate(METHOD_AGM)
         degree = decision.candidate(METHOD_DEGREE)
         assert agm is not None and degree is not None
@@ -228,7 +232,7 @@ class TestTightness:
             right=_exact_child_view(right, profile),
             shared_attributes=tuple(sorted(shared)),
         )
-        decision = default_bound_registry.evaluate(context)
+        decision = size_bound(context)
         topk = decision.candidate(METHOD_TOPK)
         agm = decision.candidate(METHOD_AGM)
         histogram = decision.candidate(METHOD_HISTOGRAM)
@@ -244,17 +248,17 @@ class TestTightness:
 # ----------------------------------------------------------------------
 # Planned and executed join nodes
 # ----------------------------------------------------------------------
-class _RecordingRegistry:
-    """Delegates to the default registry and keeps each join node's first
-    decision, with every method's candidate, keyed by its base relations,
-    and the set of methods its decisions chose."""
+class _Recorder:
+    """Wraps ``size_bound`` and keeps each join node's first decision, with
+    every method's candidate, keyed by its base relations, and the set of
+    methods its decisions chose."""
 
     def __init__(self):
         self.decisions = {}
         self.chosen = {}
 
-    def evaluate(self, context):
-        decision = default_bound_registry.evaluate(context)
+    def __call__(self, context):
+        decision = size_bound(context)
         if context.is_join:
             key = tuple(sorted(r.name for r in context.query.relations))
             self.decisions.setdefault(key, decision)
@@ -265,26 +269,25 @@ class _RecordingRegistry:
 def _planned_join_nodes(relations, domain=120):
     """Plan a chain-3 cascade through the recorder, execute it, and pair
     each join round's decision with its frontier row and with the methods
-    the registry chose at that node."""
+    ``size_bound`` chose at that node."""
     from repro.mapreduce import MapReduceEngine
     from repro.pipeline import PipelinePlanner
     from repro.planner import CostBasedPlanner
     from repro.problems.joins import MultiwayJoinProblem
     from repro.schemas import SharesSchema
 
-    recorder = _RecordingRegistry()
-    planner = PipelinePlanner(
-        CostBasedPlanner.min_replication(), bound_registry=recorder
-    )
-    result = planner.plan(
-        MultiwayJoinProblem(CHAIN, domain_size=domain),
-        q=2000.0,
-        profile=profile_relations(relations),
-    )
-    cascade = result.cascades()[0]
-    run = cascade.execute(
-        SharesSchema.input_records(relations), engine=MapReduceEngine()
-    )
+    recorder = _Recorder()
+    with pytest.MonkeyPatch.context() as patch:
+        route_size_bound(patch, recorder)
+        result = PipelinePlanner(CostBasedPlanner.min_replication()).plan(
+            MultiwayJoinProblem(CHAIN, domain_size=domain),
+            q=2000.0,
+            profile=profile_relations(relations),
+        )
+        cascade = result.cascades()[0]
+        run = cascade.execute(
+            SharesSchema.input_records(relations), engine=MapReduceEngine()
+        )
     keys = [tuple(sorted(set(round_.op.base_relations))) for round_ in cascade.rounds]
     nodes = [(recorder.decisions[key], row) for key, row in zip(keys, run.frontier())]
     chosen = [recorder.chosen[key] for key in keys]
@@ -334,7 +337,7 @@ class TestPlannedJoinNodes:
                 compared += 1
         assert compared > 0
 
-    def test_frontier_names_the_registry_choice(self, planned):
+    def test_frontier_names_the_size_bound_choice(self, planned):
         # A re-planned round is priced again on the observed profile,
         # outside the recorded planning pass.
         _, nodes, chosen = planned

@@ -1,17 +1,20 @@
-"""Bound-registry contracts: the PR-9 tentpole acceptance criteria.
+"""Size-bound contracts: one ``size_bound`` in place of the bound registry.
 
 Four contracts are pinned here:
 
-1. **Registry mechanics** — registration order, minimum-wins evaluation
-   with ties to the earliest registration, decorator-style registration,
-   and loud failures for malformed estimators.
-2. **Bit-identity** — the legacy registry (per-value histogram + AGM
-   only) reproduces the pre-refactor estimator's numbers and method
-   labels exactly, against hand-computed math and node-by-node against
-   the default registry on exact profiles (where the exact per-value sum
-   dominates every new bound, so the refactor cannot shift a number).
+1. **The decision** — ``BoundDecision``'s estimate/candidate accessors,
+   non-negative candidates, the candidate order (histogram, AGM, degree,
+   top-k) and its tie-breaking, the cross-product and AGM clamps, equality
+   with the verbatim oracle registry on hand-built contexts, and AGM
+   computed once per evaluation while planning (the registry it replaced
+   computed it twice whenever a degree chain applied).
+2. **Bit-identity** — ``size_bound`` reproduces the pre-refactor
+   estimator's numbers and method labels exactly, against hand-computed
+   math, and node-by-node against the legacy pair (per-value histogram +
+   AGM, kept in ``bound_oracle``) on exact profiles, where the exact
+   per-value sum dominates every newer bound.
 3. **Routing** — every AGM call site outside :mod:`repro.bounds` is gone,
-   and the cover cache / registry surface their observability counters.
+   and the cover cache / size bound surface their observability counters.
 4. **The acceptance flip** — on a seeded FD-bearing key→FK chain with a
    sampled profile, the degree-constraint bound clamps a legacy
    histogram overestimate, flipping the planner's cascade-vs-one-round
@@ -21,33 +24,34 @@ Four contracts are pinned here:
 
 from __future__ import annotations
 
+import dataclasses
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+import repro.bounds.estimators
 from repro.bounds import (
     METHOD_AGM,
     METHOD_DEGREE,
     METHOD_DOMAIN,
     METHOD_HISTOGRAM,
     METHOD_TOPK,
-    AGMBound,
     BoundCandidate,
     BoundContext,
-    BoundEstimator,
-    BoundRegistry,
+    BoundDecision,
     ChildView,
-    PerValueHistogramBound,
     agm_bound,
     clear_cover_cache,
     cover_cache_stats,
-    default_bound_registry,
     per_value_sum,
+    size_bound,
 )
 from repro.datagen.relations import (
     chain_join_instance,
     fk_chain_join_instance,
     multiway_join_oracle,
+    skewed_chain_join_instance,
 )
 from repro.exceptions import ConfigurationError
 from repro.mapreduce import MapReduceEngine
@@ -59,103 +63,191 @@ from repro.problems.joins import JoinQuery, MultiwayJoinProblem
 from repro.schemas.join_shares import SharesSchema
 from repro.stats import profile_relations
 
+from bound_oracle import legacy_registry, oracle_registry, route_size_bound
+
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
-def legacy_bound_registry():
-    """The pre-PR-9 estimator pair (histogram + AGM), the bit-identity oracle."""
-    registry = BoundRegistry()
-    registry.register(PerValueHistogramBound())
-    registry.register(AGMBound())
-    return registry
+@contextmanager
+def legacy_bounds():
+    """Planning inside bounds every node with the legacy pair instead."""
+    with pytest.MonkeyPatch.context() as patch:
+        route_size_bound(patch, legacy_registry().evaluate)
+        yield
 
 
-class _Fixed(BoundEstimator):
-    def __init__(self, name: str, value: float, estimate=None) -> None:
-        self.name = name
-        self._value = value
-        self._estimate = estimate
-
-    def estimate(self, context: BoundContext) -> BoundCandidate:
-        return BoundCandidate(
-            method=self.name, value=self._value, estimate=self._estimate
-        )
-
-
-def _context(rows: float = 10.0) -> BoundContext:
-    query = JoinQuery.chain(2)
-    return BoundContext(
-        query=query, row_counts={r.name: rows for r in query.relations}
+def _leaf_view(relation, profile):
+    """A base relation as the planner's estimator shows it to the bound."""
+    stats = profile.relation(relation.name).attributes
+    exact = all(attribute.exact for attribute in stats.values())
+    return ChildView(
+        name=relation.name,
+        rows=float(relation.size),
+        sound_histograms=(
+            {
+                name: {value: float(count) for value, count in attribute.histogram.items()}
+                for name, attribute in stats.items()
+            }
+            if exact
+            else None
+        ),
+        degree_caps={name: float(attribute.degree_cap) for name, attribute in stats.items()},
+        attribute_profiles=stats,
     )
 
 
+def _profiled_join_context(mode):
+    relations = skewed_chain_join_instance(2, 60, 12, skew=1.6, seed=3)
+    if mode == "exact":
+        profile = profile_relations(relations)
+    else:
+        profile = profile_relations(relations, mode="sample", sample_size=16, seed=3)
+    return BoundContext(
+        query=JoinQuery.chain(2),
+        row_counts={r.name: float(r.size) for r in relations},
+        profile=profile,
+        left=_leaf_view(relations[0], profile),
+        right=_leaf_view(relations[1], profile),
+        shared_attributes=("A1",),
+    )
+
+
+def _small_join_context(left, right, rows=4.0):
+    """``R1(A0,A1) ⋈ R2(A1,A2)`` with ``rows`` base rows each: AGM is rows²."""
+    query = JoinQuery.chain(2)
+    return BoundContext(
+        query=query,
+        row_counts={r.name: rows for r in query.relations},
+        left=ChildView(name="R1", **left),
+        right=ChildView(name="R2", **right),
+        shared_attributes=("A1",),
+    )
+
+
+def _oracle_contexts():
+    relations = chain_join_instance(3, 60, 12, seed=3)
+    return {
+        "exact-join": lambda: _profiled_join_context("exact"),
+        "sampled-join": lambda: _profiled_join_context("sample"),
+        "unprofiled-join": lambda: _small_join_context(
+            {"rows": 4.0, "degree_caps": {"A1": 4.0}}, {"rows": 4.0}
+        ),
+        "profiled-query": lambda: BoundContext(
+            query=JoinQuery.chain(3),
+            row_counts={r.name: float(r.size) for r in relations},
+            profile=profile_relations(relations),
+        ),
+    }
+
+
 # ----------------------------------------------------------------------
-# Registry mechanics
+# The decision
 # ----------------------------------------------------------------------
-class TestRegistryMechanics:
-    def test_default_registry_contents_and_order(self):
-        assert default_bound_registry.names() == (
-            METHOD_HISTOGRAM,
-            METHOD_AGM,
-            METHOD_DEGREE,
-            METHOD_TOPK,
-        )
-
-    def test_legacy_registry_is_the_pre_refactor_pair(self):
-        assert legacy_bound_registry().names() == (METHOD_HISTOGRAM, METHOD_AGM)
-
-    def test_register_accepts_instances_and_classes(self):
-        registry = BoundRegistry()
-        registry.register(_Fixed("a", 5.0))
-
-        @registry.register
-        class _Decorated(BoundEstimator):
-            name = "b"
-
-            def estimate(self, context):
-                return BoundCandidate(method=self.name, value=7.0)
-
-        assert registry.names() == ("a", "b")
-
-    def test_register_rejects_junk(self):
-        registry = BoundRegistry()
-        with pytest.raises(ConfigurationError):
-            registry.register(object())
-        with pytest.raises(ConfigurationError):
-            registry.register(_Fixed("", 1.0))
-        registry.register(_Fixed("dup", 1.0))
-        with pytest.raises(ConfigurationError):
-            registry.register(_Fixed("dup", 2.0))
-
-    def test_minimum_wins_and_ties_go_to_earliest_registration(self):
-        registry = BoundRegistry()
-        registry.register(_Fixed("first", 4.0))
-        registry.register(_Fixed("tied", 4.0))
-        registry.register(_Fixed("loose", 9.0))
-        decision = registry.evaluate(_context())
-        assert decision.value == 4.0
-        assert decision.method == "first"
-        assert len(decision.candidates) == 3
-
-    def test_evaluate_raises_when_nothing_applies(self):
-        registry = BoundRegistry()
-        with pytest.raises(ConfigurationError):
-            registry.evaluate(_context())
-
+class TestDecision:
     def test_candidates_must_be_non_negative(self):
         with pytest.raises(ConfigurationError):
             BoundCandidate(method="bad", value=-1.0)
 
     def test_decision_estimate_refines_but_never_exceeds_value(self):
-        registry = BoundRegistry()
-        registry.register(_Fixed("bound", 10.0))
-        registry.register(_Fixed("sketch", 12.0, estimate=6.0))
-        decision = registry.evaluate(_context())
-        assert decision.value == 10.0
-        assert decision.method == "bound"
+        decision = BoundDecision(
+            value=10.0,
+            method="bound",
+            candidates=(
+                BoundCandidate(method="bound", value=10.0),
+                BoundCandidate(method="sketch", value=12.0, estimate=6.0),
+            ),
+        )
         assert decision.estimate == 6.0
         assert decision.candidate("sketch").value == 12.0
         assert decision.candidate("missing") is None
+
+    def test_candidates_come_in_histogram_agm_degree_topk_order(self):
+        decision = size_bound(_profiled_join_context("exact"))
+        assert tuple(c.method for c in decision.candidates) == (
+            METHOD_HISTOGRAM,
+            METHOD_AGM,
+            METHOD_DEGREE,
+            METHOD_TOPK,
+        )
+        assert decision.value == min(c.value for c in decision.candidates)
+
+    def test_join_agm_is_clamped_by_the_children_cross_product(self):
+        query = JoinQuery.chain(2)
+        context = BoundContext(
+            query=query,
+            row_counts={r.name: 100.0 for r in query.relations},
+            left=ChildView(name="R1", rows=3.0),
+            right=ChildView(name="R2", rows=5.0),
+            shared_attributes=("A1",),
+        )
+        assert agm_bound(query, context.row_counts) > 15.0
+        decision = size_bound(context)
+        assert decision.candidates == (BoundCandidate(method=METHOD_DOMAIN, value=15.0),)
+
+    def test_degree_chain_is_clamped_by_agm(self):
+        context = _small_join_context(
+            {"rows": 4.0, "degree_caps": {"A1": 100.0}}, {"rows": 4.0}
+        )
+        decision = size_bound(context)
+        assert agm_bound(context.query, context.row_counts) == 16.0
+        assert decision.candidate(METHOD_DEGREE).value == 16.0  # raw chain: 400
+
+    def test_histogram_tie_with_agm_keeps_the_histogram_label(self):
+        heavy = {"rows": 4.0, "sound_histograms": {"A1": {0: 4.0}}}
+        decision = size_bound(_small_join_context(heavy, heavy))
+        assert decision.candidate(METHOD_DOMAIN).value == 16.0
+        assert decision.value == 16.0
+        assert decision.method == METHOD_HISTOGRAM
+
+    def test_degree_tie_with_agm_keeps_the_agm_label(self):
+        """The AGM/degree ties are broken by candidate order, as the
+        registry broke them by registration order."""
+        context = _small_join_context(
+            {"rows": 4.0, "degree_caps": {"A1": 4.0}}, {"rows": 4.0}
+        )
+        context = dataclasses.replace(
+            context, profile=profile_relations(chain_join_instance(2, 4, 4, seed=1))
+        )
+        decision = size_bound(context)
+        assert decision.candidate(METHOD_DEGREE).value == 16.0
+        assert decision.value == 16.0
+        assert decision.method == METHOD_AGM
+
+    @pytest.mark.parametrize("case", sorted(_oracle_contexts()))
+    def test_size_bound_equals_the_oracle_registry(self, case):
+        context = _oracle_contexts()[case]()
+        decision = size_bound(context)
+        assert decision == oracle_registry().evaluate(context)
+        assert decision.estimate == oracle_registry().evaluate(context).estimate
+
+    def test_agm_runs_once_per_evaluation(self, monkeypatch):
+        """The 12 ``plan-chain`` benchmark instances, planned and completed:
+        60 size-bound evaluations and one AGM bound each (the registry that
+        ``size_bound`` replaced made 120 AGM calls for the same 60)."""
+        calls = {"agm": 0, "size_bound": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            repro.bounds.estimators, "agm_bound", counted("agm", agm_bound)
+        )
+        route_size_bound(monkeypatch, counted("size_bound", size_bound))
+        problem = MultiwayJoinProblem(JoinQuery.chain(3), domain_size=16)
+        for seed in (5, 17, 61):
+            for index in range(4):
+                relations = skewed_chain_join_instance(
+                    3, 40, 16, skew=1.6, seed=seed * 100_003 + 7 * (index + 1)
+                )
+                PipelinePlanner(CostBasedPlanner.min_replication()).plan(
+                    problem, q=160, profile=profile_relations(relations)
+                ).complete()
+        assert calls["size_bound"] == 60
+        assert calls["agm"] <= calls["size_bound"]
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +294,7 @@ class TestLegacyBitIdentity:
             ),
             shared_attributes=("A1",),
         )
-        decision = legacy_bound_registry().evaluate(context)
+        decision = size_bound(context)
         hand_sum = per_value_sum(
             histograms[left.name]["A1"], histograms[right.name]["A1"]
         )
@@ -227,7 +319,7 @@ class TestLegacyBitIdentity:
             right=ChildView(name=names[1], rows=20.0),
             shared_attributes=("A1",),
         )
-        decision = legacy_bound_registry().evaluate(context)
+        decision = size_bound(context)
         assert decision.method == METHOD_DOMAIN
         assert decision.value == agm_bound(query, context.row_counts)
 
@@ -235,17 +327,18 @@ class TestLegacyBitIdentity:
         relations, _ = exact_setup
         query = JoinQuery.chain(3)
         row_counts = {r.name: float(r.size) for r in relations}
-        decision = legacy_bound_registry().evaluate(
-            BoundContext(query=query, row_counts=row_counts)
-        )
+        decision = size_bound(BoundContext(query=query, row_counts=row_counts))
         assert decision.method == METHOD_AGM
         assert decision.value == agm_bound(query, row_counts)
+        assert decision.candidates == (
+            BoundCandidate(method=METHOD_AGM, value=decision.value),
+        )
 
-    def test_default_registry_is_node_identical_on_exact_profiles(self, exact_setup):
-        """Exact per-value sums dominate the new bounds on base-table joins,
+    def test_size_bound_is_node_identical_on_exact_profiles(self, exact_setup):
+        """Exact per-value sums dominate the newer bounds on base-table joins,
         so leaf-level numbers and method labels cannot move; on deeper nodes
         (where exact histograms are no longer available and legacy fell back
-        to AGM) the default registry may only *tighten* the bound, and the
+        to AGM) ``size_bound`` may only *tighten* the bound, and the
         calibrated estimate is identical everywhere."""
         relations, profile = exact_setup
         query = JoinQuery.chain(3)
@@ -259,10 +352,9 @@ class TestLegacyBitIdentity:
             BinaryJoinOp(base_ops[0], leaves[names[2]]),
             BinaryJoinOp(leaves[names[0]], base_ops[1]),
         ]
-        results = {}
-        for key, registry in (("legacy", legacy_bound_registry()), ("default", None)):
-            estimator = SizeEstimator(query, 12, profile=profile, bounds=registry)
-            results[key] = [
+        def node_rows():
+            estimator = SizeEstimator(query, 12, profile=profile)
+            return [
                 (
                     estimator.estimate(op).size_bound,
                     estimator.estimate(op).size_estimate,
@@ -270,6 +362,10 @@ class TestLegacyBitIdentity:
                 )
                 for op in base_ops + deep_ops
             ]
+
+        with legacy_bounds():
+            results = {"legacy": node_rows()}
+        results["default"] = node_rows()
         for legacy, default in zip(results["legacy"][: len(base_ops)], results["default"]):
             assert default == legacy
         for legacy, default in zip(results["legacy"], results["default"]):
@@ -279,16 +375,14 @@ class TestLegacyBitIdentity:
     def test_planner_output_is_identical_on_exact_profiles(self, exact_setup):
         relations, profile = exact_setup
         problem = MultiwayJoinProblem(JoinQuery.chain(3), domain_size=12)
-        rankings = []
-        for registry in (legacy_bound_registry(), None):
-            planner = PipelinePlanner(
-                CostBasedPlanner.min_replication(), bound_registry=registry
-            )
+        def ranking():
+            planner = PipelinePlanner(CostBasedPlanner.min_replication())
             result = planner.plan(problem, q=200, profile=profile).complete()
-            rankings.append(
-                [(plan.name, plan.total_cost, plan.num_rounds) for plan in result.plans]
-            )
-        assert rankings[0] == rankings[1]
+            return [(plan.name, plan.total_cost, plan.num_rounds) for plan in result]
+
+        with legacy_bounds():
+            legacy = ranking()
+        assert ranking() == legacy
 
 
 # ----------------------------------------------------------------------
@@ -304,22 +398,20 @@ class TestRoutingAndObservability:
                 offenders.append(str(path.relative_to(SRC_ROOT)))
         assert offenders == []
 
-    def test_evaluate_counts_wins_per_method(self):
+    def test_size_bound_counts_wins_per_method(self):
         metrics = MetricsRegistry()
-        registry = BoundRegistry()
-        registry.register(_Fixed("tight", 1.0))
-        registry.register(_Fixed("loose", 2.0))
         query = JoinQuery.chain(2)
         context = BoundContext(
             query=query,
             row_counts={r.name: 5.0 for r in query.relations},
             metrics=metrics,
         )
-        registry.evaluate(context)
-        registry.evaluate(context)
+        size_bound(context)
+        size_bound(context)
+        wins = metrics.counter("bounds_method_wins_total")
         assert metrics.counter("bounds_evaluations_total").value() == 2
-        assert metrics.counter("bounds_method_wins_total").value(method="tight") == 2
-        assert metrics.counter("bounds_method_wins_total").value(method="loose") == 0
+        assert wins.value(method=METHOD_AGM) == 2
+        assert wins.value(method=METHOD_DEGREE) == 0
 
     def test_cover_cache_hits_and_misses_are_counted(self):
         clear_cover_cache()
@@ -335,15 +427,6 @@ class TestRoutingAndObservability:
         assert stats.size >= 1
         assert stats.hits >= 1
 
-    def test_agm_estimator_reports_its_method(self):
-        query = JoinQuery.chain(2)
-        context = BoundContext(
-            query=query, row_counts={r.name: 9.0 for r in query.relations}
-        )
-        candidate = AGMBound().estimate(context)
-        assert candidate.method == METHOD_AGM
-        assert candidate.value == agm_bound(query, context.row_counts)
-
 
 # ----------------------------------------------------------------------
 # The acceptance flip
@@ -353,8 +436,8 @@ class TestRoutingAndObservability:
 # histogram inflates both cascade intermediates (the heavy FK value lands
 # in the key side's 64-row reservoir and is scaled up by rows/sample),
 # while the degree-constraint bound clamps them to |R1|.  At FLIP_Q the
-# one-round plan prices between the two, so the registries disagree on
-# cascade-vs-one-round.
+# one-round plan prices between the two, so the legacy pair and
+# ``size_bound`` disagree on cascade-vs-one-round.
 FLIP_SEED = 186
 FLIP_SIZE = 300
 FLIP_DOMAIN = 600
@@ -378,15 +461,10 @@ class TestAcceptanceFlip:
             relations, mode="sample", sample_size=FLIP_SAMPLE, seed=FLIP_SEED
         )
         problem = MultiwayJoinProblem(JoinQuery.chain(3), domain_size=FLIP_DOMAIN)
-        results = {}
-        for key, registry in (
-            ("legacy", legacy_bound_registry()),
-            ("default", None),
-        ):
-            planner = PipelinePlanner(
-                CostBasedPlanner.min_replication(), bound_registry=registry
-            )
-            results[key] = planner.plan(problem, q=FLIP_Q, profile=profile)
+        planner = PipelinePlanner(CostBasedPlanner.min_replication())
+        with legacy_bounds():
+            results = {"legacy": planner.plan(problem, q=FLIP_Q, profile=profile)}
+        results["default"] = planner.plan(problem, q=FLIP_Q, profile=profile)
         return relations, results
 
     def test_degree_bound_is_strictly_tighter_than_agm(self, flip_setup):
@@ -395,7 +473,7 @@ class TestAcceptanceFlip:
             relations, mode="sample", sample_size=FLIP_SAMPLE, seed=FLIP_SEED
         )
         query = JoinQuery.chain(3)
-        decision = default_bound_registry.evaluate(
+        decision = size_bound(
             BoundContext(
                 query=query,
                 row_counts={r.name: float(r.size) for r in relations},
@@ -408,7 +486,9 @@ class TestAcceptanceFlip:
         assert degree.value < agm.value
         assert decision.method == METHOD_DEGREE
 
-    def test_registries_disagree_on_cascade_vs_one_round(self, flip_setup):
+    def test_legacy_pair_and_size_bound_disagree_on_cascade_vs_one_round(
+        self, flip_setup
+    ):
         _, results = flip_setup
         assert results["legacy"].best.is_cascade != results["default"].best.is_cascade
 

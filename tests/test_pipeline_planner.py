@@ -19,9 +19,7 @@ from repro.pipeline import (
     PipelinePlanner,
     RelationLeaf,
     SizeEstimator,
-    agm_bound,
     enumerate_join_trees,
-    per_value_join_bound,
 )
 from repro.planner import CostBasedPlanner
 from repro.planner.share_opt import optimize_shares
@@ -177,14 +175,14 @@ class TestEstimation:
     def test_per_value_bound_is_exact_for_single_shared_attribute(self):
         relations, profile = self._instance()
         joined = multiway_join_oracle(relations[:2])[1]
-        bound = per_value_join_bound(
-            profile.relation("R1"), profile.relation("R2"), ("A1",)
+        query = JoinQuery.chain(3)
+        node = BinaryJoinOp(
+            RelationLeaf(query.relation("R1")), RelationLeaf(query.relation("R2"))
         )
-        assert bound == len(joined)
-
-    def test_agm_bound_binary_join_is_product(self):
-        query = JoinQuery.binary_join()
-        assert agm_bound(query, {"R": 10, "S": 7}) == pytest.approx(70.0)
+        estimate = SizeEstimator(query, 10, profile).estimate(node)
+        assert node.schema.name == "(R1*R2)"
+        assert estimate.size_bound == len(joined)
+        assert estimate.method == "per-value-histogram"
 
     def test_estimates_bound_observed_sizes(self):
         relations, profile = self._instance()

@@ -75,7 +75,7 @@ class TestRegistry:
     def test_budget_filter_is_enforced_centrally(self):
         registry = SchemaRegistry()
 
-        def sloppy_builder(problem, q):
+        def sloppy_builder(problem, q, profile=None):
             yield PlanCandidate(
                 name="too-big",
                 q=q * 10,
@@ -89,7 +89,7 @@ class TestRegistry:
     def test_register_rejects_non_problem_types(self):
         registry = SchemaRegistry()
         with pytest.raises(ConfigurationError):
-            registry.register(int, lambda p, q: [])
+            registry.register(int, lambda p, q, profile=None: [])
 
     def test_thin_parameter_sweep_keeps_endpoints(self):
         values = list(range(1, 1001))

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import pytest
+
 from repro.exceptions import PlanningError
 from repro.pipeline import PipelinePlan, PipelinePlanner
 from repro.planner import CostBasedPlanner, SchemaCache, SchemaRegistry, share_opt
@@ -50,6 +52,9 @@ from repro.schemas.join_shares import (
 )
 from repro.stats.profile import DatasetProfile
 from test_bound_first_planning import CASES, FACTORS, MODELS, SIZE, TIER1_STRIDE, _setup
+
+#: Every size bound the census plans equals the oracle registry's.
+pytestmark = pytest.mark.usefixtures("size_bound_checks")
 
 # ----------------------------------------------------------------------
 # The oracle: the enumeration before the optimizer's frontiers
