@@ -3,10 +3,12 @@
 Executing a cascade exposes information planning never had: the *actual*
 intermediate result.  This module runs a :class:`~repro.pipeline.planner.
 PipelinePlan` round by round on the engine, profiles every intermediate
-**in-stream** (rows are observed as they flow toward the next round's
-mappers, via :class:`~repro.stats.profile.StreamingRelationProfiler` — no
-second pass over the data), and before each downstream round re-certifies
-its chosen schema under the observed profile.  The certificate lookup is
+but the final round's **in-stream** (rows are observed as they are
+collected for the next round, via :class:`~repro.stats.profile.
+StreamingRelationProfiler` — no second pass over the data; the final
+round's rows feed no later round, so nothing reads a profile of them), and
+before each downstream round re-certifies its chosen schema under the
+observed profile.  The certificate lookup is
 keyed by the observed profile's content fingerprint through the shared
 schema cache, so repeated executions of the same data re-use it.
 
@@ -40,7 +42,10 @@ materialized intermediate to every pipeline that needs it.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import logging
+import pickle
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -49,6 +54,7 @@ from typing import (
     Dict,
     Generator,
     Hashable,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -239,11 +245,14 @@ class RoundOutcome:
     ``job`` is the engine result (a :class:`JobResult`, or the chain's
     :class:`PipelineResult` for a two-phase matmul round).  For cascade
     rounds the coroutine fills ``rows`` (the materialized intermediate) and
-    ``profile`` (its in-stream observation) after receiving the outcome, so
-    a driver sharing intermediates across pipelines can hand both to other
-    consumers without re-materializing or re-profiling.  A driver feeding a
-    cached intermediate back sets ``reused=True`` with all three fields
-    populated; the coroutine then skips execution-side work entirely.
+    ``profile`` (its in-stream observation; ``None`` for the cascade's
+    final round, whose rows feed no later round) after receiving the
+    outcome, so a driver sharing intermediates across pipelines can hand
+    both to other consumers without re-materializing or re-profiling.  A
+    driver feeding a cached intermediate back sets ``reused=True`` with
+    ``job`` and ``rows`` populated; the coroutine then skips
+    execution-side work entirely, except that a round that feeds a later
+    one profiles shared rows that arrive without a profile.
     """
 
     job: Any
@@ -557,11 +566,28 @@ def _base_fingerprints(base_records: Dict[str, List[Any]]) -> Dict[str, int]:
     Row order matters: the engine's outputs are deterministic *given* the
     input record order, so two sub-trees only produce bit-identical
     intermediates when their base records arrive identically.
+
+    The digest is blake2b over the records' pickle, written with the
+    pickler's memo off (``fast``): no back-references, so equal content
+    gives equal bytes whatever the object identities.  Every value is
+    written under its own type, so the digest is type-exact like ``repr``
+    (``1``, ``1.0`` and ``True`` differ; numpy scalars, namedtuples and enum
+    members name their class).  Records pickle cannot write (instances of
+    local classes, locks, cycles) take the ``repr`` digest instead.
     """
-    return {
-        name: stable_hash((name, tuple(rows)))
-        for name, rows in base_records.items()
-    }
+    fingerprints = {}
+    for name, rows in base_records.items():
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, protocol=5)
+        pickler.fast = True
+        try:
+            pickler.dump(rows)
+        except Exception:  # whatever pickle cannot write
+            fingerprints[name] = stable_hash((name, tuple(rows)))
+            continue
+        digest = hashlib.blake2b(buffer.getbuffer(), digest_size=8).digest()
+        fingerprints[name] = int.from_bytes(digest, "big")
+    return fingerprints
 
 
 def _plan_token(round_: PipelineRound) -> Tuple:
@@ -587,6 +613,42 @@ def _leaf_token(leaf: RelationLeaf, fingerprints: Dict[str, int]) -> Tuple:
         leaf.relation.attributes,
         fingerprints[leaf.relation.name],
     )
+
+
+def _round_inputs(
+    op: BinaryJoinOp,
+    base_records: Dict[str, List[Any]],
+    node_outputs: Dict[str, Any],
+) -> List[Any]:
+    """One round's input records: base relations verbatim, intermediates
+    as ``(name, row)`` pairs from the earlier rounds' materialized outputs."""
+    input_records: List[Any] = []
+    for child in (op.left, op.right):
+        if isinstance(child, RelationLeaf):
+            input_records.extend(base_records[child.relation.name])
+        else:
+            name = child.schema.name
+            input_records.extend((name, row) for row in node_outputs[name])
+    return input_records
+
+
+def _profile_rows(
+    tracer,
+    op: BinaryJoinOp,
+    index: int,
+    rows: Iterable[Any],
+    into: Optional[List[Any]] = None,
+) -> RelationProfile:
+    """Profile a round's rows in-stream, appending them to ``into`` when
+    the caller collects them — one pass, no second copy."""
+    with tracer.span("profile-intermediate", node=op.schema.name, round=index):
+        profiler = StreamingRelationProfiler(op.schema.name, op.schema.attributes)
+        if into is None:
+            for row in rows:
+                profiler.observe(row)
+        else:
+            into.extend(profiler.wrap(rows))
+        return profiler.finish()
 
 
 def _cascade_rounds(
@@ -711,15 +773,6 @@ def _cascade_rounds(
                             rounds[index] = round_ = new_round
                             final_certification = round_.certification
                             replanned = True
-            # Gather this round's input records: base relations verbatim,
-            # intermediates from the previous rounds' materialized outputs.
-            input_records: List[Any] = []
-            for child in (op.left, op.right):
-                if isinstance(child, RelationLeaf):
-                    input_records.extend(base_records[child.relation.name])
-                else:
-                    name = child.schema.name
-                    input_records.extend((name, row) for row in node_outputs[name])
             round_token: Optional[Tuple] = None
             if reuse_keys:
                 # Built after re-planning settled, so the token names the plan
@@ -744,9 +797,12 @@ def _cascade_rounds(
                 reuse_key=(
                     ("shared-intermediate", round_token) if reuse_keys else None
                 ),
+                # The inputs are gathered only when the round actually runs:
+                # a round answered from the store never reads them.
                 _runner=(
-                    lambda records_=input_records, plan_=round_.plan: plan_.execute(
-                        records_, engine=engine
+                    lambda op_=op, plan_=round_.plan: plan_.execute(
+                        _round_inputs(op_, base_records, node_outputs),
+                        engine=engine,
                     )
                 ),
             )
@@ -754,23 +810,27 @@ def _cascade_rounds(
             job = received.job
             assert isinstance(job, JobResult)
             job_results.append(job)
+            feeds_later_round = index < len(rounds) - 1
             if received.reused and received.rows is not None:
-                # Another pipeline materialized (and profiled) this identical
-                # intermediate; adopt its rows and observation verbatim.
+                # Another pipeline materialized this identical intermediate;
+                # adopt its rows and observation verbatim.  A producer for
+                # which it was the final round took no profile, so profile
+                # the shared rows here when a later round needs them.
                 rows = received.rows
                 finished_profile = received.profile
+                if finished_profile is None and feeds_later_round:
+                    finished_profile = _profile_rows(tracer, op, index, rows)
                 stored: Any = rows
             else:
-                # Profile the intermediate in-stream while it is collected for
-                # the next round — one pass, no second copy.
-                with tracer.span(
-                    "profile-intermediate", node=op.schema.name, round=index
-                ):
-                    profiler = StreamingRelationProfiler(
-                        op.schema.name, op.schema.attributes
+                if feeds_later_round:
+                    rows = []
+                    finished_profile = _profile_rows(
+                        tracer, op, index, job.outputs, into=rows
                     )
-                    rows = list(profiler.wrap(job.outputs))
-                    finished_profile = profiler.finish()
+                else:
+                    # The final round's rows feed no later round: nothing
+                    # reads their profile, so none is taken.
+                    rows, finished_profile = list(job.outputs), None
                 # Publish rows and profile on the outcome so a sharing driver
                 # can feed other consumers of the same sub-tree.
                 received.rows = rows

@@ -7,7 +7,14 @@ coroutine stamps every round with exactly that identity
 (:func:`repro.pipeline.execute.pipeline_rounds` with ``reuse_keys=True``:
 sub-tree structure + base-record content fingerprints + chosen plan name
 and shares vector), the same fingerprint-keyed discipline
-:class:`repro.planner.cache.SchemaCache` applies to plan builds.
+:class:`repro.planner.cache.SchemaCache` applies to plan builds.  The
+content fingerprint is a type-exact digest of the records' pickle,
+written without the memo (``1``, ``1.0`` and ``True`` differ), so equal
+keys mean equal records of equal types, whatever objects hold them.
+
+A stored outcome carries the producer's rows and, unless the round was
+the producer's final one, its in-stream profile; a consumer that needs a
+profile the producer did not take builds it from the shared rows.
 
 :class:`IntermediateStore` keeps one entry per key with a small lifecycle:
 

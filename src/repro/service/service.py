@@ -44,6 +44,7 @@ Example
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import logging
@@ -138,6 +139,17 @@ class _QueryState:
     queued_at: Optional[float] = None
     #: When the current round parked on another query's intermediate.
     parked_at: Optional[float] = None
+
+
+def _queue_key(state: _QueryState, classes: int = 0) -> tuple:
+    """Admission order: higher effective priority first (the submitted
+    priority plus ``classes`` whole aging classes), then cheaper certified
+    load, then submission order."""
+    return (
+        -(state.priority + classes),
+        state.pending_work.admission_load,
+        state.seq,
+    )
 
 
 class QueryService:
@@ -235,8 +247,12 @@ class QueryService:
         self._idle = threading.Condition(self._lock)
         self._ids = itertools.count(1)
         self._seq = itertools.count()
-        #: Rounds waiting for admission, dispatched in priority order.
+        #: Rounds waiting for admission, kept in ``_queue_key`` order on
+        #: insert (dispatch re-sorts it only once a round may have aged).
         self._ready: List[_QueryState] = []
+        #: Lower bound on every queued round's ``queued_at``, refreshed by
+        #: each full sort — what tells dispatch that no round has aged.
+        self._oldest_queued = math.inf
         self._running_rounds = 0
         self._parked_rounds = 0
         #: Dispatch passes that found a non-empty queue to walk.
@@ -458,8 +474,14 @@ class QueryService:
                 return
             state.producing_key = work.reuse_key
         state.queued_at = time.perf_counter()
-        self._ready.append(state)
+        self._enqueue_locked(state)
         self._dispatch_locked()
+
+    def _enqueue_locked(self, state: _QueryState) -> None:
+        """Insert a round into the admission queue in ``_queue_key`` order
+        (caller holds ``self._lock``)."""
+        bisect.insort(self._ready, state, key=_queue_key)
+        self._oldest_queued = min(self._oldest_queued, state.queued_at)
 
     def _dispatch_locked(self) -> None:
         """Admit every queued round that fits, best-priced first.
@@ -480,23 +502,25 @@ class QueryService:
         the walk resumes at the cheaper rounds of the next.  Same admitted
         set as trying every round; the ledger's ``deferrals`` counts the
         reservations actually attempted and refused.
+
+        Insertion keeps the queue in ``_queue_key`` order, which is the
+        effective-priority order as long as no queued round has aged a
+        class, so the pass re-sorts only once the oldest queued round may
+        have (``_oldest_queued``, refreshed by each re-sort): the same
+        order, so the same admissions, as sorting on every pass.
         """
         if not self._ready:
             return
         self._dispatch_passes += 1
         aging = self.aging_seconds
         now = time.perf_counter() if aging is not None else 0.0
-
-        def effective(state: _QueryState) -> float:
-            if aging is None or state.queued_at is None:
-                return state.priority
-            # Whole classes only: sub-threshold waits must not perturb
-            # the cheapest-certified-load-first order within a class.
-            return state.priority + int((now - state.queued_at) / aging)
-
-        self._ready.sort(
-            key=lambda s: (-effective(s), s.pending_work.admission_load, s.seq)
-        )
+        if aging is not None and (now - self._oldest_queued) / aging >= 1.0:
+            # Whole classes only: sub-threshold waits must not perturb the
+            # cheapest-certified-load-first order within a class.
+            self._ready.sort(
+                key=lambda s: _queue_key(s, int((now - s.queued_at) / aging))
+            )
+            self._oldest_queued = min(s.queued_at for s in self._ready)
         admitted: List[_QueryState] = []
         refused = math.inf  # smallest load the ledger refused this pass
         for state in self._ready:
@@ -647,10 +671,10 @@ class QueryService:
     def _advance(self, state: _QueryState, outcome: RoundOutcome) -> None:
         """Send the outcome into the coroutine and schedule what follows.
 
-        The ``send`` profiles the round's rows in-stream and fills
-        ``outcome.rows`` / ``outcome.profile`` — which is exactly what the
-        store shares with parked consumers, so fulfilment happens *after*
-        the send and before the next round is offered.
+        The ``send`` fills ``outcome.rows`` and, unless the round was the
+        query's last, ``outcome.profile`` (profiled in-stream) — which is
+        exactly what the store shares with parked consumers, so fulfilment
+        happens *after* the send and before the next round is offered.
         """
         next_work: Optional[RoundWork] = None
         result: Optional[PipelineRunResult] = None

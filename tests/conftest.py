@@ -33,8 +33,9 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         action="store_true",
         help="run all 78 seeded bound-first planning and Shares census cases, "
         "not the tier-1 stride, "
-        "both triangle reducer oracles on benchmark-sized graphs, and the "
-        "model-domain below-curve sweep at domain size 8",
+        "both triangle reducer oracles on benchmark-sized graphs, the "
+        "model-domain below-curve sweep at domain size 8, and the "
+        "admission-queue order property test on 5 000 sequences, not 200",
     )
 
 

@@ -658,3 +658,132 @@ class TestAdaptiveExecution:
         assert len(run.result.round_results) == 2
         assert run.result.round_certified_loads is not None
         assert np.allclose(records_to_matrix(run.outputs, 8, 8), left @ right)
+
+
+# ----------------------------------------------------------------------
+# The cascade round coroutine driven round by round
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def chain4_cascade():
+    """A three-round left-deep 4-chain cascade whose second round consumes
+    the first round's intermediate and re-certifies it to a different
+    bound than planning gave it (16 planned, 19 observed)."""
+    relations = skewed_chain_join_instance(4, 60, 24, skew=1.2, seed=7)
+    problem = MultiwayJoinProblem(JoinQuery.chain(4), domain_size=24)
+    planner = PipelinePlanner(CostBasedPlanner.min_replication())
+    result = planner.plan(problem, q=240, profile=profile_relations(relations))
+    plan = next(
+        plan
+        for plan in result.cascades()
+        if len(plan.rounds) == 3
+        and plan.rounds[1].op.left.schema.name == plan.rounds[0].op.schema.name
+    )
+    return plan, SharesSchema.input_records(relations)
+
+
+def _drive(rounds, work, outcome):
+    """Send ``outcome`` for ``work`` and execute every later round serially."""
+    try:
+        while True:
+            work = rounds.send(outcome)
+            outcome = work.execute()
+    except StopIteration as stop:
+        return stop.value
+
+
+class _CountingRows(list):
+    """A row list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestCascadeRoundCoroutine:
+    def test_only_rounds_feeding_a_later_round_are_profiled(self, chain4_cascade):
+        import dataclasses
+
+        from repro.obs import Tracer
+
+        plan, records = chain4_cascade
+        tracer = Tracer()
+        engine = MapReduceEngine(dataclasses.replace(plan.cluster, tracer=tracer))
+        run = plan.execute(records, engine=engine)
+        profiled = [
+            span.attributes["round"]
+            for span in tracer.spans()
+            if span.name == "profile-intermediate"
+        ]
+        assert len(run.executed) == 3
+        assert profiled == [0, 1]
+
+    def test_shared_rows_without_a_profile_are_profiled_by_the_consumer(
+        self, chain4_cascade
+    ):
+        """A store may hand a producer's *final* round (rows, no profile)
+        to a cascade in which that round feeds another: the consumer must
+        re-certify and re-plan exactly as a one-shot run does."""
+        from repro.pipeline.execute import (
+            RoundOutcome,
+            execute_pipeline,
+            pipeline_rounds,
+        )
+
+        plan, records = chain4_cascade
+        one_shot = execute_pipeline(plan, records)
+        assert one_shot.executed[1].certification != plan.rounds[1].certification
+        rounds = pipeline_rounds(plan, records, reuse_keys=True)
+        first = next(rounds)
+        job = first.execute().job
+        shared = RoundOutcome(job, list(job.outputs), profile=None, reused=True)
+        run = _drive(rounds, first, shared)
+        assert run.executed[0].reused
+        assert run.executed[1].certification == one_shot.executed[1].certification
+        assert run.replan_events == one_shot.replan_events
+        assert run.outputs == one_shot.outputs
+
+    def test_a_round_answered_from_the_store_never_reads_its_inputs(
+        self, chain4_cascade
+    ):
+        from repro.pipeline.execute import RoundOutcome, pipeline_rounds
+
+        plan, records = chain4_cascade
+        producer = pipeline_rounds(plan, records, reuse_keys=True)
+        work = next(producer)
+        produced = []
+        try:
+            while True:
+                produced.append(work.execute())
+                work = producer.send(produced[-1])
+        except StopIteration:
+            pass
+        consumer = pipeline_rounds(plan, records, reuse_keys=True)
+        work = next(consumer)
+        intermediate = _CountingRows(produced[0].rows)
+        served = [
+            RoundOutcome(
+                outcome.job,
+                intermediate if index == 0 else outcome.rows,
+                outcome.profile,
+                reused=True,
+            )
+            for index, outcome in enumerate(produced)
+        ]
+        # Round 1 consumes round 0's rows; it is yielded, and answered from
+        # the store, without its input list ever being built.
+        work = consumer.send(served[0])
+        assert work.index == 1 and intermediate.iterations == 0
+        work = consumer.send(served[1])
+        assert work.index == 2 and intermediate.iterations == 0
+        with pytest.raises(StopIteration) as stop:
+            consumer.send(served[2])
+        assert intermediate.iterations == 0
+        assert stop.value.value.outputs == plan.execute(records).outputs
+        # The producer's final round published its rows without a profile.
+        assert [outcome.profile is None for outcome in produced] == [
+            False,
+            False,
+            True,
+        ]
