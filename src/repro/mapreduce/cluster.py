@@ -61,15 +61,17 @@ class ClusterConfig:
         pre-built :class:`~repro.mapreduce.executor.Executor` instance.
     data_plane:
         The *plane* — how records are represented through map → shuffle →
-        reduce, independently of the runner: ``"records"`` streams one
-        Python record at a time (the seed behaviour); ``"columnar"`` asks
-        for vectorized numpy batches.  One check
+        reduce, independently of the runner.  ``"columnar"`` (the default)
+        runs on vectorized numpy batches unless declined: one check
         (:func:`~repro.mapreduce.columnar.choose_plane`) decides per run and
         may decline — no numpy, no batch kernel, a combiner, a shuffle
         backend without encoded batches, the pool runner, or inputs the
         kernel cannot encode — in which case the job runs on records and
-        the run is counted in ``plane_declined_total{reason}``.  Every
-        runner × plane cell produces bit-identical outputs and metrics.
+        the run is counted in ``plane_declined_total{reason}``.
+        ``"records"`` streams one Python record at a time: it is the
+        oracle plane every other cell is held to, and it never materializes
+        its inputs.  Every runner × plane cell produces bit-identical
+        outputs and metrics.
     tracer:
         Span tracer the engine (and everything running on this cluster)
         reports to — see :mod:`repro.obs`.  ``None`` resolves to the
@@ -90,7 +92,7 @@ class ClusterConfig:
     planning_cost_per_second: float = 0.0
     map_batch_size: int = 1024
     executor: object = "serial"
-    data_plane: str = "records"
+    data_plane: str = "columnar"
     tracer: Optional[object] = None
     metrics: Optional[object] = None
 

@@ -33,10 +33,11 @@ numpy batches), every cell bit-identical to the serial record run:
   reduce blocks out to a warm process pool, running a job it cannot ship
   inline instead.  Select the runner via ``ClusterConfig.executor``, the
   engine's ``executor=`` argument, or per ``run`` call.  Independently,
-  ``ClusterConfig.data_plane="columnar"`` asks for the batch plane; one
-  check (:func:`~repro.mapreduce.columnar.choose_plane`) decides per run,
-  and a decline is counted in ``plane_declined_total{reason}`` and runs on
-  records.
+  ``ClusterConfig.data_plane`` picks the plane: columnar unless declined
+  (the default) — one check
+  (:func:`~repro.mapreduce.columnar.choose_plane`) decides per run, and a
+  decline is counted in ``plane_declined_total{reason}`` and runs on
+  records — or ``"records"``, the oracle plane.
 
 Determinism matters for reproducibility of the benchmarks: reduce keys are
 processed in sorted order of their stable hash (falling back to ``repr``

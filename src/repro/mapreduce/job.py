@@ -46,12 +46,13 @@ class MapReduceJob:
     batch_kernel:
         Optional vectorized kernel (a
         :class:`repro.mapreduce.columnar.BatchKernel`) equivalent to the
-        mapper/reducer pair.  When the cluster's ``data_plane`` is
-        ``"columnar"``, jobs carrying a kernel run on typed column batches
-        instead of one record at a time; jobs without one (or whose kernel
-        declines the inputs) take the record path unchanged.  The kernel
-        must be behaviourally identical to the scalar functions — the
-        engine treats the record path as the bit-identity oracle.
+        mapper/reducer pair.  Unless the cluster's ``data_plane`` is
+        ``"records"``, jobs carrying a kernel run on typed column batches
+        instead of one record at a time (columnar unless declined); jobs
+        without one (or whose kernel declines the inputs) take the record
+        path unchanged.  The kernel must be behaviourally identical to the
+        scalar functions — the engine treats the record path as the
+        bit-identity oracle.
     """
 
     mapper: MapFunction

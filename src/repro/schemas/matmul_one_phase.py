@@ -85,50 +85,51 @@ def decode_element_records(values: ColumnBatch) -> List[ElementRecord]:
     ]
 
 
-def accumulate_tile(tags, row_ids, column_ids, values, row_range, column_range, middle_range):
-    """Per-tile products summed in the scalar reducers' exact order.
+def accumulate_tiles(groups, num_groups, tags, row_ids, column_ids, values, starts, shape):
+    """Per-tile products of many tiles at once, in the scalar reducers' order.
 
-    Builds dense (rows × middles) / (middles × columns) operand blocks with
-    presence masks, then accumulates ``j`` strictly in ascending order:
-    IEEE addition order is part of the bit-identity contract, so a single
-    ``matmul`` (pairwise summation, different rounding) is off the table.
-    Missing pairs contribute an exact ``+0.0``, which is a bitwise no-op on
-    every total this accumulation can produce.  Returns ``(totals,
-    contributed)`` dense tiles.
+    Element ``p`` belongs to tile ``groups[p]``, whose row, column and
+    middle index ranges begin at ``starts`` (per-element arrays or scalars)
+    and span ``shape = (rows, columns, middles)``.  Builds dense
+    (tiles × rows × middles) / (tiles × middles × columns) operand blocks
+    with presence masks, then accumulates ``j`` strictly in ascending
+    order: IEEE addition order is part of the bit-identity contract, so a
+    single ``matmul`` (pairwise summation, different rounding) is off the
+    table.  Missing pairs contribute an exact ``+0.0``, which is a bitwise
+    no-op on every total this accumulation can produce.  Returns
+    ``(totals, contributed)``, each of shape ``(num_groups, rows, columns)``.
     """
     import numpy as np
 
-    row_start, row_stop = row_range
-    column_start, column_stop = column_range
-    middle_start, middle_stop = middle_range
-    rows = row_stop - row_start
-    columns = column_stop - column_start
-    middles = middle_stop - middle_start
-    left = np.zeros((rows, middles))
-    left_present = np.zeros((rows, middles), dtype=bool)
-    right = np.zeros((middles, columns))
-    right_present = np.zeros((middles, columns), dtype=bool)
+    row_start, column_start, middle_start = starts
+    rows, columns, middles = shape
+    left = np.zeros((num_groups, rows, middles))
+    left_present = np.zeros((num_groups, rows, middles), dtype=bool)
+    right = np.zeros((num_groups, middles, columns))
+    right_present = np.zeros((num_groups, middles, columns), dtype=bool)
     is_left = tags == 0
+    is_right = ~is_left
     # Duplicate (i, j) records overwrite in arrival order, matching the
     # scalar reducers' dict construction.
-    left[row_ids[is_left] - row_start, column_ids[is_left] - middle_start] = values[
-        is_left
-    ]
-    left_present[
-        row_ids[is_left] - row_start, column_ids[is_left] - middle_start
-    ] = True
-    is_right = ~is_left
-    right[row_ids[is_right] - middle_start, column_ids[is_right] - column_start] = (
-        values[is_right]
+    at = (
+        groups[is_left],
+        (row_ids - row_start)[is_left],
+        (column_ids - middle_start)[is_left],
     )
-    right_present[
-        row_ids[is_right] - middle_start, column_ids[is_right] - column_start
-    ] = True
-    totals = np.zeros((rows, columns))
-    contributed = np.zeros((rows, columns), dtype=bool)
+    left[at] = values[is_left]
+    left_present[at] = True
+    at = (
+        groups[is_right],
+        (row_ids - middle_start)[is_right],
+        (column_ids - column_start)[is_right],
+    )
+    right[at] = values[is_right]
+    right_present[at] = True
+    totals = np.zeros((num_groups, rows, columns))
+    contributed = np.zeros((num_groups, rows, columns), dtype=bool)
     for middle in range(middles):
-        both = left_present[:, middle][:, None] & right_present[middle, :][None, :]
-        product = left[:, middle][:, None] * right[middle, :][None, :]
+        both = left_present[:, :, middle, None] & right_present[:, None, middle, :]
+        product = left[:, :, middle, None] * right[:, None, middle, :]
         totals += np.where(both, product, 0.0)
         contributed |= both
     return totals, contributed
@@ -284,7 +285,7 @@ class OnePhaseTilingBatchKernel(BatchKernel):
     element fans out along a tile row (ascending column group), an S element
     down a tile column (ascending row group) — the same order as the scalar
     mapper.  The per-tile reduce accumulates products middle-index by
-    middle-index (see :func:`accumulate_tile`) so float totals are
+    middle-index (see :func:`accumulate_tiles`) so float totals are
     bit-identical to the scalar reducer's sequential sums.
     """
 
@@ -327,14 +328,15 @@ class OnePhaseTilingBatchKernel(BatchKernel):
         size = schema.group_size
         row_start = key[0] * size
         column_start = key[1] * size
-        totals, _ = accumulate_tile(
+        totals, _ = accumulate_tiles(
+            np.zeros(len(values), dtype=np.int64),
+            1,
             values.column("m"),
             values.column("i"),
             values.column("j"),
             values.column("val"),
-            (row_start, row_start + size),
-            (column_start, column_start + size),
-            (0, schema.n),
+            (row_start, column_start, 0),
+            (size, size, schema.n),
         )
         row_ids = np.repeat(
             np.arange(row_start, row_start + size, dtype=np.int64), size

@@ -14,14 +14,19 @@ every ``q < n²``.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Hashable, Iterator, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.mapreduce.columnar import BatchEncodingError, BatchKernel, ColumnBatch
+from repro.mapreduce.columnar import (
+    BatchEncodingError,
+    BatchKernel,
+    ColumnBatch,
+    EncodedRun,
+)
 from repro.mapreduce.job import JobChain, MapReduceJob
 from repro.problems.matmul import MatrixMultiplicationProblem
 from repro.schemas.matmul_one_phase import (
-    accumulate_tile,
+    accumulate_tiles,
     decode_element_records,
     encode_element_records,
 )
@@ -61,6 +66,11 @@ class TwoPhaseMatMulAlgorithm:
         self.s = s
         self.t = t
         self.name = f"two-phase-matmul(n={n}, s={s}, t={t})"
+        # Reduce keys by batch-plane code, decoded once per algorithm: every
+        # chain built from it (one per execution of a cached plan) shares
+        # the same key objects instead of allocating fresh tuples per run.
+        self.cube_keys = _DecodedKeys(self._cube_of_code)
+        self.entry_keys = _DecodedKeys(self._entry_of_code)
 
     # ------------------------------------------------------------------
     # Geometry
@@ -86,6 +96,13 @@ class TwoPhaseMatMulAlgorithm:
     def num_first_phase_reducers(self) -> int:
         """``(n/s)² · (n/t)`` cubes."""
         return self.num_row_groups * self.num_row_groups * self.num_middle_groups
+
+    def _cube_of_code(self, code: int) -> CubeId:
+        tile, middle = divmod(code, self.num_middle_groups)
+        return (tile // self.num_row_groups, tile % self.num_row_groups, middle)
+
+    def _entry_of_code(self, code: int) -> Tuple[int, int]:
+        return divmod(code, self.n)
 
     def reducers_for_element(self, matrix: str, i: int, j: int) -> Iterator[CubeId]:
         """First-phase cubes needing element (i, j) of R or (j, k) of S."""
@@ -209,10 +226,11 @@ class CubePartialSumBatchKernel(BatchKernel):
     """Vectorized twin of the first-phase (partial sum) job.
 
     Cubes ``(row, column, middle)`` become the code
-    ``(row · n/s + column) · n/t + middle``.  The per-cube reduce is
-    :func:`repro.schemas.matmul_one_phase.accumulate_tile` restricted to
-    the cube's middle-index band; only contributing ``(i, k)`` pairs emit,
-    in the scalar reducer's row-major order.
+    ``(row · n/s + column) · n/t + middle``.  A whole run of cubes is
+    reduced at once by :func:`repro.schemas.matmul_one_phase.accumulate_tiles`,
+    each cube restricted to its middle-index band; only contributing
+    ``(i, k)`` pairs emit, cube by cube in run order and in the scalar
+    reducer's row-major order within a cube.
     """
 
     def __init__(self, algorithm: TwoPhaseMatMulAlgorithm) -> None:
@@ -253,41 +271,42 @@ class CubePartialSumBatchKernel(BatchKernel):
         return codes.ravel(), row_indices, batch
 
     def key_of_code(self, code: int) -> CubeId:
-        code = int(code)
-        middle_groups = self.algorithm.num_middle_groups
-        row_groups = self.algorithm.num_row_groups
-        tile, middle = divmod(code, middle_groups)
-        return (tile // row_groups, tile % row_groups, middle)
+        return self.algorithm.cube_keys[int(code)]
 
-    def reduce_group(self, key: CubeId, code: int, values: ColumnBatch):
+    def reduce_groups(self, run: EncodedRun):
         import numpy as np
 
         algorithm = self.algorithm
-        row_start = key[0] * algorithm.s
-        column_start = key[1] * algorithm.s
-        middle_start = key[2] * algorithm.t
-        totals, contributed = accumulate_tile(
+        s = algorithm.s
+        tiles, middles = np.divmod(run.codes, algorithm.num_middle_groups)
+        rows, columns = np.divmod(tiles, algorithm.num_row_groups)
+        # First row, column and middle index of each cube of the run.
+        row_start, column_start = rows * s, columns * s
+        groups = np.repeat(np.arange(run.num_groups, dtype=np.int64), run.sizes)
+        values = run.values
+        totals, contributed = accumulate_tiles(
+            groups,
+            run.num_groups,
             values.column("m"),
             values.column("i"),
             values.column("j"),
             values.column("val"),
-            (row_start, row_start + algorithm.s),
-            (column_start, column_start + algorithm.s),
-            (middle_start, middle_start + algorithm.t),
+            (row_start[groups], column_start[groups], middles[groups] * algorithm.t),
+            (s, s, algorithm.t),
         )
-        row_ids = np.repeat(
-            np.arange(row_start, row_start + algorithm.s, dtype=np.int64), algorithm.s
+        local = np.arange(s, dtype=np.int64)
+        row_ids = np.broadcast_to(
+            row_start[:, None, None] + local[None, :, None], totals.shape
         )
-        column_ids = np.tile(
-            np.arange(column_start, column_start + algorithm.s, dtype=np.int64),
-            algorithm.s,
+        column_ids = np.broadcast_to(
+            column_start[:, None, None] + local[None, None, :], totals.shape
         )
         emit = contributed.ravel()
         return [
             ((i, k), partial)
             for i, k, partial in zip(
-                row_ids[emit].tolist(),
-                column_ids[emit].tolist(),
+                row_ids.ravel()[emit].tolist(),
+                column_ids.ravel()[emit].tolist(),
                 totals.ravel()[emit].tolist(),
             )
         ]
@@ -300,6 +319,8 @@ class PartialSumAggregationBatchKernel(BatchKernel):
     so the value batch is already pair-aligned.  The per-key reduce is the
     scalar ``sum(partials)`` on the arrival-ordered Python floats — the
     addition order is the bit-identity contract, so no numpy pairwise sum.
+    A whole run is reduced at once: one ``tolist()`` of its values, then
+    ``sum`` over each group's slice.
     """
 
     def __init__(self, algorithm: TwoPhaseMatMulAlgorithm) -> None:
@@ -349,10 +370,31 @@ class PartialSumAggregationBatchKernel(BatchKernel):
         return codes, None, batch
 
     def key_of_code(self, code: int) -> Tuple[int, int]:
-        return divmod(int(code), self.algorithm.n)
+        return self.algorithm.entry_keys[int(code)]
+
+    def reduce_groups(self, run: EncodedRun):
+        partials = run.values.column("val").tolist()
+        starts = run.starts.tolist()
+        return [
+            (i, k, sum(partials[start:stop]))
+            for (i, k), start, stop in zip(run.keys, starts, starts[1:])
+        ]
 
     def reduce_group(self, key: Tuple[int, int], code: int, values: ColumnBatch):
+        # Never reached by ``reduce_runs`` (``reduce_groups`` always answers);
+        # the per-group form the whole-run reduce is tested against.
         return [(key[0], key[1], sum(values.column("val").tolist()))]
+
+
+class _DecodedKeys(dict):
+    """Batch-plane code -> reduce key, decoded on first use and then shared."""
+
+    def __init__(self, decode: Callable[[int], Hashable]) -> None:
+        self.decode = decode
+
+    def __missing__(self, code: int) -> Hashable:
+        key = self[code] = self.decode(code)
+        return key
 
 
 def _nearest_divisor(n: int, target: float) -> int:

@@ -209,6 +209,78 @@ class TestMatmulKernels:
                 m.summary() for m in oracle.metrics.rounds
             ]
 
+    @staticmethod
+    def _encoded_run(kernel, records):
+        from repro.mapreduce.columnar import build_encoded_run
+
+        codes, rows, values = kernel.map_batch(kernel.encode(records))
+        keys = {code: kernel.key_of_code(code) for code in np.unique(codes).tolist()}
+        return build_encoded_run([(codes, rows, values)], keys)
+
+    @given(
+        shape=st.sampled_from(
+            [(n, s, t) for n in (2, 4, 6) for s in (1, 2, 3, 6) for t in (1, 2, 3, 6)
+             if n % s == 0 and n % t == 0]
+        ),
+        seed=st.integers(min_value=0, max_value=10_000),
+        keep=st.floats(min_value=0.3, max_value=1.0),
+    )
+    @examples(40)
+    def test_two_phase_whole_run_reduces(self, shape, seed, keep):
+        """Each phase's whole-run ``reduce_groups`` equals its per-group
+        oracle (``reduce_group`` for the sums, the scalar reducer for the
+        cubes), as lists with ``repr``-equal floats, on sparse matrices."""
+        import random
+
+        from repro.datagen.matrices import multiplication_records, random_matrix
+
+        n, s, t = shape
+        rng = random.Random(seed)
+        records = [
+            record
+            for record in multiplication_records(
+                random_matrix(n, seed=seed), random_matrix(n, seed=seed + 1)
+            )
+            if rng.random() < keep
+        ]
+        first, second = TwoPhaseMatMulAlgorithm(n, s, t).chain().jobs
+        run = self._encoded_run(first.batch_kernel, records)
+        kernel = first.batch_kernel
+        whole = kernel.reduce_groups(run) if run is not None else []
+        per_group = [
+            output
+            for index, key in enumerate(run.keys if run is not None else [])
+            for output in first.reducer(key, kernel.decode_records(run.group_values(index)))
+        ]
+        assert whole == per_group and repr(whole) == repr(per_group)
+        run = self._encoded_run(second.batch_kernel, whole)
+        if run is None:
+            return
+        kernel = second.batch_kernel
+        code_list = run.codes.tolist()
+        whole = kernel.reduce_groups(run)
+        per_group = [
+            output
+            for index, key in enumerate(run.keys)
+            for output in kernel.reduce_group(key, code_list[index], run.group_values(index))
+        ]
+        assert whole == per_group and repr(whole) == repr(per_group)
+
+    @given(shape=st.sampled_from([(4, 2, 1), (6, 3, 2), (8, 4, 2)]))
+    @examples(3)
+    def test_two_phase_keys_decoded_once_per_algorithm(self, shape):
+        n = shape[0]
+        algorithm = TwoPhaseMatMulAlgorithm(*shape)
+        (cubes, sums), (cubes_again, sums_again) = (
+            [job.batch_kernel for job in algorithm.chain().jobs] for _ in range(2)
+        )
+        for code in range(n * n):
+            key = sums.key_of_code(code)
+            assert key is sums_again.key_of_code(code)
+            assert key == divmod(code, n)
+        for code in range(algorithm.num_first_phase_reducers):
+            assert cubes.key_of_code(code) is cubes_again.key_of_code(code)
+
 
 class TestPipelineCascades:
     @given(

@@ -96,7 +96,9 @@ SHUFFLES = {
 @functools.lru_cache(maxsize=None)
 def _oracle(workload):
     """The serial record-plane run every cell is held to (computed once)."""
-    return workload(MapReduceEngine(ClusterConfig(map_batch_size=16)))
+    return workload(
+        MapReduceEngine(ClusterConfig(data_plane="records", map_batch_size=16))
+    )
 
 
 @pytest.mark.parametrize("shuffle", sorted(SHUFFLES))
@@ -149,7 +151,7 @@ class TestPlaneDeclines:
         cell = make_cell(runner, "batches")
         # A one-shot iterator: a declined run must still see every record.
         result = cell.engine(shuffle).run(job, iter(inputs))
-        oracle = MapReduceEngine().run(job, inputs)
+        oracle = MapReduceEngine(ClusterConfig(data_plane="records")).run(job, inputs)
         assert cell.declined() == {reason: 1}
         assert result.outputs == oracle.outputs
         assert result.metrics == oracle.metrics
@@ -204,7 +206,7 @@ class TestPlaneDeclines:
 
     def test_records_plane_counts_nothing(self):
         registry = MetricsRegistry()
-        engine = MapReduceEngine(ClusterConfig(metrics=registry))
+        engine = MapReduceEngine(ClusterConfig(data_plane="records", metrics=registry))
         job, records = _string_join()
         engine.run(job, records)
         engine.run(SplittingSchema(6, 3).job(), self.WORDS)

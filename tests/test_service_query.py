@@ -13,6 +13,9 @@ its own component tests plus end-to-end coverage through
   and every consumer's outputs stay bit-identical to running alone.
 * **Tuning** — re-plan wins and losses observed across queries move the
   ``replan_factor`` the service hands to new submissions.
+* **Plane conformance** — the benchmark's query mix gives the same outputs
+  and per-round metrics planned on the default (columnar) plane as on the
+  record oracle plane.
 """
 
 from __future__ import annotations
@@ -28,15 +31,20 @@ from typing import List
 
 import pytest
 
+from repro.datagen.matrices import integer_matrix, multiplication_records
 from repro.datagen.relations import (
     multiway_join_oracle,
     skewed_chain_join_instance,
 )
 from repro.exceptions import AdmissionError, ConfigurationError
+from repro.mapreduce import ClusterConfig
+from repro.obs import MetricsRegistry
 from repro.pipeline import PipelinePlanner, ReplanEvent
 from repro.planner import CostBasedPlanner
 from repro.planner.cache import default_schema_cache
+from repro.problems.grouping import GroupByAggregationProblem
 from repro.problems.joins import JoinQuery, MultiwayJoinProblem
+from repro.problems.matmul import MatrixMultiplicationProblem
 from repro.schemas import SharesSchema
 from repro.service import (
     AdmissionLedger,
@@ -1338,3 +1346,97 @@ class TestStarvationAging:
             QueryService(capacity=10.0, aging_seconds=0.0)
         with pytest.raises(ConfigurationError, match="aging_seconds"):
             QueryService(capacity=10.0, aging_seconds=-1.0)
+
+
+class TestPlaneConformance:
+    """The query service's rounds give the same answer on either plane.
+
+    ``service-burst``'s mix — a skewed 3-chain cascade, a two-phase matrix
+    product and a group-by-sum — is planned once under the oracle plane
+    (``data_plane="records"``) and once under the default, and submitted
+    twice through a ``QueryService`` each time.  Every query's outputs and
+    every round's ``JobMetrics.summary()`` must agree, the join and matmul
+    rounds must take the batch plane, and group-by (no batch kernel) must
+    decline as ``no-kernel``.  ``--full-sweep`` runs the benchmark-sized
+    templates: 3-chain(60, 24) at seeds 7, 11 and 13, and n = 8.
+    """
+
+    @staticmethod
+    def _templates(data_plane, full):
+        def cluster():
+            # One registry per template, so each decline is attributable.
+            config = {} if data_plane is None else {"data_plane": data_plane}
+            return ClusterConfig(metrics=MetricsRegistry(), **config)
+
+        planner = PipelinePlanner(CostBasedPlanner.min_replication())
+        size, domain, seeds = (60, 24, (7, 11, 13)) if full else (30, 12, (7,))
+        templates = []
+        for seed in seeds:
+            relations = skewed_chain_join_instance(3, size, domain, skew=1.2, seed=seed)
+            planned = planner.plan(
+                MultiwayJoinProblem(JoinQuery.chain(3), domain_size=domain),
+                cluster(),
+                q=4.0 * size,
+                profile=profile_relations(relations),
+            )
+            templates.append(
+                ("join", planned.cascades()[0], SharesSchema.input_records(relations))
+            )
+        n = 8 if full else 4
+        products = planner.plan(MatrixMultiplicationProblem(n), cluster(), q=float(n * n))
+        records = multiplication_records(
+            integer_matrix(n, seed=1, low=1, high=5),
+            integer_matrix(n, seed=2, low=1, high=5),
+        )
+        templates.append(
+            ("matmul", next(plan for plan in products if plan.op.phases == 2), records)
+        )
+        rng = random.Random(5)
+        grouped = [(rng.randrange(8), rng.randrange(50)) for _ in range(300)]
+        group_by = planner.plan(GroupByAggregationProblem(8, 50), cluster(), q=450.0)
+        templates.append(("group-by", group_by.best, grouped))
+        return templates
+
+    @staticmethod
+    def _burst(templates):
+        capacity = 1.5 * max(
+            round_.certified_load if round_.certified_load is not None else plan.q_budget
+            for _, plan, _ in templates
+            for round_ in plan.rounds
+        )
+        # A pinned replan factor: every query re-plans by the same rule
+        # whatever order the rounds finish in.
+        tuner = ReplanTuner(initial=0.5, minimum=0.5, maximum=0.5)
+        with QueryService(capacity, executor="serial", max_workers=2, tuner=tuner) as service:
+            handles = [
+                service.submit(plan, records)
+                for _ in range(2)
+                for _, plan, records in templates
+            ]
+            runs = [handle.result(timeout=120) for handle in handles]
+        return [
+            (run.outputs, [job.metrics.summary() for job in run.result.round_results])
+            for run in runs
+        ]
+
+    @staticmethod
+    def _declines(plan):
+        series = plan.cluster.metrics.snapshot().get("plane_declined_total")
+        return {} if series is None else {
+            row["labels"]["reason"]: row["value"] for row in series["series"]
+        }
+
+    def test_default_plane_matches_the_record_oracle(self, request):
+        full = request.config.getoption("--full-sweep")
+        oracle_templates = self._templates("records", full)
+        default_templates = self._templates(None, full)
+        assert all(plan.cluster.data_plane == "columnar" for _, plan, _ in default_templates)
+        assert self._burst(default_templates) == self._burst(oracle_templates)
+        for _, plan, _ in oracle_templates:
+            assert self._declines(plan) == {}
+        for kind, plan, _ in default_templates:
+            declines = self._declines(plan)
+            if kind == "group-by":
+                assert set(declines) == {"no-kernel"} and declines["no-kernel"] >= 1
+            else:
+                assert declines == {}

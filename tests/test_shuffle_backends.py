@@ -148,7 +148,8 @@ class TestPartitionedShuffleBehaviour:
         words = range(1 << b)  # full universe: 4096 inputs, 3 pairs each
         family = SplittingSchema(b, 3)
         backend = PartitionedShuffle(num_partitions=8, buffer_size=32)
-        partitioned = MapReduceEngine().run(family.job(), words, shuffle=backend)
+        records = MapReduceEngine(ClusterConfig(data_plane="records"))
+        partitioned = records.run(family.job(), words, shuffle=backend)
         in_memory = MapReduceEngine().run(family.job(), words)
         assert backend.spill_count > 50
         assert_identical(in_memory, partitioned)
