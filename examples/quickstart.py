@@ -13,12 +13,7 @@ example — finding pairs of bit strings at Hamming distance 1:
 5. execute the winning plan as a real map-reduce job on the streaming
    engine.
 
-Run with:  python examples/quickstart.py [--executor serial|parallel]
-           [--workers N] [--profiled-join]
-
-The execution step honours ``--executor parallel`` (a process pool with
-``--workers`` workers) and produces bit-identical results to the default
-serial backend — the CI execution-smoke job runs exactly that.
+Run with:  python examples/quickstart.py [--profiled-join]
 
 ``--profiled-join`` appends the statistics-and-certification walkthrough:
 profile a Zipf-skewed chain join, watch the observed reducer load blow
@@ -34,25 +29,13 @@ import argparse
 
 from repro.core import LowerBoundRecipe
 from repro.datagen import bernoulli_bitstrings
-from repro.mapreduce import ClusterConfig, MapReduceEngine, ParallelExecutor
+from repro.mapreduce import ClusterConfig, MapReduceEngine
 from repro.planner import CostBasedPlanner
 from repro.problems import HammingDistanceProblem
 
 
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--executor",
-        choices=("serial", "parallel"),
-        default="serial",
-        help="execution backend for the map-reduce step (default: serial)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker processes when --executor parallel (default: 2)",
-    )
     parser.add_argument(
         "--profiled-join",
         action="store_true",
@@ -153,16 +136,8 @@ def main() -> None:
     #    counts assume all inputs are present; an instance holds a random
     #    subset (each string present with probability 0.3).
     present = bernoulli_bitstrings(b, probability=0.3, seed=7)
-    if args.executor == "parallel":
-        engine = MapReduceEngine(
-            executor=ParallelExecutor(num_workers=args.workers)
-        )
-        print(f"\nexecutor: parallel ({args.workers} worker processes)")
-    else:
-        engine = MapReduceEngine()
-        print("\nexecutor: serial")
-    result = best.execute(present, engine=engine)
-    print(f"executed on {len(present)} present strings:")
+    result = best.execute(present, engine=MapReduceEngine())
+    print(f"\nexecuted on {len(present)} present strings:")
     print(f"  distance-1 pairs found = {len(result.outputs)}")
     print(f"  key-value pairs shuffled = {result.communication_cost}")
     print(f"  measured replication rate = {result.replication_rate:.3f}")

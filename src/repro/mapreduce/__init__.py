@@ -17,14 +17,6 @@ from repro.mapreduce.columnar import (
     numpy_available,
 )
 from repro.mapreduce.engine import JobResult, MapReduceEngine, PipelineResult
-from repro.mapreduce.executor import (
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    WarmPoolFallbackWarning,
-    default_parallel_workers,
-    resolve_executor,
-)
 from repro.mapreduce.job import (
     JobChain,
     MapReduceJob,
@@ -40,11 +32,6 @@ from repro.mapreduce.metrics import (
     WorkerStats,
     reducer_size_quantiles,
 )
-from repro.mapreduce.serialization import (
-    JobSerializationError,
-    pack_job,
-    unpack_job,
-)
 from repro.mapreduce.partitioner import (
     GreedyLoadBalancingPartitioner,
     HashPartitioner,
@@ -57,7 +44,7 @@ from repro.mapreduce.shuffle import (
     PartitionedShuffle,
     ShuffleBackend,
 )
-from repro.mapreduce.types import KeyValue, ReducerInput, ensure_key_value
+from repro.mapreduce.types import KeyValue, ensure_key_value
 
 __all__ = [
     "BatchEncodingError",
@@ -65,40 +52,30 @@ __all__ = [
     "ClusterConfig",
     "ColumnBatch",
     "EncodedRun",
-    "Executor",
     "GreedyLoadBalancingPartitioner",
     "HashPartitioner",
     "InMemoryShuffle",
     "JobChain",
     "JobMetrics",
-    "JobSerializationError",
     "JobResult",
     "KeyValue",
     "MapReduceEngine",
     "MapReduceJob",
-    "ParallelExecutor",
     "Partitioner",
     "PartitionedShuffle",
     "PhaseTimings",
     "PipelineMetrics",
     "PipelineResult",
-    "ReducerInput",
     "RoundRobinPartitioner",
-    "SerialExecutor",
     "ShuffleBackend",
     "ShuffleStats",
     "SpilledRows",
-    "WarmPoolFallbackWarning",
     "WorkerStats",
     "collecting_reducer",
-    "default_parallel_workers",
     "ensure_key_value",
     "identity_reducer",
     "make_filtering_mapper",
     "numpy_available",
-    "pack_job",
     "reducer_size_quantiles",
-    "resolve_executor",
     "stable_hash",
-    "unpack_job",
 ]

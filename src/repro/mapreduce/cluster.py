@@ -51,27 +51,19 @@ class ClusterConfig:
         task.  A job's combiner runs once per map task, before the task's
         emissions cross the shuffle boundary — the batch size therefore
         controls how much pre-aggregation a combiner can achieve, exactly
-        like Hadoop's input-split size does.  Under the parallel executor a
-        map task is also the unit of work shipped to one worker process.
-    executor:
-        The *runner* — who runs the map and reduce task bodies:
-        ``"serial"`` (inline in the calling thread, the default),
-        ``"parallel"`` (a warm process pool sized by ``num_workers``; a job
-        that cannot be shipped to it runs inline, counted and warned), or a
-        pre-built :class:`~repro.mapreduce.executor.Executor` instance.
+        like Hadoop's input-split size does.
     data_plane:
         The *plane* — how records are represented through map → shuffle →
-        reduce, independently of the runner.  ``"columnar"`` (the default)
-        runs on vectorized numpy batches unless declined: one check
+        reduce.  ``"columnar"`` (the default) runs on vectorized numpy
+        batches unless declined: one check
         (:func:`~repro.mapreduce.columnar.choose_plane`) decides per run and
         may decline — no numpy, no batch kernel, a combiner, a shuffle
-        backend without encoded batches, the pool runner, or inputs the
-        kernel cannot encode — in which case the job runs on records and
-        the run is counted in ``plane_declined_total{reason}``.
-        ``"records"`` streams one Python record at a time: it is the
-        oracle plane every other cell is held to, and it never materializes
-        its inputs.  Every runner × plane cell produces bit-identical
-        outputs and metrics.
+        backend without encoded batches, or inputs the kernel cannot
+        encode — in which case the job runs on records and the run is
+        counted in ``plane_declined_total{reason}``.  ``"records"`` streams
+        one Python record at a time: it is the oracle plane the batch
+        plane is held to, and it never materializes its inputs.  Both
+        planes produce bit-identical outputs and metrics.
     tracer:
         Span tracer the engine (and everything running on this cluster)
         reports to — see :mod:`repro.obs`.  ``None`` resolves to the
@@ -91,7 +83,6 @@ class ClusterConfig:
     worker_cost_per_unit: float = 1.0
     planning_cost_per_second: float = 0.0
     map_batch_size: int = 1024
-    executor: object = "serial"
     data_plane: str = "columnar"
     tracer: Optional[object] = None
     metrics: Optional[object] = None
@@ -115,31 +106,14 @@ class ClusterConfig:
             raise ConfigurationError(
                 f"map_batch_size must be positive, got {self.map_batch_size}"
             )
-        if isinstance(self.executor, str):
-            # Imported lazily: the executor module imports this one.
-            from repro.mapreduce.executor import known_executor_names
-
-            names = known_executor_names()
-            if self.executor not in names:
-                raise ConfigurationError(
-                    f"executor must be one of {list(names)} or an Executor "
-                    f"instance, got {self.executor!r}"
-                )
-        elif not callable(getattr(self.executor, "execute", None)):
-            # Duck-typed so this module need not import the executor layer
-            # at module level.
-            raise ConfigurationError(
-                f"executor must be a registered name or an Executor "
-                f"instance, got {self.executor!r}"
-            )
         if self.data_plane not in ("records", "columnar"):
             raise ConfigurationError(
                 f"data_plane must be 'records' or 'columnar', "
                 f"got {self.data_plane!r}"
             )
-        # Duck-typed like the executor: anything with the Tracer /
-        # MetricsRegistry call surface works, and ``None`` means the
-        # shared zero-overhead null objects.
+        # Duck-typed: anything with the Tracer / MetricsRegistry call
+        # surface works, and ``None`` means the shared zero-overhead null
+        # objects.
         if self.tracer is None:
             self.tracer = NULL_TRACER
         elif not callable(getattr(self.tracer, "span", None)):
@@ -174,7 +148,6 @@ class ClusterConfig:
             worker_cost_per_unit=self.worker_cost_per_unit,
             planning_cost_per_second=self.planning_cost_per_second,
             map_batch_size=self.map_batch_size,
-            executor=self.executor,
             data_plane=self.data_plane,
             tracer=self.tracer,
             metrics=self.metrics,

@@ -18,8 +18,8 @@ This module provides the columnar alternative:
   ``encoded_runs``;
 * :func:`choose_plane`, :func:`map_batch` and :func:`reduce_runs` — the
   plane decision and the two batch phases that
-  :meth:`~repro.mapreduce.executor.Executor.execute` calls in place of a
-  runner's record phases.
+  :func:`~repro.mapreduce.executor.execute` runs in place of the record
+  phases.
 
 Bit-identity contract
 ---------------------
@@ -548,17 +548,16 @@ def choose_plane(
     inputs: Iterable[Any],
     backend: ShuffleBackend,
     config: ClusterConfig,
-    runner_carries_batches: bool,
-) -> Tuple[Iterable[Any], Optional[ColumnBatch], Optional[str]]:
+) -> Tuple[Iterable[Any], Optional[ColumnBatch]]:
     """Decide, once per run, whether ``job`` runs on encoded batches.
 
-    Returns ``(inputs, batch, reason)``: the encoded ``batch`` when the
-    batch plane applies, else ``None`` with the ``reason`` it was declined
-    — which is also counted in ``plane_declined_total{reason}``.  A decline
-    is never an error: the record plane runs the job unchanged, so asking
-    for ``data_plane="columnar"`` is always safe.  Encoding needs the
-    records twice on a declined encode, so ``inputs`` comes back
-    materialized whenever encoding was attempted.
+    Returns ``(inputs, batch)``: the encoded ``batch`` when the batch plane
+    applies, else ``None``, with the reason it was declined counted in
+    ``plane_declined_total{reason}``.  A decline is never an error: the
+    record plane runs the job unchanged, so asking for
+    ``data_plane="columnar"`` is always safe.  Encoding needs the records
+    twice on a declined encode, so ``inputs`` comes back materialized
+    whenever encoding was attempted.
     """
     batch: Optional[ColumnBatch] = None
     reason: Optional[str] = None
@@ -572,8 +571,6 @@ def choose_plane(
         reason = "combiner"
     elif not getattr(backend, "supports_encoded", False):
         reason = "backend-not-encoded"
-    elif not runner_carries_batches:
-        reason = "pool-runner"
     else:
         if not isinstance(inputs, (list, tuple)):
             inputs = list(inputs)
@@ -586,7 +583,7 @@ def choose_plane(
             "plane_declined_total",
             "Runs that asked for the columnar plane and ran on records",
         ).inc(reason=reason)
-    return inputs, batch, reason
+    return inputs, batch
 
 
 def map_batch(job: MapReduceJob, batch: ColumnBatch, backend: ShuffleBackend) -> None:

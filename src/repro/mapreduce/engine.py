@@ -10,13 +10,11 @@ group is handed to the reduce function.
 
 The engine owns *what* an execution means — the shuffle lifecycle, metrics
 assembly and observation — and hands the two phases to the execution core
-in :mod:`repro.mapreduce.executor`: one phase template driven by a *runner*
-(inline, or a warm process pool) on a *plane* (Python records, or encoded
-numpy batches), every cell bit-identical to the serial record run:
+in :mod:`repro.mapreduce.executor`: one inline phase template on a *plane*
+(Python records, or encoded numpy batches), the two planes bit-identical:
 
-* **Streaming map phase.**  Inputs are consumed one record at a time (or one
-  ``map_batch_size`` chunk at a time under the pool runner) and mapper
-  emissions flow straight into a pluggable
+* **Streaming map phase.**  Inputs are consumed one record at a time and
+  mapper emissions flow straight into a pluggable
   :class:`~repro.mapreduce.shuffle.ShuffleBackend`; on the record plane the
   input list is never materialized, so generators of arbitrary length work.
 * **Faithful combiners.**  A combiner runs per simulated map task (a
@@ -27,12 +25,7 @@ numpy batches), every cell bit-identical to the serial record run:
 * **Incremental metrics.**  Reducer sizes, worker loads and compute cost are
   collected while groups stream out of the shuffle backend, never from a
   fully materialized intermediate dictionary.
-* **Runner × plane.**  :class:`~repro.mapreduce.executor.SerialExecutor`
-  runs the task bodies inline (the seed behaviour);
-  :class:`~repro.mapreduce.executor.ParallelExecutor` fans map chunks and
-  reduce blocks out to a warm process pool, running a job it cannot ship
-  inline instead.  Select the runner via ``ClusterConfig.executor``, the
-  engine's ``executor=`` argument, or per ``run`` call.  Independently,
+* **Two planes.**  Every job runs inline in the calling thread.
   ``ClusterConfig.data_plane`` picks the plane: columnar unless declined
   (the default) — one check
   (:func:`~repro.mapreduce.columnar.choose_plane`) decides per run, and a
@@ -56,7 +49,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.exceptions import ConfigurationError
 from repro.mapreduce.cluster import ClusterConfig
-from repro.mapreduce.executor import Executor, ExecutorSpec, resolve_executor
+from repro.mapreduce.executor import execute
 from repro.mapreduce.job import JobChain, MapReduceJob
 from repro.mapreduce.metrics import JobMetrics, PipelineMetrics, ShuffleStats
 from repro.mapreduce.shuffle import InMemoryShuffle, ShuffleBackend
@@ -168,45 +161,15 @@ class MapReduceEngine:
         Defaults to :class:`~repro.mapreduce.shuffle.InMemoryShuffle`; pass
         ``PartitionedShuffle`` (or a configured lambda) to bound peak memory
         on large workloads.
-    executor:
-        Execution backend: an :class:`~repro.mapreduce.executor.Executor`
-        instance, one of the names ``"serial"`` / ``"parallel"``, or
-        ``None`` to follow ``config.executor`` (which defaults to serial).
     """
 
     def __init__(
         self,
         config: Optional[ClusterConfig] = None,
         shuffle_factory: Optional[ShuffleFactory] = None,
-        executor: ExecutorSpec = None,
     ) -> None:
         self.config = config or ClusterConfig()
         self.shuffle_factory: ShuffleFactory = shuffle_factory or InMemoryShuffle
-        self.executor: Executor = resolve_executor(
-            executor if executor is not None else self.config.executor
-        )
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release executor-held resources (e.g. a warm worker pool).
-
-        The parallel executor keeps its worker pool alive across ``run`` /
-        ``run_chain`` calls; closing the engine shuts those workers down.
-        Serial execution holds nothing, so this is always safe to call.
-        The engine stays usable afterwards — the next parallel run simply
-        forks a fresh pool.
-        """
-        closer = getattr(self.executor, "close", None)
-        if callable(closer):
-            closer()
-
-    def __enter__(self) -> "MapReduceEngine":
-        return self
-
-    def __exit__(self, *_exc_info: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Single-round execution
@@ -217,7 +180,6 @@ class MapReduceEngine:
         inputs: Iterable[Any],
         reducer_cost: Optional[Callable[[int], float]] = None,
         shuffle: Optional[ShuffleBackend] = None,
-        executor: ExecutorSpec = None,
     ) -> JobResult:
         """Execute ``job`` over ``inputs`` and return outputs plus metrics.
 
@@ -235,18 +197,12 @@ class MapReduceEngine:
         shuffle:
             Optional pre-built shuffle backend for this run only, overriding
             the engine's ``shuffle_factory``.
-        executor:
-            Optional execution backend for this run only, overriding the
-            engine's executor.
         """
         backend = shuffle if shuffle is not None else self.shuffle_factory()
-        active = resolve_executor(executor) if executor is not None else self.executor
         tracer = self.config.tracer
         try:
             with tracer.span("job", job=job.name) as span:
-                outcome = active.execute(
-                    job, inputs, backend, self.config, reducer_cost
-                )
+                outcome = execute(job, inputs, backend, self.config, reducer_cost)
                 # Read the pair count before the backend closes: closed
                 # backends refuse num_pairs rather than reporting stale
                 # counts.  Spill volume is read the same way — only
@@ -288,7 +244,7 @@ class MapReduceEngine:
                 max_reducer_size=stats.max_reducer_size,
             )
             if metrics.timings is not None:
-                # Derived phase spans: the executor measures per-phase
+                # Derived phase spans: the execution core measures per-phase
                 # totals while shuffle reads and reduce work interleave, so
                 # the three children are laid out sequentially from the job
                 # start — durations are faithful, offsets are a layout.
@@ -352,7 +308,6 @@ class MapReduceEngine:
         chain: JobChain,
         inputs: Iterable[Any],
         reducer_costs: Optional[Sequence[Optional[Callable[[int], float]]]] = None,
-        executor: ExecutorSpec = None,
     ) -> PipelineResult:
         """Execute a multi-round :class:`JobChain`.
 
@@ -377,9 +332,7 @@ class MapReduceEngine:
         round_results: List[JobResult] = []
         for index, job in enumerate(chain.jobs):
             cost_fn = reducer_costs[index] if reducer_costs is not None else None
-            result = self.run(
-                job, current_inputs, reducer_cost=cost_fn, executor=executor
-            )
+            result = self.run(job, current_inputs, reducer_cost=cost_fn)
             round_results.append(result)
             current_inputs = result.outputs
         metrics = PipelineMetrics(

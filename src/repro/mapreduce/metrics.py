@@ -163,8 +163,8 @@ class JobMetrics:
         """Flat dictionary of headline *cost* numbers, convenient for reports.
 
         Deliberately excludes :attr:`timings`: summaries are compared for
-        equality across executors, shuffle backends and data planes, and
-        wall-clock time legitimately differs between equivalent runs.
+        equality across shuffle backends and data planes, and wall-clock
+        time legitimately differs between equivalent runs.
         Read ``metrics.timings.summary()`` for the per-phase seconds.
         """
         return {

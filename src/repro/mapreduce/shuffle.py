@@ -62,16 +62,6 @@ class ShuffleBackend(ABC):
     def add(self, key: Hashable, value: Any) -> None:
         """Accept one intermediate key-value pair from the map phase."""
 
-    def add_group(self, key: Hashable, values: List[Any]) -> None:
-        """Accept several values for one key at once (order preserved).
-
-        Equivalent to ``add(key, v)`` for each value; backends may override
-        with a bulk fast path.  The parallel executor uses this to merge a
-        map task's pre-grouped emissions without a per-pair Python call.
-        """
-        for value in values:
-            self.add(key, value)
-
     @abstractmethod
     def groups(self) -> Iterator[Tuple[Hashable, List[Any]]]:
         """Yield ``(key, values)`` groups in stable-hash order.
@@ -180,14 +170,6 @@ class InMemoryShuffle(ShuffleBackend):
         self._check_plane(encoded=False)
         self._groups.setdefault(key, []).append(value)
         self._num_pairs += 1
-
-    def add_group(self, key: Hashable, values: List[Any]) -> None:
-        self._check_open()
-        if not values:
-            return
-        self._check_plane(encoded=False)
-        self._groups.setdefault(key, []).extend(values)
-        self._num_pairs += len(values)
 
     def add_encoded(
         self,
@@ -347,20 +329,6 @@ class PartitionedShuffle(ShuffleBackend):
         buffer = self._buffers[index]
         buffer.append((key, value))
         self._num_pairs += 1
-        if len(buffer) >= self.buffer_size:
-            self._spill(index)
-
-    def add_group(self, key: Hashable, values: List[Any]) -> None:
-        self._check_open()
-        if not values:
-            return
-        self._check_plane("records")
-        index = self._partition_of(key)
-        buffer = self._buffers[index]
-        buffer.extend((key, value) for value in values)
-        self._num_pairs += len(values)
-        # The buffer may transiently exceed buffer_size by one group's worth
-        # of pairs; spill cadence is a memory knob, not part of the metrics.
         if len(buffer) >= self.buffer_size:
             self._spill(index)
 

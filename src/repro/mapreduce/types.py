@@ -17,7 +17,7 @@ and the *replication rate* is that count divided by the number of inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Iterator, List, Tuple
+from typing import Any, Callable, Hashable, Iterable, List, Tuple
 
 #: Type alias for a reduce key.  Keys must be hashable because the shuffle
 #: groups intermediate pairs by key with a dictionary.
@@ -60,27 +60,6 @@ class KeyValue:
     def as_tuple(self) -> Tuple[Key, Value]:
         """Return the pair as a plain ``(key, value)`` tuple."""
         return (self.key, self.value)
-
-
-@dataclass(frozen=True)
-class ReducerInput:
-    """The complete input delivered to one reducer: a key plus its values.
-
-    In the terminology of the paper a "reducer" *is* this object — a reduce
-    key together with its list of associated values — rather than the worker
-    process that executes it.
-    """
-
-    key: Key
-    values: Tuple[Value, ...]
-
-    @property
-    def size(self) -> int:
-        """Number of values delivered to this reducer (the paper's ``q_i``)."""
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[Value]:
-        return iter(self.values)
 
 
 def ensure_key_value(item: Any) -> KeyValue:

@@ -12,7 +12,7 @@ caller opts in::
     from repro.obs.export import latency_breakdown, write_chrome_trace
 
     obs = Observability.collecting()
-    service = QueryService(capacity=96, executor="parallel", observer=obs)
+    service = QueryService(capacity=96, observer=obs)
     ...
     service.close()
     write_chrome_trace(obs.tracer, "service_trace.json")

@@ -12,11 +12,11 @@ long-lived serving layer:
 * :mod:`repro.service.tuning` — cross-query adaptation of the mid-flight
   ``replan_factor`` from observed re-plan wins and losses;
 * :mod:`repro.service.service` — :class:`QueryService` itself, scheduling
-  pipeline *rounds* (not whole queries) onto one shared worker pool.
+  pipeline *rounds* (not whole queries) onto a pool of round threads.
 
 Entry point::
 
-    with QueryService(capacity=96, executor="parallel") as service:
+    with QueryService(capacity=96) as service:
         handles = [service.submit(plan, records) for plan, records in work]
         results = [handle.result() for handle in handles]
 """

@@ -26,16 +26,14 @@ round completions and intermediate fulfilments all funnel through one
 lock, where the dispatch loop admits ready rounds in priority order
 (higher ``priority`` first, cheaper certified load first within a
 priority — cheap rounds backfill capacity that big rounds left idle).
-Round bodies run on a small thread pool; the actual map/reduce work runs
-through one shared executor (pass a warm
-:class:`~repro.mapreduce.executor.ParallelExecutor` to overlap queries on
-one process pool).
+Round bodies run on a small thread pool; each round's map/reduce work runs
+inline on its round thread through the execution core.
 
 Example
 -------
 ::
 
-    service = QueryService(capacity=96, executor="parallel")
+    service = QueryService(capacity=96)
     handles = [service.submit(plan, records) for plan, records in queries]
     results = [h.result() for h in handles]
     print(service.describe())
@@ -57,7 +55,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exceptions import AdmissionError, ConfigurationError
 from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.executor import Executor, ExecutorSpec, resolve_executor
 from repro.obs import NULL_METRICS, NULL_OBSERVABILITY, NULL_TRACER, Observability
 from repro.pipeline.execute import (
     PipelineRunResult,
@@ -164,13 +161,10 @@ class QueryService:
         plan's ``q_budget``) exceeds this is rejected with
         :class:`~repro.exceptions.AdmissionError` — it could never run.
     executor:
-        The shared execution backend every query's engine runs on:
-        an :class:`~repro.mapreduce.executor.Executor` instance, a name
-        (``"serial"`` / ``"parallel"``), or ``None`` for serial.  A warm
-        :class:`~repro.mapreduce.executor.ParallelExecutor` is shared
-        safely — concurrent rounds overlap on its one process pool.
-        ``close()`` releases the executor only if the service created it
-        (i.e. a name or ``None`` was passed).
+        ``None`` or ``"serial"``, the one execution core: every round runs
+        inline on its round-body thread.  Any other value, ``"parallel"``
+        included, raises :class:`~repro.exceptions.ConfigurationError` —
+        the process pool was removed.
     max_workers:
         Round-body threads: the number of rounds that can be *executing*
         simultaneously (admission may admit more; excess waits for a
@@ -212,7 +206,7 @@ class QueryService:
     def __init__(
         self,
         capacity: float,
-        executor: ExecutorSpec = None,
+        executor: Optional[str] = None,
         max_workers: int = 8,
         replan: bool = True,
         tuner: Optional[ReplanTuner] = None,
@@ -220,6 +214,11 @@ class QueryService:
         observer: Optional[Observability] = None,
         aging_seconds: Optional[float] = 30.0,
     ) -> None:
+        if executor not in (None, "serial"):
+            raise ConfigurationError(
+                f"executor must be None or 'serial', got {executor!r}: the "
+                "process pool was removed and every round runs inline"
+            )
         if max_workers <= 0:
             raise ConfigurationError(
                 f"max_workers must be positive, got {max_workers}"
@@ -238,8 +237,6 @@ class QueryService:
         self.tuner = tuner or ReplanTuner()
         self.replan = replan
         self.spill_threshold = spill_threshold
-        self._owns_executor = not isinstance(executor, Executor)
-        self.executor: Executor = resolve_executor(executor)
         self._threads = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="query-service"
         )
@@ -370,9 +367,7 @@ class QueryService:
             "query %d (%s) submitted: %d rounds, priority %g",
             query_id, plan.name, len(plan.rounds), priority,
         )
-        engine = MapReduceEngine(
-            self._observed_cluster(plan.cluster), executor=self.executor
-        )
+        engine = MapReduceEngine(self._observed_cluster(plan.cluster))
         state.gen = pipeline_rounds(
             plan,
             records,
@@ -810,14 +805,13 @@ class QueryService:
         One nested dict: query counts, round states, the admission
         ledger's capacity accounting (including the run-long peak that
         witnesses the invariant), shared-intermediate counters, the
-        re-plan tuner, the planner's schema cache and — when the executor
-        exposes them — warm-pool counters.
+        re-plan tuner and the planner's schema cache.
         """
         # The whole snapshot is taken under the scheduler lock so the
         # sections are mutually consistent — in particular the store's
         # counters are only ever mutated under this lock, so reading them
         # outside it could disagree with the queries/rounds numbers.
-        # (The ledger/tuner/cache/executor locks below are leaf locks:
+        # (The ledger/tuner/cache locks below are leaf locks:
         # none of them ever acquires the scheduler lock.)
         with self._lock:
             snapshot = {
@@ -858,14 +852,6 @@ class QueryService:
                 "attempts": admission.admitted + admission.deferrals,
                 "dispatch_passes": self._dispatch_passes,
             }
-            warm_stats = getattr(self.executor, "warm_stats", None)
-            if callable(warm_stats):
-                stats = warm_stats()
-                snapshot["warm_pool"] = {
-                    "warm_runs": stats.warm_runs,
-                    "fallback_runs": stats.fallback_runs,
-                    "active_runs": stats.active_runs,
-                }
         return snapshot
 
     def _queued_waits_locked(self) -> Dict[str, float]:
@@ -893,7 +879,7 @@ class QueryService:
                 )
 
     def close(self, wait: bool = True) -> None:
-        """Stop accepting queries, drain, and release owned resources.
+        """Stop accepting queries, drain, and release the round threads.
 
         With ``wait=False`` the service does not drain: rounds already
         handed to the pool still run to completion, but nothing new is
@@ -921,10 +907,6 @@ class QueryService:
                     ),
                 )
         self._threads.shutdown(wait=wait)
-        if self._owns_executor:
-            closer = getattr(self.executor, "close", None)
-            if callable(closer):
-                closer()
 
     def __enter__(self) -> "QueryService":
         return self

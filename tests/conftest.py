@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import threading
 
@@ -12,8 +11,6 @@ from repro.mapreduce import (
     BatchEncodingError,
     ClusterConfig,
     MapReduceEngine,
-    ParallelExecutor,
-    SerialExecutor,
 )
 from repro.obs import MetricsRegistry
 from repro.pipeline.execute import RoundWork
@@ -123,32 +120,21 @@ def hold_rounds(monkeypatch):
     gate.set()
 
 
-#: Every (runner, plane) cell of the execution core.
-EXECUTION_CELLS = (
-    ("inline", "records"),
-    ("pool", "records"),
-    ("inline", "batches"),
-    ("pool", "batches"),
-)
+#: Both planes of the execution core.
+EXECUTION_CELLS = ("records", "batches")
 
 
 class ExecutionCell:
-    """One (runner, plane) cell: its executor, its registry, its engines.
+    """One plane: its registry and its engines.
 
-    The serial record cell is the oracle; every other cell must reproduce
-    its outputs, metrics and errors exactly.  Each cell counts into its own
+    The record cell is the oracle; the batch cell must reproduce its
+    outputs, metrics and errors exactly.  Each cell counts into its own
     collecting registry so a test can see which plane a run really took.
     """
 
-    def __init__(self, runner: str, plane: str, workers: int = 2) -> None:
-        self.runner = runner
+    def __init__(self, plane: str) -> None:
         self.plane = plane
         self.registry = MetricsRegistry()
-        self.executor = (
-            SerialExecutor()
-            if runner == "inline"
-            else ParallelExecutor(num_workers=workers, reduce_block_size=4)
-        )
 
     def engine(self, shuffle_factory=None, **config) -> MapReduceEngine:
         return MapReduceEngine(
@@ -158,7 +144,6 @@ class ExecutionCell:
                 **config,
             ),
             shuffle_factory=shuffle_factory,
-            executor=self.executor,
         )
 
     def declined(self) -> dict:
@@ -174,8 +159,6 @@ class ExecutionCell:
             return "no-kernel"
         if job.combiner is not None:
             return "combiner"
-        if self.runner == "pool":
-            return "pool-runner"
         try:
             job.batch_kernel.encode(list(inputs))
         except BatchEncodingError:
@@ -196,45 +179,37 @@ class ExecutionCell:
 
 @pytest.fixture
 def make_cell():
-    """``make_cell(runner, plane, workers=2)``; pools are closed on teardown.
+    """``make_cell(plane)``.
 
-    Asking twice for the same cell returns the same object, so the examples
-    of a hypothesis test share one warm pool instead of forking per example.
+    Asking twice for the same plane returns the same object, so the
+    examples of a hypothesis test share one cell and its registry.
     """
     cells = {}
 
-    def make(runner: str, plane: str, workers: int = 2) -> ExecutionCell:
-        if runner == "pool" and "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("the pool runner requires the fork start method")
-        key = (runner, plane, workers)
-        if key not in cells:
-            cells[key] = ExecutionCell(runner, plane, workers)
-        return cells[key]
+    def make(plane: str) -> ExecutionCell:
+        if plane not in cells:
+            cells[plane] = ExecutionCell(plane)
+        return cells[plane]
 
-    yield make
-    for cell in cells.values():
-        if cell.runner == "pool":
-            cell.executor.close()
+    return make
 
 
-@pytest.fixture(params=EXECUTION_CELLS, ids="-".join)
+@pytest.fixture(params=EXECUTION_CELLS)
 def execution_cell(request, make_cell) -> ExecutionCell:
-    """Each (runner, plane) cell in turn."""
-    return make_cell(*request.param)
+    """Each plane in turn."""
+    return make_cell(request.param)
 
 
 class CellMatrix:
-    """Run one job in every cell and hold each to the serial record oracle."""
+    """Run one job on both planes and hold the batch plane to the record
+    oracle."""
 
     def __init__(self, make_cell) -> None:
         self._make_cell = make_cell
 
-    def cells(self, workers: int = 2) -> list:
-        """All four cells, the serial record oracle first."""
-        return [
-            self._make_cell(runner, plane, workers)
-            for runner, plane in EXECUTION_CELLS
-        ]
+    def cells(self) -> list:
+        """Both cells, the record oracle first."""
+        return [self._make_cell(plane) for plane in EXECUTION_CELLS]
 
     @staticmethod
     def assert_identical(oracle, result) -> None:
@@ -243,9 +218,9 @@ class CellMatrix:
         assert result.metrics == oracle.metrics
         assert result.metrics.summary() == oracle.metrics.summary()
 
-    def run(self, job, inputs, workers=2, shuffle_factory=None, **config):
+    def run(self, job, inputs, shuffle_factory=None, **config):
         """The oracle's result, after asserting every other cell equals it."""
-        oracle, *others = self.cells(workers)
+        oracle, *others = self.cells()
         expected = oracle.run(job, inputs, shuffle_factory, **config)
         for cell in others:
             self.assert_identical(
@@ -253,11 +228,11 @@ class CellMatrix:
             )
         return expected
 
-    def error(self, job, make_inputs, workers=2, **config) -> BaseException:
+    def error(self, job, make_inputs, **config) -> BaseException:
         """The oracle's error, after asserting every other cell raises the
         same type with the same message."""
         raised = []
-        for cell in self.cells(workers):
+        for cell in self.cells():
             with pytest.raises(Exception) as info:
                 cell.engine(**config).run(job, make_inputs())
             raised.append(info.value)

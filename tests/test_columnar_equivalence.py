@@ -1,12 +1,12 @@
 """Bit-identity of the columnar data plane against the record path.
 
-The serial record run is the oracle: for every kernel-carrying schema,
-running the same job on ``data_plane="columnar"`` — on either runner — must
-produce the *identical* output list (same tuples, same order) and identical
-metrics, because the plane is an execution strategy, not a semantics
-change.  Hypothesis drives arbitrary input subsets through every vectorized
-kernel in every (runner, plane) cell (``cell_matrix`` in ``conftest.py``,
-which also asserts the plane each run really took), on uniform and skewed
+The record run is the oracle: for every kernel-carrying schema, running
+the same job on ``data_plane="columnar"`` must produce the *identical*
+output list (same tuples, same order) and identical metrics, because the
+plane is an execution strategy, not a semantics change.  Hypothesis drives
+arbitrary input subsets through every vectorized kernel on both planes
+(``cell_matrix`` in ``conftest.py``, which also asserts the plane each run
+really took), on uniform and skewed
 (Zipf) data, through both shuffle backends, and through a planned two-round
 cascade.
 """
@@ -39,7 +39,7 @@ from repro.schemas.two_paths import TwoPathSchema
 
 
 def examples(count: int):
-    """Hypothesis settings; examples share the test's cells (and warm pool)."""
+    """Hypothesis settings; examples share the test's cells."""
     return settings(
         max_examples=count,
         deadline=None,

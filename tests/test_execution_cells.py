@@ -1,11 +1,13 @@
-"""The execution core as a matrix: runner × plane × shuffle backend.
+"""The execution core as a matrix: plane × shuffle backend × input source.
 
-An executor is a *runner* (inline | warm pool) applied to a *plane* (records
-| encoded batches), and the paper's cost measures depend on neither.  The
-serial record run is the oracle; this module holds every other cell to it on
-the six acceptance workloads under both shuffle backends, and pins the one
-place the plane is decided: every decline is counted under its reason in
-``plane_declined_total`` and still yields the oracle's result.
+The execution core runs a job on a *plane* (records | encoded batches), and
+the paper's cost measures do not depend on it.  The record run is the
+oracle; this module holds the batch plane to it on the six acceptance
+workloads under both shuffle backends, fed either a list or a one-shot
+iterator (which the record plane streams and the batch plane must
+materialize exactly once), and pins the one place the plane is decided:
+every decline is counted under its reason in ``plane_declined_total`` and
+still yields the oracle's result.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import pytest
 from repro.datagen import gnm_random_graph
 from repro.datagen.matrices import multiplication_records, random_matrix
 from repro.datagen.relations import RelationInstance, skewed_chain_join_instance
-from repro.exceptions import ConfigurationError
 from repro.mapreduce import (
     ClusterConfig,
     InMemoryShuffle,
@@ -25,7 +26,6 @@ from repro.mapreduce import (
     MapReduceJob,
     PartitionedShuffle,
 )
-from repro.mapreduce.executor import known_executor_names
 from repro.obs import MetricsRegistry
 from repro.planner import CostBasedPlanner
 from repro.problems import JoinQuery, MultiwayJoinProblem
@@ -41,40 +41,40 @@ from repro.schemas.matmul_two_phase import TwoPhaseMatMulAlgorithm
 from repro.stats import profile_relations
 
 
-def _triangles(engine):
+def _triangles(engine, feed=list):
     edges = gnm_random_graph(18, 40, seed=11)
-    return engine.run(PartitionTriangleSchema(18, 4).job(), edges)
+    return engine.run(PartitionTriangleSchema(18, 4).job(), feed(edges))
 
 
-def _hamming_pair_reducers(engine):
-    return engine.run(PairReducersSchema(6).job(), list(range(2**6)))
+def _hamming_pair_reducers(engine, feed=list):
+    return engine.run(PairReducersSchema(6).job(), feed(range(2**6)))
 
 
-def _hamming_segment_deletion(engine):
+def _hamming_segment_deletion(engine, feed=list):
     family = SegmentDeletionSchema(8, num_segments=4, distance=2)
-    return engine.run(family.job(emit_distance=2), list(range(2**8)))
+    return engine.run(family.job(emit_distance=2), feed(range(2**8)))
 
 
-def _profiled_shares_join(engine):
+def _profiled_shares_join(engine, feed=list):
     problem = MultiwayJoinProblem(JoinQuery.chain(3), domain_size=12)
     relations = skewed_chain_join_instance(3, 40, 12, skew=1.2, seed=7)
     plan = CostBasedPlanner.min_replication().plan(
         problem, q=60, profile=profile_relations(relations)
     ).best
-    return plan.execute(SharesSchema.input_records(relations), engine=engine)
+    return plan.execute(feed(SharesSchema.input_records(relations)), engine=engine)
 
 
-def _group_by_with_combiner(engine):
+def _group_by_with_combiner(engine, feed=list):
     problem = GroupByAggregationProblem(5, 40)
-    return engine.run(problem.job(use_combiner=True), list(problem.inputs()))
+    return engine.run(problem.job(use_combiner=True), feed(problem.inputs()))
 
 
-def _two_phase_matmul_chain(engine):
+def _two_phase_matmul_chain(engine, feed=list):
     n = 6
     records = multiplication_records(
         random_matrix(n, seed=1), random_matrix(n, seed=2)
     )
-    return engine.run_chain(TwoPhaseMatMulAlgorithm(n, 2, 2).chain(), records)
+    return engine.run_chain(TwoPhaseMatMulAlgorithm(n, 2, 2).chain(), feed(records))
 
 
 #: workload -> (jobs it runs, whether they carry a batch kernel).
@@ -92,6 +92,12 @@ SHUFFLES = {
     "spilling": lambda: PartitionedShuffle(num_partitions=4, buffer_size=8),
 }
 
+#: How a workload's first round receives its records.
+SOURCES = {
+    "list": list,
+    "one-shot": lambda records: iter(list(records)),
+}
+
 
 @functools.lru_cache(maxsize=None)
 def _oracle(workload):
@@ -101,32 +107,25 @@ def _oracle(workload):
     )
 
 
+@pytest.mark.parametrize("source", sorted(SOURCES))
 @pytest.mark.parametrize("shuffle", sorted(SHUFFLES))
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.__name__.strip("_"))
 def test_every_cell_matches_the_serial_record_oracle(
-    execution_cell, workload, shuffle
+    execution_cell, workload, shuffle, source
 ):
     oracle = _oracle(workload)
-    result = workload(execution_cell.engine(SHUFFLES[shuffle], map_batch_size=16))
+    result = workload(
+        execution_cell.engine(SHUFFLES[shuffle], map_batch_size=16), SOURCES[source]
+    )
     assert result.outputs == oracle.outputs
     assert result.metrics.summary() == oracle.metrics.summary()
     # ... and it ran on the plane the cell names, or declined for the
     # one reason that applies.
     jobs, has_kernel = WORKLOADS[workload]
     expected = {}
-    if execution_cell.plane == "batches":
-        if not has_kernel:
-            expected = {"no-kernel": jobs}
-        elif execution_cell.runner == "pool":
-            expected = {"pool-runner": jobs}
+    if execution_cell.plane == "batches" and not has_kernel:
+        expected = {"no-kernel": jobs}
     assert execution_cell.declined() == expected
-
-
-def test_executor_names_are_the_two_runners():
-    # The plane is ``ClusterConfig.data_plane``, not a third executor.
-    assert known_executor_names() == ("parallel", "serial")
-    with pytest.raises(ConfigurationError, match="executor"):
-        ClusterConfig(executor="columnar")
 
 
 class _RecordOnlyShuffle(InMemoryShuffle):
@@ -147,8 +146,8 @@ class TestPlaneDeclines:
     WORDS = sorted({(x * 37) % 64 for x in range(40)})
 
     @staticmethod
-    def _assert_declined(reason, make_cell, job, inputs, runner="inline", shuffle=None):
-        cell = make_cell(runner, "batches")
+    def _assert_declined(reason, make_cell, job, inputs, shuffle=None):
+        cell = make_cell("batches")
         # A one-shot iterator: a declined run must still see every record.
         result = cell.engine(shuffle).run(job, iter(inputs))
         oracle = MapReduceEngine(ClusterConfig(data_plane="records")).run(job, inputs)
@@ -185,22 +184,13 @@ class TestPlaneDeclines:
             shuffle=_RecordOnlyShuffle,
         )
 
-    def test_pool_runner(self, make_cell):
-        self._assert_declined(
-            "pool-runner",
-            make_cell,
-            SplittingSchema(6, 3).job(),
-            self.WORDS,
-            runner="pool",
-        )
-
     def test_encoding(self, make_cell):
         job, records = _string_join()
         result = self._assert_declined("encoding", make_cell, job, records)
         assert len(result.outputs) == 2
 
     def test_batch_plane_taken_counts_nothing(self, make_cell):
-        cell = make_cell("inline", "batches")
+        cell = make_cell("batches")
         cell.engine().run(SplittingSchema(6, 3).job(), self.WORDS)
         assert cell.declined() == {}
 

@@ -821,7 +821,7 @@ def scripted(monkeypatch):
         lambda plan, records, **kwargs: plan.make_gen(),
     )
     monkeypatch.setattr(
-        service_module, "MapReduceEngine", lambda cluster, executor=None: None
+        service_module, "MapReduceEngine", lambda cluster: None
     )
 
 

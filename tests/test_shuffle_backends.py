@@ -234,23 +234,6 @@ class TestPartitionedShuffleBehaviour:
             with pytest.raises(ExecutionError, match="closed"):
                 list(iterator)
 
-    def test_add_group_matches_repeated_add(self):
-        """The bulk ingest path is pair-for-pair identical to add()."""
-        for make in (
-            InMemoryShuffle,
-            lambda: PartitionedShuffle(num_partitions=2, buffer_size=3),
-        ):
-            one, bulk = make(), make()
-            for i in range(10):
-                one.add(i % 3, i)
-            for key in range(3):
-                bulk.add_group(key, [i for i in range(10) if i % 3 == key])
-            bulk.add_group("empty", [])
-            assert one.num_pairs == bulk.num_pairs == 10
-            assert dict(one.groups()) == dict(bulk.groups())
-            one.close()
-            bulk.close()
-
     def test_in_memory_num_pairs(self):
         backend = InMemoryShuffle()
         backend.add("a", 1)

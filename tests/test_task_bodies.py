@@ -1,6 +1,6 @@
 """The task bodies against the bodies they replaced, kept here verbatim.
 
-``_map_task`` and ``_reduce_group`` are the only code every runner and plane
+``_map_task`` and ``_reduce_group`` are the only code the execution core
 runs per record, pair and group, so they were rewritten to run nothing of
 their own there.  The previous definitions (``_map_task``, ``_emit``,
 ``_guarded_iteration`` and ``_reduce_group`` as they stood, below) are the
