@@ -11,9 +11,8 @@ are to be run on a rented cluster (the paper's EC2 discussion).  Given
 
 the cost-based planner enumerates every registered schema family, prices
 each candidate with a·r + b·q (+ c·q²), and reports which concrete
-algorithm to run.  The planning result also carries the problem's
-lower-bound tradeoff curve, which the last section uses for the continuous
-optimum.
+algorithm to run.  The last section finds the continuous optimum along
+the problem's lower-bound curve, ``Problem.replication_lower_bound``.
 
 Run with:  python examples/cluster_cost_planner.py
 """
@@ -74,14 +73,15 @@ def main() -> None:
     )
 
     # The continuous optimum of Section 1.2 for the similarity join, showing
-    # how the best q moves as the network gets pricier.  The planning result
-    # exposes the lower-bound tradeoff curve it used for ranking.
+    # how the best q moves as the network gets pricier, along the same
+    # lower-bound curve the planner attaches to its plans.
     print("\ncontinuous optimum along the lower-bound curve (similarity join):")
-    curve = CostBasedPlanner.min_replication().plan(hamming, q=2.0 ** b).tradeoff
     print(f"  {'a (network price)':>18} {'optimal q':>14} {'log2 q':>8} {'r':>7}")
     for a in (0.1, 1.0, 10.0, 100.0, 1000.0):
         model = ClusterCostModel(communication_rate=a, processing_rate=1.0)
-        best = curve.optimize_cost(model, q_min=2.0, q_max=2.0 ** b)
+        best = model.optimal_q_continuous(
+            hamming.replication_lower_bound, q_min=2.0, q_max=2.0 ** b
+        )
         print(
             f"  {a:>18g} {best.q:>14.0f} {math.log2(best.q):>8.2f} "
             f"{best.replication_rate:>7.2f}"

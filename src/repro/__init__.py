@@ -5,7 +5,7 @@ Afrati, Das Sarma, Salihoglu, Ullman (VLDB 2013 / arXiv:1206.4377).
 The package is organized as follows:
 
 * :mod:`repro.core` — the input/output problem model, mapping schemas, the
-  generic lower-bound recipe, tradeoff curves and the cluster cost model;
+  generic lower-bound recipe and the cluster cost model;
 * :mod:`repro.mapreduce` — the simulated single/multi-round map-reduce
   engine on which schemas execute and are measured;
 * :mod:`repro.problems` — concrete problems (Hamming distance, triangles,
@@ -29,14 +29,11 @@ The package is organized as follows:
 """
 
 from repro.core import (
-    AlgorithmPoint,
     ClusterCostModel,
     ExplicitProblem,
-    LowerBoundRecipe,
     MappingSchema,
     Problem,
     SchemaFamily,
-    TradeoffCurve,
 )
 from repro.exceptions import (
     BoundDerivationError,
@@ -65,7 +62,6 @@ from repro.planner import CostBasedPlanner, ExecutionPlan, PlanningResult
 __version__ = "1.0.0"
 
 __all__ = [
-    "AlgorithmPoint",
     "BoundDerivationError",
     "ClusterConfig",
     "ClusterCostModel",
@@ -75,7 +71,6 @@ __all__ = [
     "ExecutionPlan",
     "ExplicitProblem",
     "JobChain",
-    "LowerBoundRecipe",
     "MapReduceEngine",
     "MetricsRegistry",
     "Observability",
@@ -92,7 +87,6 @@ __all__ = [
     "ReproError",
     "SchemaFamily",
     "SchemaViolationError",
-    "TradeoffCurve",
     "Tracer",
     "UncoveredOutputError",
     "__version__",

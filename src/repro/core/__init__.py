@@ -1,9 +1,10 @@
-"""Core model: problems, mapping schemas, the lower-bound recipe, tradeoffs.
+"""Core model: problems, mapping schemas, the lower-bound recipe, costs.
 
 This subpackage implements the paper's primary contribution — the
 input/output model of single-round map-reduce computations, mapping schemas
 with their two constraints, the replication rate, the generic lower-bound
-recipe of Section 2.4, and the Section 1.2 cluster cost model.
+recipe of Section 2.4 (:meth:`Problem.replication_lower_bound`), and the
+Section 1.2 cluster cost model.
 """
 
 from repro.core.cost import ClusterCostModel, CostBreakdown, LoadSummary
@@ -11,34 +12,20 @@ from repro.core.mapping_schema import (
     MappingSchema,
     SchemaFamily,
     ValidationReport,
-    one_reducer_per_output_schema,
     single_reducer_schema,
 )
 from repro.core.problem import ExplicitProblem, InputId, OutputId, Problem
-from repro.core.recipe import (
-    LowerBoundRecipe,
-    LowerBoundResult,
-    covering_inequality_holds,
-)
-from repro.core.tradeoff import AlgorithmPoint, TradeoffCurve, TradeoffPoint
 
 __all__ = [
-    "AlgorithmPoint",
     "ClusterCostModel",
     "CostBreakdown",
     "ExplicitProblem",
     "InputId",
     "LoadSummary",
-    "LowerBoundRecipe",
-    "LowerBoundResult",
     "MappingSchema",
     "OutputId",
     "Problem",
     "SchemaFamily",
-    "TradeoffCurve",
-    "TradeoffPoint",
     "ValidationReport",
-    "covering_inequality_holds",
-    "one_reducer_per_output_schema",
     "single_reducer_schema",
 ]

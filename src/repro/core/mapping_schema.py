@@ -289,23 +289,3 @@ def single_reducer_schema(problem: Problem, name: str = "single-reducer") -> Map
     schema = MappingSchema(problem, q=problem.num_inputs, name=name)
     schema.assign("all", problem.inputs())
     return schema
-
-
-def one_reducer_per_output_schema(
-    problem: Problem, name: str = "reducer-per-output"
-) -> MappingSchema:
-    """The maximally parallel schema: one reducer per output.
-
-    Each reducer receives exactly the inputs of its output, so ``q`` equals
-    the largest output dependency size and the replication rate equals the
-    average number of outputs an input participates in.  For
-    Hamming-distance-1 this is the ``q = 2`` / ``r = b`` extreme of Fig. 1.
-    """
-    max_dependency = 0
-    schema = MappingSchema(problem, q=None, name=name)
-    for output in problem.outputs():
-        needed = problem.inputs_of(output)
-        max_dependency = max(max_dependency, len(needed))
-        schema.assign(("out", output), needed)
-    schema.q = max_dependency if max_dependency else None
-    return schema

@@ -15,7 +15,8 @@ library needs:
 * counts ``num_inputs`` / ``num_outputs`` that may be computed analytically
   (so huge domains such as all ``2^b`` bit strings do not need enumeration),
 * ``max_outputs_covered(q)`` — the paper's ``g(q)``, the key ingredient of
-  the lower-bound recipe.
+  the lower-bound recipe,
+* ``replication_lower_bound(q)`` — the recipe itself (Section 2.4).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set
 
-from repro.exceptions import ProblemDomainError
+from repro.exceptions import BoundDerivationError, ProblemDomainError
 
 InputId = Hashable
 OutputId = Hashable
@@ -77,6 +78,31 @@ class Problem(ABC):
             f"problem {self.name!r} does not define g(q); "
             "override max_outputs_covered to enable the lower-bound recipe"
         )
+
+    def replication_lower_bound(self, q: float) -> float:
+        """The Section 2.4 recipe: ``r >= q·|O| / (g(q)·|I|)``, floored at 1.
+
+        Sound when ``g(q)/q`` is non-decreasing in ``q`` (the recipe's
+        "manipulation trick").  Replication can never fall below the
+        trivial ``r >= 1``; Section 5.4.1 notes that the 2-path bound must
+        be replaced by it for large ``q``.  A ``g(q)`` of zero while outputs
+        exist means no reducer of size ``q`` covers anything, and the bound
+        is infinite.  Raises :class:`~repro.exceptions.BoundDerivationError`
+        for ``q <= 0`` or ``|I| <= 0``, and ``NotImplementedError`` when the
+        problem defines no ``g(q)``.
+        """
+        num_inputs = float(self.num_inputs)
+        num_outputs = float(self.num_outputs)
+        if num_inputs <= 0:
+            raise BoundDerivationError("num_inputs must be positive")
+        if q <= 0:
+            raise BoundDerivationError(f"q must be positive, got {q}")
+        g_of_q = float(self.max_outputs_covered(q))
+        if g_of_q <= 0:
+            bound = float("inf") if num_outputs > 0 else 1.0
+        else:
+            bound = q * num_outputs / (g_of_q * num_inputs)
+        return max(bound, 1.0)
 
     # ------------------------------------------------------------------
     # Generic helpers shared by all problems

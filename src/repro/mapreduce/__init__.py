@@ -30,7 +30,6 @@ from repro.mapreduce.metrics import (
     PipelineMetrics,
     ShuffleStats,
     WorkerStats,
-    reducer_size_quantiles,
 )
 from repro.mapreduce.partitioner import (
     GreedyLoadBalancingPartitioner,
@@ -76,6 +75,5 @@ __all__ = [
     "identity_reducer",
     "make_filtering_mapper",
     "numpy_available",
-    "reducer_size_quantiles",
     "stable_hash",
 ]

@@ -14,9 +14,8 @@ checks rely on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 
 @dataclass
@@ -235,23 +234,3 @@ class PipelineMetrics:
             "total_communication": float(self.total_communication),
             "final_outputs": float(self.final_outputs),
         }
-
-
-def reducer_size_quantiles(
-    sizes: Mapping[Hashable, int], quantiles: Sequence[float] = (0.5, 0.9, 0.99)
-) -> Dict[float, int]:
-    """Return selected quantiles of the reducer-size distribution.
-
-    Quantiles are computed with the nearest-rank method on the sorted sizes,
-    which keeps the result an actually-observed integer size.
-    """
-    if not sizes:
-        return {quantile: 0 for quantile in quantiles}
-    ordered = sorted(sizes.values())
-    result: Dict[float, int] = {}
-    for quantile in quantiles:
-        if not 0.0 <= quantile <= 1.0:
-            raise ValueError(f"quantile {quantile} outside [0, 1]")
-        rank = min(len(ordered) - 1, max(0, math.ceil(quantile * len(ordered)) - 1))
-        result[quantile] = ordered[rank]
-    return result

@@ -15,7 +15,6 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Unio
 
 from repro.core.cost import CostBreakdown
 from repro.core.problem import Problem
-from repro.core.tradeoff import TradeoffCurve
 from repro.exceptions import PlanningError
 from repro.mapreduce.cluster import ClusterConfig
 from repro.mapreduce.engine import JobResult, MapReduceEngine, PipelineResult
@@ -204,7 +203,6 @@ class PlanningResult:
     q_budget: float
     cluster: ClusterConfig
     plans: List[ExecutionPlan] = field(default_factory=list)
-    tradeoff: Optional[TradeoffCurve] = None
 
     @property
     def best(self) -> ExecutionPlan:

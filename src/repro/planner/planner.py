@@ -7,9 +7,10 @@ point on the replication/parallelism tradeoff curve should this job run at?*
 
 1. **Enumerate**: ask the :class:`~repro.planner.registry.SchemaRegistry`
    for every feasible candidate (schema family + parameters) within ``q``.
-2. **Bound**: evaluate the problem's Section 2.4 lower-bound recipe at each
-   candidate's reducer size, recording the optimality gap (unprofiled
-   plans only: the recipe counts the model's full domain).
+2. **Bound**: evaluate :meth:`~repro.core.problem.Problem.replication_lower_bound`
+   (the Section 2.4 recipe) at each one-round candidate's reducer size,
+   recording the optimality gap (unprofiled plans only: the recipe counts
+   the model's full domain).
 3. **Cost**: price each candidate with the Section 1.2 cluster cost model
    ``a·r + b·q (+ c·t(q))`` built from the cluster's rate constants.
 4. **Rank**: sort ascending by total predicted cost (deterministic
@@ -27,8 +28,6 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.core.cost import ClusterCostModel, CostBreakdown
 from repro.core.problem import Problem
-from repro.core.recipe import LowerBoundRecipe
-from repro.core.tradeoff import AlgorithmPoint, TradeoffCurve
 from repro.exceptions import BoundDerivationError, ConfigurationError, PlanningError
 from repro.mapreduce.cluster import ClusterConfig
 from repro.planner.plan import ExecutionPlan, PlanningResult, SweepPoint, SweepResult
@@ -110,9 +109,9 @@ class CostBasedPlanner:
             blows the budget and adding skew-resistant variants.  Each
             plan's :attr:`~repro.planner.plan.ExecutionPlan.certification`
             records which kind of bound its ``q`` is.  A profiled plan
-            carries no ``lower_bound`` and no tradeoff curve: the paper's
-            curve is a theorem about the model's full domain, and says
-            nothing about a sparse instance's far fewer outputs.
+            carries no ``lower_bound``: the paper's curve is a theorem
+            about the model's full domain, and says nothing about a sparse
+            instance's far fewer outputs.
         """
         started = time.perf_counter()
         cluster = cluster or ClusterConfig()
@@ -128,8 +127,9 @@ class CostBasedPlanner:
             processing_rate=cluster.worker_cost_per_unit,
             planning_rate=cluster.planning_cost_per_second,
         )
-        curve = self._tradeoff_curve(problem, candidates) if profile is None else None
-        priced = self._price(candidates, model, curve)
+        priced = self._price(
+            candidates, model, problem if profile is None else None
+        )
         # Planning-time accounting (ROADMAP leftover): the wall-clock this
         # call spent enumerating/certifying/ranking, attached *after* the
         # ranking — the same seconds back every candidate, so the priced
@@ -152,7 +152,6 @@ class CostBasedPlanner:
             q_budget=budget,
             cluster=cluster,
             plans=ranked,
-            tradeoff=curve,
         )
 
     # ------------------------------------------------------------------
@@ -214,51 +213,17 @@ class CostBasedPlanner:
         return float(q)
 
     @staticmethod
-    def _tradeoff_curve(
-        problem: Problem, candidates: Iterable[PlanCandidate]
-    ) -> Optional[TradeoffCurve]:
-        """Problem's lower-bound curve with the candidates as its dots.
-
-        Problems that do not define ``g(q)`` simply yield no curve (the
-        plans then carry no lower bound / optimality gap).
-        """
-        try:
-            recipe = LowerBoundRecipe.from_problem(problem)
-            curve = TradeoffCurve.from_recipe(recipe)
-            # Probe once so problems without g(q) fail fast here, not later.
-            curve.lower_bound_at(2.0)
-        except (NotImplementedError, BoundDerivationError):
-            # No g(q) / recipe for this problem: plans carry no lower bound.
-            return None
-        curve.add_algorithms(
-            AlgorithmPoint(
-                name=candidate.name,
-                q=candidate.q,
-                replication_rate=candidate.replication_rate,
-                load=(
-                    candidate.certification.load
-                    if candidate.certification is not None
-                    else None
-                ),
-            )
-            for candidate in candidates
-            # The recipe bounds single-round mapping schemas only; plotting a
-            # multi-round algorithm under the one-round hyperbola would let
-            # it appear to beat a proven bound.
-            if candidate.rounds == 1
-        )
-        return curve
-
-    @staticmethod
     def _price(
         candidates: List[PlanCandidate],
         model: ClusterCostModel,
-        curve: Optional[TradeoffCurve],
+        bounded: Optional[Problem],
     ) -> List[Tuple[CostBreakdown, Optional[float], PlanCandidate]]:
         """``(cost, lower bound, candidate)`` per candidate, cheapest first.
 
         Ranked ascending by total predicted cost, ties broken on
-        ``(q, name)``.
+        ``(q, name)``.  One-round candidates carry ``bounded``'s lower
+        bound at their ``q``; ``None`` (a profiled plan) and problems
+        without ``g(q)`` give none.
         """
         priced: List[Tuple[CostBreakdown, Optional[float], PlanCandidate]] = []
         for candidate in candidates:
@@ -275,10 +240,12 @@ class CostBasedPlanner:
             breakdown = model.cost_at(candidate.q, lambda _q: rate, load=load)
             lower = None
             # The Section 2.4 lower bound applies to one-round mapping
-            # schemas; multi-round candidates carry no bound (and no gap).
-            if curve is not None and candidate.rounds == 1:
+            # schemas; a multi-round algorithm under the one-round hyperbola
+            # would appear to beat a proven bound, so it carries none (and
+            # no gap).
+            if bounded is not None and candidate.rounds == 1:
                 try:
-                    lower = curve.lower_bound_at(candidate.q)
+                    lower = bounded.replication_lower_bound(candidate.q)
                 except (NotImplementedError, BoundDerivationError):
                     lower = None
             priced.append((breakdown, lower, candidate))

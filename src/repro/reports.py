@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Sequence
 
-from repro.core import AlgorithmPoint, ClusterCostModel, LowerBoundRecipe, TradeoffCurve
+from repro.core import ClusterCostModel
 from repro.problems import (
     HammingDistanceProblem,
     JoinQuery,
@@ -314,11 +314,13 @@ def cost_report(
     processing_rate: float = 1.0,
 ) -> str:
     """Section 1.2: the cost-optimal reducer size as network prices change."""
-    curve = TradeoffCurve.from_recipe(LowerBoundRecipe.from_problem(HammingDistanceProblem(b)))
+    problem = HammingDistanceProblem(b)
     rows = []
     for price in prices:
         model = ClusterCostModel(communication_rate=price, processing_rate=processing_rate)
-        best = curve.optimize_cost(model, q_min=2.0, q_max=2.0 ** b)
+        best = model.optimal_q_continuous(
+            problem.replication_lower_bound, q_min=2.0, q_max=2.0 ** b
+        )
         rows.append([price, processing_rate, best.q, math.log2(best.q), best.replication_rate, best.total])
     return render_table(
         f"Section 1.2: optimal reducer size per communication price (Hamming-1, b={b})",
@@ -330,12 +332,10 @@ def cost_report(
 def algorithm_catalog_report(b: int = 24) -> str:
     """The concrete algorithms on the Fig. 1 plane, one row per dot."""
     problem = HammingDistanceProblem(b)
-    curve = TradeoffCurve(problem_name=problem.name, lower_bound=problem.lower_bound)
     rows = []
     for c, log_q, rate in splitting_points(b):
-        point = AlgorithmPoint(f"splitting(c={c})", q=2.0 ** log_q, replication_rate=rate)
-        curve.add_algorithm(point)
-        rows.append([point.name, point.q, point.replication_rate, curve.lower_bound_at(point.q)])
+        q = 2.0 ** log_q
+        rows.append([f"splitting(c={c})", q, rate, problem.lower_bound(q)])
     return render_table(
         f"Known algorithms on the tradeoff plane (b={b})",
         ["algorithm", "q", "r", "lower bound at q"],

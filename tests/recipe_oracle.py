@@ -1,4 +1,20 @@
-"""The generic lower-bound recipe of Section 2.4.
+"""The pre-``replication_lower_bound`` recipe object, kept verbatim as an oracle.
+
+:meth:`repro.core.problem.Problem.replication_lower_bound` replaced the
+``LowerBoundRecipe`` object (and ``TradeoffCurve``'s bound evaluation on top
+of it) with one method.  The module it lived in is kept here unchanged below
+this docstring: ``LowerBoundRecipe.from_problem(problem).bound_at(q)
+.replication_rate_bound`` must equal ``problem.replication_lower_bound(q)``
+bit for bit, ``inf`` included, on every problem that defines ``g(q)``.
+
+Two helpers ride along for the tests that read them: the recipe's
+precondition check, ``g_over_q_non_decreasing`` (the verbatim
+``check_monotonicity`` method, callable on any ``g``), and the covering
+inequality ``covering_inequality_holds``.
+
+The original module docstring follows.
+
+The generic lower-bound recipe of Section 2.4.
 
 Given a problem with ``|I|`` inputs, ``|O|`` outputs and an upper bound
 ``g(q)`` on the number of outputs a reducer with ``q`` inputs can cover, the
@@ -162,3 +178,12 @@ def covering_inequality_holds(
     """
     total = sum(float(g(size)) for size in reducer_sizes if size > 0)
     return total + 1e-9 >= float(num_outputs)
+
+
+def g_over_q_non_decreasing(g: Callable[[float], float], q_values: Sequence[float]) -> bool:
+    """The recipe's precondition: ``g(q)/q`` is non-decreasing over ``q_values``.
+
+    ``LowerBoundRecipe.check_monotonicity`` on a recipe built around ``g``
+    (the counts play no part in the check).
+    """
+    return LowerBoundRecipe("g", 1, 0, g).check_monotonicity(q_values)

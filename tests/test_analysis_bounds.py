@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import LowerBoundRecipe
 from repro.datagen import integer_matrix, multiplication_records
 from repro.exceptions import ConfigurationError
 from repro.mapreduce import MapReduceEngine
@@ -50,11 +49,6 @@ from repro.schemas import (
 )
 
 
-def _recipe_bound(problem, q: float) -> float:
-    """The Section 2.4 recipe on the problem's exact |I|, |O| and g(q)."""
-    return LowerBoundRecipe.from_problem(problem).bound_at(q).replication_rate_bound
-
-
 class TestHammingBounds:
     def test_lower_bound_closed_form(self):
         problem = HammingDistanceProblem(20)
@@ -70,7 +64,7 @@ class TestHammingBounds:
         problem = HammingDistanceProblem(16)
         for exponent in (2, 4, 8, 16):
             q = 2 ** exponent
-            assert _recipe_bound(problem, q) == pytest.approx(problem.lower_bound(q))
+            assert problem.replication_lower_bound(q) == pytest.approx(problem.lower_bound(q))
 
     def test_upper_bound_matches_lower_bound(self):
         problem = HammingDistanceProblem(20)
@@ -108,9 +102,9 @@ class TestTriangleAndSubgraphBounds:
         # Exact |I| = C(n,2) and |O| = C(n,3) turn the paper's n/√(2q) into
         # exactly (n-2)/√(2q).
         problem = TriangleProblem(100)
-        assert _recipe_bound(problem, 8) == pytest.approx(24.5)
+        assert problem.replication_lower_bound(8) == pytest.approx(24.5)
         for q in (8, 50, 200, 5000):
-            assert _recipe_bound(problem, q) == pytest.approx(
+            assert problem.replication_lower_bound(q) == pytest.approx(
                 max(1.0, 98 / math.sqrt(2.0 * q)), rel=1e-12
             )
 
@@ -136,7 +130,7 @@ class TestTriangleAndSubgraphBounds:
         # Exact |O| = C(n,3) for the triangle sample gives (n-2)/(3√q): the
         # (n/√q)^{s-2} shape up to its dropped constant.
         problem = SampleGraphProblem(100, SampleGraph.triangle())
-        value = _recipe_bound(problem, 200)
+        value = problem.replication_lower_bound(200)
         assert value == pytest.approx(98 / (3 * math.sqrt(200)))
         assert 0.1 < value / problem.lower_bound(200) < 10.0
 
@@ -151,7 +145,7 @@ class TestTriangleAndSubgraphBounds:
 
     def test_two_path_recipe_agrees(self):
         # |O| = 3·C(n,3) and g(q) = C(q,2): exactly 2(n-2)/(q-1).
-        assert _recipe_bound(TwoPathProblem(100), 10) == pytest.approx(2 * 98 / 9)
+        assert TwoPathProblem(100).replication_lower_bound(10) == pytest.approx(2 * 98 / 9)
 
 
 class TestJoinBounds:
@@ -187,7 +181,7 @@ class TestJoinBounds:
         # chain-3: rho = 2, m = 4 and exactly |I| = 3n², so the recipe gives
         # n^m q / (q^rho 3n²) = n²/(3q).
         problem = MultiwayJoinProblem(JoinQuery.chain(3), 10)
-        assert _recipe_bound(problem, 10) == pytest.approx(100 / 30)
+        assert problem.replication_lower_bound(10) == pytest.approx(100 / 30)
 
 
 class TestMatmulBounds:
@@ -201,7 +195,7 @@ class TestMatmulBounds:
     def test_recipe_agrees(self):
         problem = MatrixMultiplicationProblem(100)
         for q in (200, 2000, 20000):
-            assert _recipe_bound(problem, q) == pytest.approx(problem.lower_bound(q))
+            assert problem.replication_lower_bound(q) == pytest.approx(problem.lower_bound(q))
 
     def test_upper_matches_lower_in_valid_range(self):
         problem = MatrixMultiplicationProblem(100)

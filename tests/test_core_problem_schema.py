@@ -7,7 +7,6 @@ import pytest
 from repro.core import (
     ExplicitProblem,
     MappingSchema,
-    one_reducer_per_output_schema,
     single_reducer_schema,
 )
 from repro.exceptions import (
@@ -177,20 +176,7 @@ class TestCannedSchemas:
         assert schema.replication_rate() == pytest.approx(1.0)
         assert schema.validate().valid
 
-    def test_one_reducer_per_output_schema(self, toy_problem):
-        schema = one_reducer_per_output_schema(toy_problem)
-        assert schema.validate().valid
-        assert schema.q == 2
-        assert schema.num_reducers == toy_problem.num_outputs
-        # i2 and i3 each appear in two outputs, i1 and i4 in one: r = 6/4.
-        assert schema.replication_rate() == pytest.approx(1.5)
-
     def test_canned_schemas_on_hamming(self, hamming6):
         single = single_reducer_schema(hamming6)
-        per_output = one_reducer_per_output_schema(hamming6)
         assert single.validate().valid
-        assert per_output.validate().valid
         assert single.replication_rate() == pytest.approx(1.0)
-        # For Hamming distance 1 the per-output schema replicates each string
-        # b times (one reducer per neighbouring pair).
-        assert per_output.replication_rate() == pytest.approx(hamming6.b)

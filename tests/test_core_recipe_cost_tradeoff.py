@@ -1,4 +1,5 @@
-"""Unit tests for the lower-bound recipe, cost model, and tradeoff curves."""
+"""Unit tests for the lower-bound recipe, the cost model, and choosing
+along the tradeoff curve."""
 
 from __future__ import annotations
 
@@ -6,82 +7,48 @@ import math
 
 import pytest
 
-from repro.core import (
-    AlgorithmPoint,
-    ClusterCostModel,
-    LowerBoundRecipe,
-    TradeoffCurve,
-    covering_inequality_holds,
-)
+from recipe_oracle import covering_inequality_holds, g_over_q_non_decreasing
+from repro.core import ClusterCostModel, ExplicitProblem
 from repro.exceptions import BoundDerivationError, ConfigurationError
+from repro.problems import HammingDistanceProblem, TriangleProblem, TwoPathProblem
 
 
 class TestLowerBoundRecipe:
-    def hamming_recipe(self, b: int = 10) -> LowerBoundRecipe:
-        return LowerBoundRecipe(
-            problem_name="hamming",
-            num_inputs=2.0 ** b,
-            num_outputs=(b / 2.0) * 2.0 ** b,
-            g=lambda q: (q / 2.0) * math.log2(q) if q > 1 else 0.0,
-        )
+    """``Problem.replication_lower_bound``: the Section 2.4 recipe."""
 
     def test_rejects_bad_counts(self):
         with pytest.raises(BoundDerivationError):
-            LowerBoundRecipe("x", 0, 1, lambda q: q)
-        with pytest.raises(BoundDerivationError):
-            LowerBoundRecipe("x", 1, -1, lambda q: q)
+            ExplicitProblem([], {}).replication_lower_bound(4.0)
 
     def test_bound_matches_closed_form(self):
-        recipe = self.hamming_recipe(b=10)
+        problem = HammingDistanceProblem(10)
         for exponent in (1, 2, 5, 10):
             q = 2 ** exponent
             expected = 10 / exponent
-            assert recipe.bound_at(q).replication_rate_bound == pytest.approx(
+            assert problem.replication_lower_bound(q) == pytest.approx(
                 max(1.0, expected)
             )
 
     def test_bound_requires_positive_q(self):
         with pytest.raises(BoundDerivationError):
-            self.hamming_recipe().bound_at(0)
+            HammingDistanceProblem(10).replication_lower_bound(0)
 
     def test_trivial_floor_applied(self):
-        recipe = LowerBoundRecipe("2path", 100 * 100 / 2, 100 ** 3 / 2, lambda q: q * q / 2)
         # For q far above 2n the raw bound 2n/q drops below 1 and is floored.
-        assert recipe.bound_at(10_000).replication_rate_bound == pytest.approx(1.0)
+        assert TwoPathProblem(100).replication_lower_bound(10_000) == 1.0
 
     def test_zero_g_gives_infinite_bound(self):
-        recipe = self.hamming_recipe()
-        assert recipe.bound_at(1).replication_rate_bound == float("inf")
+        assert HammingDistanceProblem(10).replication_lower_bound(1) == float("inf")
 
     def test_monotonicity_check_passes_for_hamming(self):
-        recipe = self.hamming_recipe()
-        assert recipe.check_monotonicity([2, 4, 8, 16, 1024])
+        g = HammingDistanceProblem(10).max_outputs_covered
+        assert g_over_q_non_decreasing(g, [2, 4, 8, 16, 1024])
 
     def test_monotonicity_check_fails_for_decreasing_ratio(self):
-        recipe = LowerBoundRecipe("bad", 10, 10, g=lambda q: math.sqrt(q))
-        assert not recipe.check_monotonicity([1, 4, 16, 64])
-
-    def test_enforce_monotonicity_raises(self):
-        recipe = LowerBoundRecipe("bad", 10, 10, g=lambda q: math.sqrt(q))
-        with pytest.raises(BoundDerivationError):
-            recipe.bound_at(16, enforce_monotonicity=True)
-
-    def test_curve_evaluates_each_point(self):
-        recipe = self.hamming_recipe()
-        curve = recipe.curve([4, 16, 256])
-        assert [point.q for point in curve] == [4.0, 16.0, 256.0]
-        assert all(point.replication_rate_bound >= 1.0 for point in curve)
+        assert not g_over_q_non_decreasing(math.sqrt, [1, 4, 16, 64])
 
     def test_from_problem(self, hamming6):
-        recipe = LowerBoundRecipe.from_problem(hamming6)
-        assert recipe.bound_at(4).replication_rate_bound == pytest.approx(3.0)
-
-    def test_as_row(self):
-        result = self.hamming_recipe().bound_at(4)
-        row = result.as_row()
-        assert row["problem"] == "hamming"
-        assert row["q"] == 4.0
-        assert row["r_lower"] > 1.0
+        assert hamming6.replication_lower_bound(4) == pytest.approx(3.0)
 
 
 class TestCoveringInequality:
@@ -210,93 +177,63 @@ class TestClusterCostModel:
         assert rows[0].total == pytest.approx(11.0)
 
 
-class TestTradeoffCurve:
-    def curve(self, b: int = 12) -> TradeoffCurve:
-        curve = TradeoffCurve(
-            problem_name="hamming",
-            lower_bound=lambda q: max(1.0, b / math.log2(q)),
-        )
-        for c in (1, 2, 3, 4, 6, 12):
-            curve.add_algorithm(
-                AlgorithmPoint(name=f"splitting-{c}", q=2 ** (b // c), replication_rate=float(c))
-            )
-        return curve
+class TestChoosingAlongTheCurve:
+    """Section 1.2: the cheapest (q, r) point, on the Splitting dots or the
+    continuous lower-bound curve."""
 
-    def test_best_algorithm_respects_q(self):
-        curve = self.curve()
-        best = curve.best_algorithm_at(2 ** 4)
-        assert best is not None
-        assert best.name == "splitting-3"
+    B = 12
 
-    def test_no_algorithm_for_tiny_q(self):
-        curve = self.curve()
-        assert curve.best_algorithm_at(1) is None
+    def dots(self):
+        return {2.0 ** (self.B // c): float(c) for c in (1, 2, 3, 4, 6, 12)}
 
-    def test_matching_points_all_match(self):
-        curve = self.curve()
-        assert len(curve.matching_points()) == 6
-
-    def test_report_includes_gap(self):
-        curve = self.curve()
-        rows = curve.report([2 ** 4, 2 ** 6])
-        assert rows[0].gap == pytest.approx(1.0)
-        assert rows[0].algorithm == "splitting-3"
-
-    def test_add_algorithm_validation(self):
-        curve = self.curve()
-        with pytest.raises(ConfigurationError):
-            curve.add_algorithm(AlgorithmPoint("bad", q=0, replication_rate=1.0))
-        with pytest.raises(ConfigurationError):
-            curve.add_algorithm(AlgorithmPoint("bad", q=2, replication_rate=-1.0))
-
-    def test_optimize_cost_over_algorithms(self):
-        curve = self.curve()
+    def test_discrete_optimum_follows_the_prices(self):
+        dots = self.dots()
         # Expensive communication favours large reducers (small r).
         model = ClusterCostModel(communication_rate=1_000.0, processing_rate=0.001)
-        point, breakdown = curve.optimize_cost_over_algorithms(model)
-        assert point.name == "splitting-1"
+        breakdown = model.optimal_q_discrete(dots.__getitem__, dots)
+        assert breakdown.q == 2.0 ** 12
         assert breakdown.replication_rate == 1.0
         # Expensive processors favour small reducers (large r).
         model = ClusterCostModel(communication_rate=0.001, processing_rate=1_000.0)
-        point, _ = curve.optimize_cost_over_algorithms(model)
-        assert point.name == "splitting-12"
+        assert model.optimal_q_discrete(dots.__getitem__, dots).replication_rate == 12.0
 
-    def test_optimize_cost_over_algorithms_requires_points(self):
-        curve = TradeoffCurve("empty", lower_bound=lambda q: 1.0)
-        model = ClusterCostModel(1.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            curve.optimize_cost_over_algorithms(model)
-
-    def test_optimize_cost_over_algorithms_prices_certified_loads(self):
+    def test_planner_prices_certified_loads(self):
         from repro.core import LoadSummary
+        from repro.planner import CostBasedPlanner, SchemaRegistry
+        from repro.planner.certify import Certification, CertificationKind
+        from repro.planner.registry import PlanCandidate
 
-        curve = TradeoffCurve("priced", lower_bound=lambda q: 1.0)
-        # Same worst-case q and replication; the certified load profile of
-        # "balanced" shows its reducers are mostly light, so under
-        # processing-dominated pricing it must win.
-        curve.add_algorithm(AlgorithmPoint("bare", q=10.0, replication_rate=2.0))
-        curve.add_algorithm(
-            AlgorithmPoint(
+        registry = SchemaRegistry()
+
+        @registry.register(TriangleProblem)
+        def two_points(problem, q, profile=None):
+            # Same worst-case q and replication; the certified load profile
+            # of "balanced" shows its reducers are mostly light, so under
+            # processing-dominated pricing it must win.
+            yield PlanCandidate("bare", 10.0, 2.0, job_factory=lambda _: None)
+            yield PlanCandidate(
                 "balanced",
-                q=10.0,
-                replication_rate=2.0,
-                load=LoadSummary(10.0, loads=(10.0, 1.0, 1.0, 1.0, 1.0)),
+                10.0,
+                2.0,
+                job_factory=lambda _: None,
+                certification=Certification(
+                    CertificationKind.EXACT,
+                    10.0,
+                    load=LoadSummary(10.0, loads=(10.0, 1.0, 1.0, 1.0, 1.0)),
+                ),
             )
-        )
-        model = ClusterCostModel(communication_rate=0.0, processing_rate=1.0)
-        point, breakdown = curve.optimize_cost_over_algorithms(model)
-        assert point.name == "balanced"
-        assert breakdown.pricing == "certified-load"
 
-    def test_from_recipe(self):
-        recipe = LowerBoundRecipe(
-            "matmul", num_inputs=2 * 100, num_outputs=100, g=lambda q: q * q / 400.0
+        planner = CostBasedPlanner(
+            registry, ClusterCostModel(communication_rate=0.0, processing_rate=1.0)
         )
-        curve = TradeoffCurve.from_recipe(recipe)
-        assert curve.lower_bound_at(20) == pytest.approx(recipe.bound_at(20).replication_rate_bound)
+        best = planner.plan(TriangleProblem(5), q=10.0).best
+        assert best.name == "balanced"
+        assert best.cost.pricing == "certified-load"
 
     def test_optimize_cost_continuous(self):
-        curve = self.curve()
+        problem = HammingDistanceProblem(self.B)
         model = ClusterCostModel(communication_rate=100.0, processing_rate=1.0)
-        best = curve.optimize_cost(model, q_min=2.0, q_max=4096.0)
+        best = model.optimal_q_continuous(
+            problem.replication_lower_bound, q_min=2.0, q_max=4096.0
+        )
         assert 2.0 <= best.q <= 4096.0

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import AlgorithmPoint, ClusterCostModel, LowerBoundRecipe, TradeoffCurve
+from repro.core import ClusterCostModel
 from repro.datagen import (
     all_pairs_at_distance,
     bernoulli_bitstrings,
@@ -62,20 +62,13 @@ class TestHammingSimilarityJoinPipeline:
         b = 8
         engine = MapReduceEngine()
         problem = HammingDistanceProblem(b)
-        curve = TradeoffCurve.from_recipe(LowerBoundRecipe.from_problem(problem))
         words = list(range(2 ** b))
         for c, _, _ in splitting_points(b):
             family = SplittingSchema(b, c)
             result = engine.run(family.job(), words)
-            curve.add_algorithm(
-                AlgorithmPoint(
-                    name=family.name,
-                    q=family.max_reducer_size_formula(),
-                    replication_rate=result.replication_rate,
-                )
-            )
-        matches = curve.matching_points(relative_tolerance=1e-6)
-        assert len(matches) == len(splitting_points(b))
+            # Every measured Splitting dot lies on the lower-bound curve.
+            bound = problem.replication_lower_bound(family.max_reducer_size_formula())
+            assert result.replication_rate == pytest.approx(bound, rel=1e-6)
 
 
 class TestTriangleAnalyticsPipeline:
@@ -157,41 +150,32 @@ class TestCostModelWorkflow:
     """Section 1.2 / Example 1.1: choosing q for concrete cluster prices."""
 
     def test_optimal_q_balances_communication_and_processing(self):
-        recipe = LowerBoundRecipe.from_problem(HammingDistanceProblem(20))
-        curve = TradeoffCurve.from_recipe(recipe)
+        curve = HammingDistanceProblem(20).replication_lower_bound
         model = ClusterCostModel(communication_rate=10.0, processing_rate=0.01)
-        best = curve.optimize_cost(model, q_min=2.0, q_max=2.0 ** 20)
+        best = model.optimal_q_continuous(curve, q_min=2.0, q_max=2.0 ** 20)
         # More expensive communication pushes the optimum towards larger q
         # than a communication-cheap configuration would pick.
         cheap_comm = ClusterCostModel(communication_rate=0.1, processing_rate=0.01)
-        best_cheap = curve.optimize_cost(cheap_comm, q_min=2.0, q_max=2.0 ** 20)
+        best_cheap = cheap_comm.optimal_q_continuous(curve, q_min=2.0, q_max=2.0 ** 20)
         assert best.q > best_cheap.q
 
     def test_algorithm_selection_changes_with_prices(self):
         b = 12
-        curve = TradeoffCurve(
-            problem_name="hamming",
-            lower_bound=lambda q: max(1.0, b / math.log2(q)),
-        )
-        for c, _, _ in splitting_points(b):
-            curve.add_algorithm(
-                AlgorithmPoint(f"splitting-{c}", q=2.0 ** (b / c), replication_rate=float(c))
-            )
+        dots = {2.0 ** (b / c): float(c) for c, _, _ in splitting_points(b)}
         comm_heavy = ClusterCostModel(communication_rate=1e6, processing_rate=1.0)
         proc_heavy = ClusterCostModel(communication_rate=1.0, processing_rate=1e6)
-        comm_choice, _ = curve.optimize_cost_over_algorithms(comm_heavy)
-        proc_choice, _ = curve.optimize_cost_over_algorithms(proc_heavy)
+        comm_choice = comm_heavy.optimal_q_discrete(dots.__getitem__, dots)
+        proc_choice = proc_heavy.optimal_q_discrete(dots.__getitem__, dots)
         assert comm_choice.replication_rate < proc_choice.replication_rate
 
     def test_example_1_1_quadratic_wall_clock_term(self):
         """With the q² wall-clock term of Example 1.1 the optimum shifts to a
         strictly smaller q than without it."""
-        recipe = LowerBoundRecipe.from_problem(HammingDistanceProblem(16))
-        curve = TradeoffCurve.from_recipe(recipe)
+        curve = HammingDistanceProblem(16).replication_lower_bound
         without = ClusterCostModel(communication_rate=100.0, processing_rate=0.01)
         with_term = ClusterCostModel(
             communication_rate=100.0, processing_rate=0.01, wall_clock_rate=0.001
         )
-        q_without = curve.optimize_cost(without, 2.0, 2.0 ** 16).q
-        q_with = curve.optimize_cost(with_term, 2.0, 2.0 ** 16).q
+        q_without = without.optimal_q_continuous(curve, 2.0, 2.0 ** 16).q
+        q_with = with_term.optimal_q_continuous(curve, 2.0, 2.0 ** 16).q
         assert q_with < q_without

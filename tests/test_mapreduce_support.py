@@ -12,7 +12,6 @@ from repro.mapreduce import (
     RoundRobinPartitioner,
     ShuffleStats,
     WorkerStats,
-    reducer_size_quantiles,
     stable_hash,
 )
 from repro.mapreduce.metrics import JobMetrics, PipelineMetrics
@@ -153,22 +152,6 @@ class TestWorkerStats:
         stats = WorkerStats()
         assert stats.load_imbalance() == 0.0
         assert stats.max_worker_load == 0
-
-
-class TestQuantiles:
-    def test_quantiles_of_uniform_sizes(self):
-        sizes = {i: i + 1 for i in range(100)}
-        quantiles = reducer_size_quantiles(sizes, (0.5, 0.9, 1.0))
-        assert quantiles[0.5] == 50
-        assert quantiles[0.9] == 90
-        assert quantiles[1.0] == 100
-
-    def test_empty_sizes(self):
-        assert reducer_size_quantiles({}, (0.5,)) == {0.5: 0}
-
-    def test_invalid_quantile(self):
-        with pytest.raises(ValueError):
-            reducer_size_quantiles({"a": 1}, (1.5,))
 
 
 class TestMetricsSummaries:

@@ -109,7 +109,6 @@ class TestProfiledPlansCarryNoModelBound:
         result = CostBasedPlanner.min_replication().plan(
             problem, q=30, profile=profile
         )
-        assert result.tradeoff is None
         assert all(
             plan.lower_bound is None and plan.optimality_gap is None
             for plan in result.plans

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.bounds import fractional_edge_cover
-from repro.core import AlgorithmPoint, ClusterCostModel, LowerBoundRecipe, TradeoffCurve
+from repro.core import ClusterCostModel
 from repro.datagen import (
     all_pairs_at_distance,
     bernoulli_bitstrings,
@@ -723,12 +723,10 @@ class TestSec12CostModel:
     B = 24
 
     def test_optimal_q_grows_with_communication_price(self):
-        curve = TradeoffCurve.from_recipe(
-            LowerBoundRecipe.from_problem(HammingDistanceProblem(self.B))
-        )
+        problem = HammingDistanceProblem(self.B)
         optima = [
-            curve.optimize_cost(
-                ClusterCostModel(communication_rate=a, processing_rate=1.0),
+            ClusterCostModel(communication_rate=a, processing_rate=1.0).optimal_q_continuous(
+                problem.replication_lower_bound,
                 q_min=2.0,
                 q_max=2.0 ** self.B,
             ).q
@@ -737,35 +735,29 @@ class TestSec12CostModel:
         assert optima == sorted(optima)
 
     def test_algorithm_choice_follows_the_price_ratio(self):
-        problem = HammingDistanceProblem(self.B)
-        curve = TradeoffCurve(problem.name, lower_bound=problem.lower_bound)
-        for c, log_q, rate in splitting_points(self.B):
-            curve.add_algorithm(
-                AlgorithmPoint(f"splitting-c={c}", q=2.0 ** log_q, replication_rate=rate)
-            )
+        # The Splitting dots: q = 2^(b/c) at r = c.
+        dots = {2.0 ** log_q: rate for _, log_q, rate in splitting_points(self.B)}
         chosen = [
-            curve.optimize_cost_over_algorithms(
-                ClusterCostModel(communication_rate=a, processing_rate=b)
-            )[0]
+            ClusterCostModel(communication_rate=a, processing_rate=b).optimal_q_discrete(
+                dots.__getitem__, dots
+            )
             for a, b in [(1e8, 1.0), (1e2, 1.0), (1.0, 1.0), (1.0, 1e2), (1.0, 1e4)]
         ]
         # Relatively pricier processing: smaller reducers, more replication.
         rates = [point.replication_rate for point in chosen]
         assert rates == sorted(rates)
-        assert chosen[0].name == "splitting-c=1"
-        assert chosen[-1].name == f"splitting-c={self.B}"
+        assert rates[0] == 1.0
+        assert rates[-1] == float(self.B)
 
     def test_wall_clock_term_shrinks_reducers(self):
         """Example 1.1: adding the c*q^2 single-reducer time term."""
         n = 500
-        curve = TradeoffCurve.from_recipe(
-            LowerBoundRecipe.from_problem(MatrixMultiplicationProblem(n))
-        )
+        problem = MatrixMultiplicationProblem(n)
         optima = [
-            curve.optimize_cost(
-                ClusterCostModel(
-                    communication_rate=10.0, processing_rate=0.01, wall_clock_rate=c
-                ),
+            ClusterCostModel(
+                communication_rate=10.0, processing_rate=0.01, wall_clock_rate=c
+            ).optimal_q_continuous(
+                problem.replication_lower_bound,
                 q_min=2.0 * n,
                 q_max=2.0 * n ** 2,
             ).q

@@ -167,10 +167,12 @@ class TestPlanningBasics:
         problem = SampleGraphProblem(60, SampleGraph.path(2))
         assert planner.plan(problem, None, q=300.0).best.lower_bound is None
 
-    def test_tradeoff_curve_exposed(self, planner):
-        result = planner.plan(TriangleProblem(12), q=30.0)
-        assert result.tradeoff is not None
-        assert len(result.tradeoff.algorithms) == len(result)
+    def test_every_one_round_plan_carries_the_curve(self, planner):
+        problem = TriangleProblem(12)
+        result = planner.plan(problem, q=30.0)
+        assert len(result) > 1
+        for plan in result:
+            assert plan.lower_bound == problem.replication_lower_bound(plan.q)
 
     def test_cluster_prices_drive_default_ranking(self):
         problem = HammingDistanceProblem(8)

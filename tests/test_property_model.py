@@ -16,7 +16,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LowerBoundRecipe, covering_inequality_holds
+from recipe_oracle import covering_inequality_holds
 from repro.core.mapping_schema import MappingSchema
 from repro.problems import (
     HammingDistanceProblem,
@@ -140,9 +140,8 @@ class TestSchemaInvariants:
     @settings(max_examples=50, deadline=None)
     def test_valid_schemas_respect_recipe_lower_bound(self, schema):
         problem = schema.problem
-        recipe = LowerBoundRecipe.from_problem(problem)
         q = schema.max_reducer_size()
-        bound = recipe.bound_at(q).replication_rate_bound
+        bound = problem.replication_lower_bound(q)
         assert schema.replication_rate() >= bound - 1e-9
 
     @given(st.integers(min_value=2, max_value=10))
@@ -150,9 +149,8 @@ class TestSchemaInvariants:
     def test_recipe_monotone_in_q(self, exponent):
         """The Hamming lower bound decreases as reducers get larger."""
         problem = HammingDistanceProblem(10)
-        recipe = LowerBoundRecipe.from_problem(problem)
-        smaller = recipe.bound_at(2 ** (exponent - 1)).replication_rate_bound
-        larger = recipe.bound_at(2 ** exponent).replication_rate_bound
+        smaller = problem.replication_lower_bound(2 ** (exponent - 1))
+        larger = problem.replication_lower_bound(2 ** exponent)
         assert larger <= smaller + 1e-9
 
 
