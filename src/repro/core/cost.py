@@ -1,17 +1,19 @@
 """The cluster cost model of Section 1.2 / Example 1.1.
 
 Once the tradeoff function ``r = f(q)`` of a problem is known, running an
-instance on a concrete cluster costs
+instance of ``|I|`` input records on a concrete cluster costs
 
-    cost(q) = a * f(q) + b * q            (total computation cost)
+    cost(q) = a * f(q) * |I| + b * q      (total computation cost)
 
 or, when wall-clock time matters and the reducer runs an algorithm whose
 time is some function ``t(q)`` (e.g. ``q^2`` for all-pairs reducers),
 
-    cost(q) = a * f(q) + b * q + c * t(q)
+    cost(q) = a * f(q) * |I| + b * q + c * t(q)
 
 The constants ``a``, ``b`` and ``c`` encode what the cluster provider (the
-paper's EC2 example) charges for communication and processor rental.  This
+paper's EC2 example) charges for communication and processor rental;
+``a`` is charged per shuffled record, and with ``|I| = 1`` it folds in the
+data size, which is the paper's ``a * f(q) + b * q``.  This
 module finds the ``q`` minimizing such expressions over either a continuous
 range (golden-section search — the functions involved are unimodal for every
 problem in the paper) or an explicit candidate set.
@@ -19,7 +21,6 @@ problem in the paper) or an explicit candidate set.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from array import array
@@ -114,18 +115,13 @@ PRICING_CERTIFIED_LOAD = "certified-load"
 class CostBreakdown:
     """Cost of running the job with a particular reducer size ``q``.
 
-    ``pricing`` records what backed the processing term: ``"bound"`` (the
-    candidate's scalar reducer-size bound — the paper's accounting),
-    ``"certified-max"`` (a certified maximum load from a dataset profile)
-    or ``"certified-load"`` (a certified per-reducer load profile; the
-    processing term then uses the record-weighted mean load).
-
-    ``planning_seconds`` is the wall-clock time the optimizer spent
-    *choosing* this configuration (share-vector optimization, candidate
-    enumeration, pipeline enumeration); ``planning_cost`` prices it with
-    the model's ``planning_rate`` so reports can amortize optimizer cost
-    over runs.  Both default to 0 — the paper's accounting ignores
-    planning — and a zero ``planning_rate`` keeps every total unchanged.
+    ``communication_cost`` is ``a·r·|I|`` over the ``inputs`` records the
+    breakdown was priced at (``a·r`` with the paper's folded constant when
+    ``inputs`` is 1).  ``pricing`` records what backed the processing term:
+    ``"bound"`` (the candidate's scalar reducer-size bound — the paper's
+    accounting), ``"certified-max"`` (a certified maximum load from a
+    dataset profile) or ``"certified-load"`` (a certified per-reducer load
+    profile; the processing term then uses the record-weighted mean load).
     """
 
     q: float
@@ -134,27 +130,22 @@ class CostBreakdown:
     processing_cost: float
     wall_clock_cost: float
     pricing: str = PRICING_BOUND
-    planning_seconds: float = 0.0
-    planning_cost: float = 0.0
 
     @property
     def total(self) -> float:
-        return (
-            self.communication_cost
-            + self.processing_cost
-            + self.wall_clock_cost
-            + self.planning_cost
-        )
+        return self.communication_cost + self.processing_cost + self.wall_clock_cost
 
 
 class ClusterCostModel:
-    """Section 1.2 cost model ``a·r(q) + b·q (+ c·t(q))``.
+    """Section 1.2 cost model ``a·r(q)·|I| + b·q (+ c·t(q))``.
 
     Parameters
     ----------
     communication_rate:
-        The constant ``a`` — cost per unit of replication rate (it already
-        folds in the data size, as the paper notes).
+        The constant ``a`` — cost per shuffled key-value pair: a round that
+        replicates each of its ``|I|`` input records ``r`` times ships
+        ``r·|I|`` pairs.  :meth:`cost_at` prices ``|I| = 1`` unless told
+        otherwise, so ``a`` then folds in the data size, as the paper notes.
     processing_rate:
         The constant ``b`` — cost per unit of reducer size ``q`` (total
         processor cost is proportional to ``q`` when per-reducer work is
@@ -166,13 +157,6 @@ class ClusterCostModel:
     reducer_time:
         The function ``t(q)`` multiplied by ``c``; defaults to ``q^2`` which
         is the all-pairs comparison cost used in Example 1.1.
-    planning_rate:
-        Cost per wall-clock second the optimizer spends choosing the
-        configuration (share-vector optimization, pipeline enumeration).
-        Defaults to 0 — planning is free in the paper's model — so
-        existing totals are unchanged unless a cluster explicitly prices
-        optimizer time; a plan run many times amortizes this term by
-        dividing it by the expected run count before comparison.
     """
 
     def __init__(
@@ -181,20 +165,13 @@ class ClusterCostModel:
         processing_rate: float,
         wall_clock_rate: float = 0.0,
         reducer_time: Callable[[float], float] = lambda q: q * q,
-        planning_rate: float = 0.0,
     ) -> None:
-        if (
-            communication_rate < 0
-            or processing_rate < 0
-            or wall_clock_rate < 0
-            or planning_rate < 0
-        ):
+        if communication_rate < 0 or processing_rate < 0 or wall_clock_rate < 0:
             raise ConfigurationError("cost-rate constants must be non-negative")
         self.communication_rate = communication_rate
         self.processing_rate = processing_rate
         self.wall_clock_rate = wall_clock_rate
         self.reducer_time = reducer_time
-        self.planning_rate = planning_rate
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -204,22 +181,29 @@ class ClusterCostModel:
         q: float,
         replication: Callable[[float], float],
         load: Optional[LoadSummary] = None,
+        inputs: float = 1.0,
     ) -> CostBreakdown:
         """Evaluate the full cost expression at reducer size ``q``.
 
-        When a certified :class:`LoadSummary` is supplied, the ``b``-term
-        prices the certified load instead of the scalar bound ``q``: the
-        certified maximum when only that is known, or the record-weighted
-        mean reducer load (``Σ l² / Σ l``, never above the maximum) when
-        the certifier enumerated the full per-reducer profile.  The
-        wall-clock term ``c·t(·)`` always tracks the slowest reducer, so it
-        uses the certified maximum.  The resulting :class:`CostBreakdown`
-        records which pricing applied.
+        Communication is ``(a·r)·inputs``: the pairs shipped when each of
+        the ``inputs`` records entering the round is replicated ``r``
+        times.  When a certified :class:`LoadSummary` is supplied, the
+        ``b``-term prices the certified load instead of the scalar bound
+        ``q``: the certified maximum when only that is known, or the
+        record-weighted mean reducer load (``Σ l² / Σ l``, never above the
+        maximum) when the certifier enumerated the full per-reducer
+        profile.  The wall-clock term ``c·t(·)`` always tracks the slowest
+        reducer, so it uses the certified maximum.  The resulting
+        :class:`CostBreakdown` records which pricing applied.
         """
         if q <= 0:
             raise ConfigurationError(f"q must be positive, got {q}")
+        if not 0 <= inputs < math.inf:
+            raise ConfigurationError(
+                f"inputs must be a non-negative finite record count, got {inputs}"
+            )
         rate = float(replication(q))
-        communication = self.communication_rate * rate
+        communication = self.communication_rate * rate * inputs
         if load is None:
             pricing = PRICING_BOUND
             processing_size = float(q)
@@ -245,25 +229,6 @@ class ClusterCostModel:
             processing_cost=processing,
             wall_clock_cost=wall_clock,
             pricing=pricing,
-        )
-
-    def with_planning(
-        self, breakdown: CostBreakdown, planning_seconds: float
-    ) -> CostBreakdown:
-        """Attach a priced planning-time term to an existing breakdown.
-
-        The planner calls this *after* ranking: the same planning wall-clock
-        backs every candidate of one planning call, so the term shifts all
-        totals uniformly and never reorders them.
-        """
-        if planning_seconds < 0:
-            raise ConfigurationError(
-                f"planning seconds must be non-negative, got {planning_seconds}"
-            )
-        return dataclasses.replace(
-            breakdown,
-            planning_seconds=float(planning_seconds),
-            planning_cost=self.planning_rate * float(planning_seconds),
         )
 
     def total_cost(self, q: float, replication: Callable[[float], float]) -> float:

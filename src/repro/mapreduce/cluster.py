@@ -39,13 +39,10 @@ class ClusterConfig:
         Strategy for mapping reduce keys to workers.
     communication_cost_per_record:
         Cost charged per shuffled key-value pair by the Section 1.2 cost
-        model (the constant of proportionality of the ``a·r`` term).
+        model: the ``a`` of ``a·r·|I|``, where a round replicates each of
+        its ``|I|`` input records ``r`` times.
     worker_cost_per_unit:
         Cost charged per unit of reducer computation (the ``b·q`` term).
-    planning_cost_per_second:
-        Cost charged per wall-clock second the planner/optimizer spends
-        choosing a configuration.  Defaults to 0 (planning is free, the
-        paper's accounting); set it to amortize optimizer time over runs.
     map_batch_size:
         Number of consecutive input records processed by one simulated map
         task.  A job's combiner runs once per map task, before the task's
@@ -81,7 +78,6 @@ class ClusterConfig:
     partitioner: Partitioner = field(default_factory=HashPartitioner)
     communication_cost_per_record: float = 1.0
     worker_cost_per_unit: float = 1.0
-    planning_cost_per_second: float = 0.0
     map_batch_size: int = 1024
     data_plane: str = "columnar"
     tracer: Optional[object] = None
@@ -100,8 +96,6 @@ class ClusterConfig:
             raise ConfigurationError("communication_cost_per_record must be >= 0")
         if self.worker_cost_per_unit < 0:
             raise ConfigurationError("worker_cost_per_unit must be >= 0")
-        if self.planning_cost_per_second < 0:
-            raise ConfigurationError("planning_cost_per_second must be >= 0")
         if self.map_batch_size <= 0:
             raise ConfigurationError(
                 f"map_batch_size must be positive, got {self.map_batch_size}"
@@ -146,7 +140,6 @@ class ClusterConfig:
             partitioner=self.partitioner,
             communication_cost_per_record=self.communication_cost_per_record,
             worker_cost_per_unit=self.worker_cost_per_unit,
-            planning_cost_per_second=self.planning_cost_per_second,
             map_batch_size=self.map_batch_size,
             data_plane=self.data_plane,
             tracer=self.tracer,

@@ -18,10 +18,10 @@ certification, share optimization — fed by the estimation layer
 (:mod:`repro.pipeline.estimate`): intermediate inputs get *synthetic
 profiles* whose histograms dominate the truth, so downstream rounds are
 certified before a single intermediate record exists.  End-to-end cost is
-the sum of per-round costs, with each round's communication term scaled by
-the records actually entering that round (the paper's ``a·r`` is
-normalized per input record; rounds of one pipeline see very different
-input cardinalities, so cross-round sums must re-multiply by them).
+the sum of per-round costs.  Each round is planned, and its candidates
+ranked, at the records estimated to enter it, so its price
+``a·r·|I| + b·load`` is in the same absolute unit as every other round's
+and the planner picks the round the pipeline then charges for.
 
 Join structures are searched bound first (``_join_structures``): a
 cascade whose closed-form lower bound already loses to the incumbent is
@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.cost import ClusterCostModel, CostBreakdown
+from repro.core.cost import ClusterCostModel
 from repro.core.problem import Problem
 from repro.exceptions import BoundDerivationError, PlanningError
 from repro.mapreduce.cluster import ClusterConfig
@@ -68,8 +68,8 @@ class PipelineRound:
     ``estimated_inputs`` is the record count entering the round (base rows
     plus intermediate size bounds); ``estimated_output`` the calibrated
     estimate of the rows it produces (``estimated_output_bound`` the sound
-    bound); ``cost`` the round's absolute priced cost —
-    ``a·r·inputs`` plus the breakdown's processing and wall-clock terms.
+    bound).  ``cost`` is the round's priced cost, ``a·r·inputs`` plus
+    processing and wall-clock: the plan was priced at ``estimated_inputs``.
     ``estimate_exact`` records whether every histogram feeding the bounds
     was exact, i.e. whether the round's certificate is a sound upper bound
     on what execution will observe.
@@ -82,7 +82,6 @@ class PipelineRound:
     estimated_output: float
     estimate_method: str
     estimate_exact: bool
-    cost: float
     #: Sound upper bound on the round's output rows (``estimated_output``
     #: is the calibrated estimate; they coincide for exact profiles).
     estimated_output_bound: float = 0.0
@@ -96,6 +95,10 @@ class PipelineRound:
     @property
     def name(self) -> str:
         return self.plan.name
+
+    @property
+    def cost(self) -> float:
+        return self.plan.cost.total
 
     @property
     def certification(self):
@@ -157,7 +160,6 @@ class PipelinePlan:
     planner: CostBasedPlanner
     profile: Optional[DatasetProfile] = None
     planning_seconds: float = 0.0
-    planning_cost: float = 0.0
     rank: int = 0
     #: What the structure must cost before anything is planned for it:
     #: ``a · floor · Σ records entering its rounds`` (0.0 when the
@@ -185,14 +187,9 @@ class PipelinePlan:
         return sum(round_.plan.rounds for round_ in self.rounds)
 
     @property
-    def rounds_cost(self) -> float:
+    def total_cost(self) -> float:
         """Summed per-round priced cost — what structures are ranked by."""
         return sum(round_.cost for round_ in self.rounds)
-
-    @property
-    def total_cost(self) -> float:
-        """:attr:`rounds_cost` plus the priced planning time."""
-        return self.rounds_cost + self.planning_cost
 
     @property
     def max_certified_load(self) -> Optional[float]:
@@ -259,7 +256,7 @@ class PrunedStructure(NamedTuple):
 
 def _rank_key(plan: PipelinePlan) -> Tuple[float, int, str]:
     """Ranking order of planned structures."""
-    return (plan.rounds_cost, plan.num_rounds, plan.name)
+    return (plan.total_cost, plan.num_rounds, plan.name)
 
 
 #: ``(label, reason)`` per structure nothing could serve within the budget.
@@ -321,7 +318,7 @@ class PipelinePlanningResult:
         """Plan every pruned structure and merge it into the ranking.
 
         Idempotent; returns ``self``.  Completed plans carry the original
-        call's planning term, ``best`` cannot change — a completed plan
+        call's planning seconds, ``best`` cannot change — a completed plan
         that undercuts its recorded bound or takes rank 0 raises
         :class:`BoundDerivationError`, the search was unsound — and an
         exception leaves ``plans`` / ``pruned`` / ranks untouched, so a
@@ -337,13 +334,12 @@ class PipelinePlanningResult:
             except PlanningError as error:
                 rejected.append((label, str(error)))
                 continue
-            if plan.rounds_cost < lower_bound:
+            if plan.total_cost < lower_bound:
                 raise BoundDerivationError(
                     f"{label} was pruned at lower bound {lower_bound:g} but "
-                    f"plans at {plan.rounds_cost:g}: the bound is unsound"
+                    f"plans at {plan.total_cost:g}: the bound is unsound"
                 )
             plan.planning_seconds = best.planning_seconds
-            plan.planning_cost = best.planning_cost
             plans.append(plan)
         plans.sort(key=_rank_key)
         if plans[0] is not best:
@@ -431,7 +427,6 @@ class PipelinePlanner:
         model = self.planner.cost_model or ClusterCostModel(
             communication_rate=cluster.communication_cost_per_record,
             processing_rate=cluster.worker_cost_per_unit,
-            planning_rate=cluster.planning_cost_per_second,
         )
         pruned: List[PrunedStructure] = []
         deferred: Deferred = {}
@@ -469,7 +464,6 @@ class PipelinePlanner:
                     structures=len(plans), rejected=len(rejected), pruned=len(pruned)
                 )
         planning_seconds = time.perf_counter() - started
-        planning_cost = model.planning_rate * planning_seconds
         registry = cluster.metrics
         if registry.enabled:
             for name, description, count in (
@@ -485,7 +479,6 @@ class PipelinePlanner:
         for rank, plan in enumerate(plans):
             plan.rank = rank
             plan.planning_seconds = planning_seconds
-            plan.planning_cost = planning_cost
         return PipelinePlanningResult(
             problem=problem,
             q_budget=budget,
@@ -528,14 +521,16 @@ class PipelinePlanner:
         rejected: Rejected = []
         # The one-round Shares structure (Section 5.5).
         one_round_op = MultiwayJoinOp(query)
+        inputs = sum(
+            estimator.leaf_rows(relation.name) for relation in query.relations
+        )
         try:
-            best = self.planner.plan(problem, cluster, q=budget, profile=profile).best
+            best = self.planner.plan(
+                problem, cluster, q=budget, profile=profile, inputs=inputs
+            ).best
         except PlanningError as error:
             rejected.append((one_round_op.label(), str(error)))
         else:
-            inputs = sum(
-                estimator.leaf_rows(relation.name) for relation in query.relations
-            )
             output, output_method = estimator.query_output_bound()
             plans.append(
                 self._single_round(
@@ -601,16 +596,17 @@ class PipelinePlanner:
                 node.round_query(), problem.domain_size
             )
             round_profile = estimator.round_profile(node)
+            inputs = estimator.round_input_records(node)
             try:
                 best = self.planner.plan(
-                    round_problem, cluster, q=budget, profile=round_profile
+                    round_problem, cluster, q=budget, profile=round_profile,
+                    inputs=inputs,
                 ).best
             except PlanningError as error:
                 raise PlanningError(
                     f"round {index} ({node.schema.name}): {error}"
                 ) from error
             estimate = estimator.estimate(node)
-            inputs = estimator.round_input_records(node)
             rounds.append(
                 PipelineRound(
                     index=index,
@@ -620,7 +616,6 @@ class PipelinePlanner:
                     estimated_output=estimate.size_estimate,
                     estimate_method=estimate.method,
                     estimate_exact=estimate.exact_inputs,
-                    cost=_round_cost(best.cost, inputs),
                     estimated_output_bound=estimate.size_bound,
                     projected=any(
                         estimator.estimate(child).projected
@@ -713,7 +708,6 @@ class PipelinePlanner:
             estimated_output=output,
             estimate_method=method,
             estimate_exact=exact,
-            cost=_round_cost(plan.cost, inputs),
             estimated_output_bound=output_bound,
         )
         return PipelinePlan(
@@ -726,22 +720,6 @@ class PipelinePlanner:
             planner=self.planner,
             **plan_fields,
         )
-
-
-def _round_cost(breakdown: CostBreakdown, inputs: float) -> float:
-    """Absolute priced cost of one round over ``inputs`` records.
-
-    ``breakdown.communication_cost`` is ``a·r`` — normalized per input
-    record — so the cross-round sum re-multiplies it by the records
-    entering the round.  The breakdown's own planning term is excluded:
-    pipeline-level planning time (which already contains the per-round
-    planner calls) is priced once on the whole pipeline.
-    """
-    return (
-        breakdown.communication_cost * inputs
-        + breakdown.processing_cost
-        + breakdown.wall_clock_cost
-    )
 
 
 def _cascade_lower_bound(
@@ -778,20 +756,20 @@ def replan_round(
     round_problem = MultiwayJoinProblem(
         round_.op.round_query(), plan.problem.domain_size
     )
-    best = plan.planner.plan(
-        round_problem, plan.cluster, q=plan.q_budget, profile=observed_profile
-    ).best
     inputs = float(
         sum(
             observed_profile.relation(child.schema.name).total_rows
             for child in (round_.op.left, round_.op.right)
         )
     )
+    best = plan.planner.plan(
+        round_problem, plan.cluster, q=plan.q_budget, profile=observed_profile,
+        inputs=inputs,
+    ).best
     return dataclasses.replace(
         round_,
         plan=best,
         estimated_inputs=inputs,
-        cost=_round_cost(best.cost, inputs),
         # Certified against the materialized intermediate: a sound bound.
         projected=False,
     )

@@ -36,7 +36,8 @@ class ExecutionPlan:
         The enumerated algorithm point (name, certified q, replication rate,
         job factory).
     cost:
-        Predicted Section 1.2 cost breakdown at the candidate's ``(q, r)``.
+        Predicted Section 1.2 cost breakdown at the candidate's ``(q, r)``,
+        priced over the input records the planner was told the job reads.
     cluster:
         The cluster configuration the plan was costed for; ``execute`` runs
         on an engine with this configuration unless one is supplied.
@@ -47,6 +48,10 @@ class ExecutionPlan:
         gap.
     rank:
         Position in the ranked plan list (0 is the planner's choice).
+    planning_seconds:
+        Wall-clock seconds the planning call that produced the plan took
+        (enumeration, certification, ranking); every plan of one call
+        carries the same value.
     """
 
     problem: Problem
@@ -55,6 +60,7 @@ class ExecutionPlan:
     cluster: ClusterConfig
     lower_bound: Optional[float] = None
     rank: int = 0
+    planning_seconds: float = 0.0
     #: Per-phase wall-clock seconds of the most recent ``execute`` call on
     #: this plan object (measurement, not identity: excluded from equality).
     last_timings: Optional[PhaseTimings] = field(
@@ -179,8 +185,7 @@ class ExecutionPlan:
             "replication_rate": self.replication_rate,
             "rounds": self.rounds,
             "total_cost": self.total_cost,
-            "planning_s": self.cost.planning_seconds,
-            "planning_cost": self.cost.planning_cost,
+            "planning_s": self.planning_seconds,
             "lower_bound": self.lower_bound,
             "gap": self.optimality_gap,
             "map_s": timings.map_seconds if timings is not None else None,
@@ -338,7 +343,7 @@ class SweepResult:
                         "lower_bound": best.lower_bound,
                         "gap": best.optimality_gap,
                         "total_cost": best.total_cost,
-                        "planning_s": best.cost.planning_seconds,
+                        "planning_s": best.planning_seconds,
                     }
                 )
         return rows

@@ -12,7 +12,8 @@ point on the replication/parallelism tradeoff curve should this job run at?*
    recording the optimality gap (unprofiled plans only: the recipe counts
    the model's full domain).
 3. **Cost**: price each candidate with the Section 1.2 cluster cost model
-   ``a·r + b·q (+ c·t(q))`` built from the cluster's rate constants.
+   ``a·r·|I| + b·q (+ c·t(q))`` built from the cluster's rate constants,
+   where ``|I|`` is the number of records the job reads.
 4. **Rank**: sort ascending by total predicted cost (deterministic
    tie-break on ``(q, name)``) and return the ranked, executable plans.
 
@@ -46,8 +47,9 @@ class CostBasedPlanner:
     cost_model:
         Cost model used to price candidates.  When omitted, one is built per
         ``plan`` call from the cluster's ``communication_cost_per_record``
-        (the ``a`` constant) and ``worker_cost_per_unit`` (the ``b``
-        constant), so the cluster's pricing drives the choice.
+        (the ``a`` constant, per shuffled record) and
+        ``worker_cost_per_unit`` (the ``b`` constant), so the cluster's
+        pricing drives the choice.
     """
 
     def __init__(
@@ -86,6 +88,7 @@ class CostBasedPlanner:
         cluster: Optional[ClusterConfig] = None,
         q: Optional[float] = None,
         profile: Optional[DatasetProfile] = None,
+        inputs: Optional[float] = None,
     ) -> PlanningResult:
         """Return ranked executable plans for ``problem`` under budget ``q``.
 
@@ -112,6 +115,12 @@ class CostBasedPlanner:
             carries no ``lower_bound``: the paper's curve is a theorem
             about the model's full domain, and says nothing about a sparse
             instance's far fewer outputs.
+        inputs:
+            The records the job reads, ``|I|`` of the ``a·r·|I|``
+            communication term every candidate is priced with.  Defaults to
+            the profile's total rows when profiled, else
+            ``problem.num_inputs``; a pipeline passes its own estimate for
+            a round whose inputs are intermediates.
         """
         started = time.perf_counter()
         cluster = cluster or ClusterConfig()
@@ -125,25 +134,26 @@ class CostBasedPlanner:
         model = self.cost_model or ClusterCostModel(
             communication_rate=cluster.communication_cost_per_record,
             processing_rate=cluster.worker_cost_per_unit,
-            planning_rate=cluster.planning_cost_per_second,
         )
+        if inputs is None:
+            inputs = float(
+                problem.num_inputs
+                if profile is None
+                else sum(profile.row_counts().values())
+            )
         priced = self._price(
-            candidates, model, problem if profile is None else None
+            candidates, model, inputs, problem if profile is None else None
         )
-        # Planning-time accounting (ROADMAP leftover): the wall-clock this
-        # call spent enumerating/certifying/ranking, attached *after* the
-        # ranking — the same seconds back every candidate, so the priced
-        # term shifts totals uniformly and cannot reorder plans.  Each plan
-        # is constructed once, already carrying its rank and that term.
         planning_seconds = time.perf_counter() - started
         ranked = [
             ExecutionPlan(
                 problem=problem,
                 candidate=candidate,
-                cost=model.with_planning(breakdown, planning_seconds),
+                cost=breakdown,
                 cluster=cluster,
                 lower_bound=lower,
                 rank=rank,
+                planning_seconds=planning_seconds,
             )
             for rank, (breakdown, lower, candidate) in enumerate(priced)
         ]
@@ -216,11 +226,13 @@ class CostBasedPlanner:
     def _price(
         candidates: List[PlanCandidate],
         model: ClusterCostModel,
+        inputs: float,
         bounded: Optional[Problem],
     ) -> List[Tuple[CostBreakdown, Optional[float], PlanCandidate]]:
         """``(cost, lower bound, candidate)`` per candidate, cheapest first.
 
-        Ranked ascending by total predicted cost, ties broken on
+        Ranked ascending by total predicted cost over ``inputs`` records
+        (the price a pipeline sums per round), ties broken on
         ``(q, name)``.  One-round candidates carry ``bounded``'s lower
         bound at their ``q``; ``None`` (a profiled plan) and problems
         without ``g(q)`` give none.
@@ -237,7 +249,9 @@ class CostBasedPlanner:
                 if candidate.certification is not None
                 else None
             )
-            breakdown = model.cost_at(candidate.q, lambda _q: rate, load=load)
+            breakdown = model.cost_at(
+                candidate.q, lambda _q: rate, load=load, inputs=inputs
+            )
             lower = None
             # The Section 2.4 lower bound applies to one-round mapping
             # schemas; a multi-round algorithm under the one-round hyperbola

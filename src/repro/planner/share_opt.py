@@ -108,8 +108,7 @@ class ShareOptimization:
     certification: Certification
     frontier: Tuple[Tuple[ShareVector, Certification], ...] = ()
     #: Wall-clock seconds this optimization took (relaxation + rounding +
-    #: certification + hill-climb) — the quantity the cost model's
-    #: ``planning_rate`` term prices so optimizer cost can be amortized.
+    #: certification + hill-climb), reported, never priced.
     elapsed_seconds: float = 0.0
 
     @property

@@ -35,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cost import ClusterCostModel
+from repro.core.cost import ClusterCostModel, CostBreakdown
 from repro.datagen.relations import (
     chain_join_instance,
     fk_chain_join_instance,
@@ -47,7 +47,7 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.pipeline import PipelinePlanner, SizeEstimator
 from repro.pipeline import planner as pipeline_planner
 from repro.pipeline.logical import MultiwayJoinOp, enumerate_join_trees
-from repro.pipeline.planner import PipelinePlan, PipelineRound, _round_cost
+from repro.pipeline.planner import PipelinePlan, PipelineRound
 from repro.planner import CostBasedPlanner, SchemaRegistry, default_registry
 from repro.planner.builtins import join_candidates
 from repro.planner.registry import PlanCandidate
@@ -62,8 +62,41 @@ TIER1_STRIDE = 7
 
 
 # ----------------------------------------------------------------------
-# The oracle: the pre-bound-first loop, every structure planned
+# The oracles: the pre-bound-first loop, every structure planned, and the
+# pipeline's own round price before every breakdown was absolute
 # ----------------------------------------------------------------------
+def _round_cost(breakdown: CostBreakdown, inputs: float) -> float:
+    """Absolute priced cost of one round over ``inputs`` records.
+
+    ``breakdown.communication_cost`` is ``a·r`` — normalized per input
+    record — so the cross-round sum re-multiplies it by the records
+    entering the round.  The breakdown's own planning term is excluded:
+    pipeline-level planning time (which already contains the per-round
+    planner calls) is priced once on the whole pipeline.
+    """
+    return (
+        breakdown.communication_cost * inputs
+        + breakdown.processing_cost
+        + breakdown.wall_clock_cost
+    )
+
+
+def pipeline_price(plan, model, inputs):
+    """What the pipeline charges for running ``plan`` over ``inputs`` records.
+
+    ``_round_cost`` of the per-record breakdown ``plan``'s candidate prices
+    at: the sum a pipeline ranked its structures by before the planner
+    priced rounds absolutely.
+    """
+    certification = plan.certification
+    breakdown = model.cost_at(
+        plan.q,
+        lambda _q: plan.replication_rate,
+        load=certification.load if certification is not None else None,
+    )
+    return _round_cost(breakdown, inputs)
+
+
 def exhaustive_join_structures(self, problem, cluster, budget, model, profile):
     query = problem.query
     estimator = SizeEstimator(
@@ -96,7 +129,6 @@ def exhaustive_join_structures(self, problem, cluster, budget, model, profile):
                         estimate_method=output_method,
                         estimate_exact=estimator.profile is not None
                         and estimator.profile.exact,
-                        cost=_round_cost(best.cost, inputs),
                         estimated_output_bound=output,
                     )
                 ],
@@ -156,7 +188,7 @@ def certificate_row(certification):
 def plan_row(plan, rank):
     return (
         plan.name,
-        plan.rounds_cost,
+        plan.total_cost,
         rank,
         plan.describe(),
         [certificate_row(round_.certification) for round_ in plan.rounds],
@@ -258,7 +290,7 @@ class TestEqualsExhaustiveSweep:
                 expected
             ) + len(expected_rejected)
             for plan in result.plans:
-                assert plan.rounds_cost >= plan.lower_bound
+                assert plan.total_cost >= plan.lower_bound
             SEEN["pruned" if result.pruned else "unpruned"] += 1
             SEEN["cascade-wins" if result.best.is_cascade else "one-round-wins"] += 1
             SEEN["one-round-infeasible"] += result.one_round() is None
@@ -271,7 +303,12 @@ class TestEqualsExhaustiveSweep:
             assert result.rejected == expected_rejected
             assert len({plan.planning_seconds for plan in result}) == 1
             for plan in result.plans:
-                assert plan.rounds_cost >= plan.lower_bound
+                assert plan.total_cost >= plan.lower_bound
+                # Each round costs what the deleted ``_round_cost`` charged.
+                for round_ in plan.rounds:
+                    assert round_.cost == pipeline_price(
+                        round_.plan, planner.planner.cost_model, round_.estimated_inputs
+                    )
 
     def test_the_sweep_was_not_vacuous(self):
         # Runs after the parametrized cases (definition order).
@@ -301,7 +338,7 @@ class TestSoundnessIsEnforced:
         assert [entry.rounds for entry in result.pruned] == [2, 2]
         assert result.pruned == sorted(result.pruned, key=lambda entry: entry.key)
         for entry in result.pruned:
-            assert entry.lower_bound > result.best.rounds_cost
+            assert entry.lower_bound > result.best.total_cost
         # best / plans / len / iteration / one_round() never force anything.
         assert result.one_round() is result.best and list(result) == result.plans
         assert len(result.pruned) == 2
@@ -327,7 +364,12 @@ class TestSoundnessIsEnforced:
         # Forge a search that stopped too early: the incumbent is dearer
         # than a structure it claims to have pruned.
         round_ = result.best.rounds[0]
-        result.best.rounds[0] = dataclasses.replace(round_, cost=10.0 * round_.cost)
+        cost = dataclasses.replace(
+            round_.plan.cost, communication_cost=10.0 * round_.cost
+        )
+        result.best.rounds[0] = dataclasses.replace(
+            round_, plan=dataclasses.replace(round_.plan, cost=cost)
+        )
         with pytest.raises(BoundDerivationError, match="wrong winner"):
             result.complete()
 
@@ -378,10 +420,9 @@ class TestSoundnessIsEnforced:
         factor=st.sampled_from(FACTORS),
         processing=st.sampled_from([0.0, 0.05, 1.0]),
         wall_clock=st.sampled_from([0.0, 0.001]),
-        planning=st.sampled_from([0.0, 5.0]),
     )
     def test_planned_cascades_never_undercut_their_bound(
-        self, seed, skew, factor, processing, wall_clock, planning
+        self, seed, skew, factor, processing, wall_clock
     ):
         relations = (
             skewed_chain_join_instance(3, 24, 10, skew=skew, seed=seed)
@@ -393,7 +434,6 @@ class TestSoundnessIsEnforced:
             communication_rate=1.0,
             processing_rate=processing,
             wall_clock_rate=wall_clock,
-            planning_rate=planning,
         )
         planner = PipelinePlanner(CostBasedPlanner(cost_model=model))
         try:
@@ -404,8 +444,7 @@ class TestSoundnessIsEnforced:
             return
         best = result.best
         for plan in result.complete():
-            assert plan.total_cost - plan.planning_cost >= plan.lower_bound
-            assert plan.rounds_cost >= plan.lower_bound > 0.0
+            assert plan.total_cost >= plan.lower_bound > 0.0
         assert result.best is best
 
 
@@ -527,20 +566,6 @@ class TestDecisionIsObservable:
         assert metrics.counter("planner_pruned_total").value() == 2
         assert metrics.counter("planner_structures_total").value() == 1
         assert len(result.pruned) == 2
-
-    def test_completed_plans_carry_the_original_planning_term(self):
-        problem, profile = _zipf()
-        model = ClusterCostModel(
-            communication_rate=1.0, processing_rate=0.0, planning_rate=3.0
-        )
-        result = PipelinePlanner(CostBasedPlanner(cost_model=model)).plan(
-            problem, q=160, profile=profile
-        )
-        seconds, cost = result.best.planning_seconds, result.best.planning_cost
-        assert cost == 3.0 * seconds > 0.0
-        for plan in result.complete():
-            assert (plan.planning_seconds, plan.planning_cost) == (seconds, cost)
-            assert plan.total_cost == plan.rounds_cost + cost
 
 
 def test_size_bound_checks_saw_the_planning(size_bound_checks):

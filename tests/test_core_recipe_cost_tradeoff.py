@@ -148,6 +148,20 @@ class TestClusterCostModel:
         with pytest.raises(ConfigurationError):
             model.cost_at(0.0, replication=lambda q: 1.0)
 
+    def test_communication_is_priced_per_shuffled_record(self):
+        model = ClusterCostModel(communication_rate=2.0, processing_rate=3.0)
+        breakdown = model.cost_at(10.0, replication=lambda q: 5.0, inputs=100.0)
+        assert breakdown.communication_cost == 1000.0  # a·r·|I|
+        assert breakdown.processing_cost == 30.0  # b·q does not scale with |I|
+        assert model.cost_at(10.0, replication=lambda q: 5.0).total == 40.0
+        assert model.cost_at(10.0, lambda q: 5.0, inputs=0.0).communication_cost == 0.0
+
+    @pytest.mark.parametrize("inputs", [-1.0, math.inf, math.nan])
+    def test_cost_rejects_bad_input_counts(self, inputs):
+        model = ClusterCostModel(1.0, 1.0)
+        with pytest.raises(ConfigurationError, match="inputs"):
+            model.cost_at(4.0, replication=lambda q: 1.0, inputs=inputs)
+
     def test_continuous_optimum_of_known_function(self):
         # cost(q) = a * (C/q) + b * q is minimized at q = sqrt(a*C/b).
         a, b_const, C = 4.0, 1.0, 100.0

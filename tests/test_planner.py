@@ -373,6 +373,7 @@ class TestPlannerProperties:
         result = CostBasedPlanner().plan(problem, ClusterConfig(), q=q)
         totals = [plan.total_cost for plan in result]
         assert totals == sorted(totals)
+        inputs = float(problem.num_inputs)  # |I| of an unprofiled plan
         for plan in result:
-            expected = plan.replication_rate + plan.q  # a = b = 1.0
+            expected = plan.replication_rate * inputs + plan.q  # a = b = 1.0
             assert plan.total_cost == pytest.approx(expected)
