@@ -4,12 +4,13 @@ Metadata lives here so that legacy editable installs
 (``pip install -e . --no-build-isolation``) work in offline environments
 where the ``wheel`` package is unavailable.
 
-numpy powers the columnar data plane (``ClusterConfig.data_plane=
-"columnar"``); ``repro.mapreduce.columnar`` imports it guardedly and the
-engine falls back to the record path when it is missing, so the package
-itself stays importable without it.  The lower bound tracks the oldest
-release whose stable integer sorts and structured indexing the vectorized
-kernels rely on.
+numpy is a hard dependency: the data generators, the columnar data plane
+(``ClusterConfig.data_plane="columnar"``, the default) and the schema
+kernels import it at module level, so ``import repro`` needs it.  Its lower
+bound tracks the oldest release whose stable integer sorts and structured
+indexing the vectorized kernels rely on; the popcount kernels decline to
+the record plane on numpy < 2.0, which lacks ``bitwise_count``.  Python
+3.10 is the floor because the bit-string code calls ``int.bit_count()``.
 """
 
 from setuptools import find_packages, setup
@@ -23,6 +24,6 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     install_requires=["numpy>=1.22"],
 )

@@ -14,7 +14,6 @@ from repro.mapreduce.columnar import (
     ColumnBatch,
     EncodedRun,
     SpilledRows,
-    numpy_available,
 )
 from repro.mapreduce.engine import JobResult, MapReduceEngine, PipelineResult
 from repro.mapreduce.job import (
@@ -74,6 +73,5 @@ __all__ = [
     "ensure_key_value",
     "identity_reducer",
     "make_filtering_mapper",
-    "numpy_available",
     "stable_hash",
 ]

@@ -54,7 +54,7 @@ class ClusterConfig:
         reduce.  ``"columnar"`` (the default) runs on vectorized numpy
         batches unless declined: one check
         (:func:`~repro.mapreduce.columnar.choose_plane`) decides per run and
-        may decline — no numpy, no batch kernel, a combiner, a shuffle
+        may decline — no batch kernel, a combiner, a shuffle
         backend without encoded batches, or inputs the kernel cannot
         encode — in which case the job runs on records and the run is
         counted in ``plane_declined_total{reason}``.  ``"records"`` streams

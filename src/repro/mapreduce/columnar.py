@@ -36,8 +36,8 @@ guarantee this:
   :class:`~repro.mapreduce.executor._ReduceBookkeeper` as the record
   plane, fed the same sizes in the same order.
 
-numpy is imported guardedly: this module is importable without it, and
-:func:`choose_plane` declines to the record plane when it is missing.
+A kernel's reduce is total: :func:`reduce_runs` makes one
+``reduce_groups`` call per run, and its outputs are the run's outputs.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import struct
 import tempfile
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     Hashable,
@@ -58,32 +59,15 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError, ExecutionError
 from repro.mapreduce.cluster import ClusterConfig
-from repro.mapreduce.executor import _ReduceBookkeeper, _reduce_group
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.shuffle import ShuffleBackend, _group_order_key
 
-try:  # pragma: no cover - exercised by environment, not by branches
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    np = None  # type: ignore[assignment]
-
-
-def numpy_available() -> bool:
-    """Whether the columnar data plane can run in this environment."""
-    return np is not None
-
-
-def require_numpy():
-    """numpy, or a :class:`ConfigurationError` explaining what to do."""
-    if np is None:
-        raise ConfigurationError(
-            "the columnar data plane requires numpy, which is not "
-            "importable in this environment; install numpy or use "
-            "data_plane='records'"
-        )
-    return np
+if TYPE_CHECKING:
+    from repro.mapreduce.executor import _ReduceBookkeeper
 
 
 class BatchEncodingError(Exception):
@@ -110,7 +94,6 @@ class ColumnBatch:
     __slots__ = ("columns",)
 
     def __init__(self, columns: Dict[str, Any]) -> None:
-        require_numpy()
         if not columns:
             raise ConfigurationError("a ColumnBatch needs at least one column")
         length: Optional[int] = None
@@ -176,7 +159,6 @@ class ColumnBatch:
         failure) when the records are ragged, non-integer, or overflow
         int64 — exactly the inputs the record path must keep handling.
         """
-        require_numpy()
         try:
             table = np.asarray(records)
         except (ValueError, OverflowError) as error:
@@ -194,10 +176,6 @@ class ColumnBatch:
             )
         table = table.astype(np.int64, copy=False)
         return cls({name: table[:, i].copy() for i, name in enumerate(names)})
-
-    def to_tuples(self) -> List[Tuple[Any, ...]]:
-        """Back to Python tuples (Python scalars, bit-identical records)."""
-        return list(zip(*(column.tolist() for column in self.columns.values())))
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +217,6 @@ def build_encoded_run(
     (entry order, then row order — a stable argsort preserves it).
     Returns ``None`` for empty input.
     """
-    require_numpy()
     live = [entry for entry in entries if len(entry[0]) > 0]
     if not live:
         return None
@@ -294,7 +271,6 @@ def pack_encoded_chunk(codes: Any, batch: ColumnBatch) -> bytes:
     are created: each column is written as one contiguous ``tobytes`` blob
     and read back with ``numpy.frombuffer`` (:func:`unpack_encoded_chunks`).
     """
-    require_numpy()
     code_array = np.ascontiguousarray(codes, dtype=np.int64)
     parts: List[bytes] = [
         _SPILL_MAGIC,
@@ -320,7 +296,6 @@ def unpack_encoded_chunks(payload: bytes) -> Iterator[Tuple[Any, ColumnBatch]]:
     Arrays are zero-copy views onto ``payload`` (read-only, like all
     shuffle-held batches).
     """
-    require_numpy()
     offset, total = 0, len(payload)
     while offset < total:
         if payload[offset : offset + 4] != _SPILL_MAGIC:
@@ -375,16 +350,16 @@ class BatchKernel:
         Decode a code into the exact reduce key the scalar mapper emits.
         Called once per distinct code.
 
-    and at least one reduce strategy, tried in this order:
+    and the reduce, which is total — it never declines:
 
-    ``reduce_groups(run) -> Optional[List]``
-        Vectorized across all groups of an :class:`EncodedRun`; return
-        ``None`` to decline.
-    ``reduce_group(key, code, values) -> Optional[Iterable]``
-        Vectorized within one group; return ``None`` to decline.
-    ``decode_records(values) -> List``
-        Group values back as scalar records, for the final fallback: the
-        job's own reducer runs on them (always available, always exact).
+    ``reduce_groups(run) -> List``
+        Every output of an :class:`EncodedRun`'s groups, in run order, as
+        a new list the caller may keep.  Whole-run kernels vectorize across
+        all groups; the default loops over the groups and calls
+        ``reduce_group``.
+    ``reduce_group(key, code, values) -> Iterable``
+        The outputs of one group, vectorized within it — what a per-group
+        kernel implements instead of ``reduce_groups``.
     """
 
     def encode(self, records: Sequence[Any]) -> ColumnBatch:
@@ -398,16 +373,24 @@ class BatchKernel:
     def key_of_code(self, code: int) -> Hashable:
         raise NotImplementedError
 
-    def reduce_groups(self, run: EncodedRun) -> Optional[List[Any]]:
-        return None
+    def reduce_groups(self, run: EncodedRun) -> List[Any]:
+        outputs: List[Any] = []
+        code_list = run.codes.tolist()
+        for index, key in enumerate(run.keys):
+            try:
+                outputs.extend(
+                    self.reduce_group(key, code_list[index], run.group_values(index))
+                )
+            except Exception as error:
+                raise ExecutionError(
+                    f"reduce_group on key {key!r}: {error}"
+                ) from error
+        return outputs
 
     def reduce_group(
         self, key: Hashable, code: int, values: ColumnBatch
-    ) -> Optional[Iterable[Any]]:
-        return None
-
-    def decode_records(self, values: ColumnBatch) -> List[Any]:
-        return values.to_tuples()
+    ) -> Iterable[Any]:
+        raise NotImplementedError
 
 
 # ----------------------------------------------------------------------
@@ -422,7 +405,6 @@ def unique_sorted_within_groups(
     ascending ``group_ids`` order with values ascending and deduplicated
     inside each block — exactly the scalar reducers' canonical ordering.
     """
-    require_numpy()
     order = np.lexsort((values, group_ids))
     sorted_groups = group_ids[order]
     sorted_values = values[order]
@@ -447,7 +429,6 @@ def pairs_within_groups(sizes: Any) -> Tuple[Any, Any, Any]:
     straight into the output at each group's offset — no per-group Python
     loop.
     """
-    require_numpy()
     sizes = np.asarray(sizes, dtype=np.int64)
     pair_counts = sizes * (sizes - 1) // 2
     out_starts = np.concatenate(
@@ -500,7 +481,7 @@ class SpilledRows:
         overflowing rows are outside the packed layout, and silently
         coercing them would break bit identity.
         """
-        if np is None or not rows:
+        if not rows:
             return None
         try:
             table = np.asarray(rows)
@@ -561,9 +542,7 @@ def choose_plane(
     """
     batch: Optional[ColumnBatch] = None
     reason: Optional[str] = None
-    if np is None:
-        reason = "no-numpy"
-    elif job.batch_kernel is None:
+    if job.batch_kernel is None:
         reason = "no-kernel"
     elif job.combiner is not None:
         # Combiners re-group inside map tasks, which the single-pass
@@ -604,7 +583,7 @@ def map_batch(job: MapReduceJob, batch: ColumnBatch, backend: ShuffleBackend) ->
 def reduce_runs(
     job: MapReduceJob, runs: Iterable[EncodedRun], bookkeeper: _ReduceBookkeeper
 ) -> List[Any]:
-    """The reduce phase over encoded runs, by the kernel's best strategy."""
+    """The reduce phase over encoded runs: one kernel call per run."""
     kernel = job.batch_kernel
     outputs: List[Any] = []
     for run in runs:
@@ -620,25 +599,12 @@ def reduce_runs(
                 f"batch kernel of job {job.name!r} failed in reduce_groups: "
                 f"{error}"
             ) from error
-        if produced is not None:
+        # The first run's fresh list becomes the output list, so a one-run
+        # job (every in-memory shuffle) never copies its outputs.
+        if outputs:
             outputs.extend(produced)
-            continue
-        code_list = run.codes.tolist()
-        for index, key in enumerate(run.keys):
-            values = run.group_values(index)
-            try:
-                group_out = kernel.reduce_group(key, code_list[index], values)
-            except Exception as error:
-                raise ExecutionError(
-                    f"batch kernel of job {job.name!r} failed in reduce_group "
-                    f"on key {key!r}: {error}"
-                ) from error
-            if group_out is not None:
-                outputs.extend(group_out)
-            else:
-                # Final strategy: the job's own scalar reducer on decoded
-                # records — always exact, with the record plane's error shape.
-                _reduce_group(job, key, kernel.decode_records(values), outputs)
+        else:
+            outputs = produced
     return outputs
 
 
@@ -651,11 +617,9 @@ __all__ = [
     "build_encoded_run",
     "choose_plane",
     "map_batch",
-    "numpy_available",
     "pack_encoded_chunk",
     "pairs_within_groups",
     "reduce_runs",
-    "require_numpy",
     "unique_sorted_within_groups",
     "unpack_encoded_chunks",
 ]

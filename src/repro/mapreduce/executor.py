@@ -12,8 +12,8 @@ plane, times the map phase, streams the shuffle's groups through the reduce
 phase under the shared :class:`_ReduceBookkeeper` and attaches
 :class:`~repro.mapreduce.metrics.PhaseTimings`.  The record plane runs one
 definition each of the map-task body (:func:`_map_task`) and the
-reduce-one-group body (:func:`_reduce_group`); the batch plane's scalar
-fallback reuses the latter.
+reduce-one-group body (:func:`_reduce_group`); the batch plane reduces
+with one kernel call per encoded run.
 
 Task-body contract (pinned in ``tests/test_task_bodies.py`` against the
 previous bodies, kept there verbatim as the oracle).  Per record, pair and
@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.exceptions import ExecutionError, ReducerCapacityExceededError
+from repro.mapreduce import columnar
 from repro.mapreduce.cluster import ClusterConfig
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.metrics import PhaseTimings, WorkerStats
@@ -256,9 +257,6 @@ def execute(
     map_start = time.perf_counter()
     batch = None
     if config.data_plane == "columnar":
-        # Imported lazily: the columnar module imports this one.
-        from repro.mapreduce import columnar
-
         inputs, batch = columnar.choose_plane(job, inputs, backend, config)
     if batch is not None:
         num_inputs = len(inputs)

@@ -77,8 +77,7 @@ class MapReduceJob:
         if self.batch_kernel is not None and not callable(
             getattr(self.batch_kernel, "map_batch", None)
         ):
-            # Duck-typed so this module need not import the columnar layer
-            # (and with it numpy) at module level.
+            # Duck-typed: the columnar layer imports this module.
             raise InvalidJobError(
                 f"job {self.name!r}: batch_kernel must provide a callable "
                 f"map_batch (see repro.mapreduce.columnar.BatchKernel), "

@@ -28,6 +28,8 @@ import tempfile
 from abc import ABC, abstractmethod
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError, ExecutionError
 from repro.mapreduce.partitioner import stable_hash
 
@@ -379,8 +381,6 @@ class PartitionedShuffle(ShuffleBackend):
         if len(codes) == 0:
             return
         self._check_plane("columnar")
-        import numpy as np
-
         # Partition by the *decoded* key's stable hash, computed once per
         # distinct code — the hash-range invariant (partition i holds a
         # contiguous hash slice) is what makes partition-major read-back

@@ -22,6 +22,8 @@ import itertools
 import math
 from typing import Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.mapping_schema import MappingSchema, SchemaFamily
 from repro.core.problem import Problem
 from repro.exceptions import ConfigurationError
@@ -288,12 +290,7 @@ class BallTwoBatchKernel(BatchKernel):
     def encode(self, records) -> ColumnBatch:
         return _encode_words(records, self.schema.b)
 
-    def decode_records(self, values: ColumnBatch) -> List[int]:
-        return values.column("word").tolist()
-
     def map_batch(self, batch: ColumnBatch):
-        import numpy as np
-
         words = batch.column("word")
         b = self.schema.b
         # The scalar mapper visits the word's own anchor first, then each
@@ -309,8 +306,6 @@ class BallTwoBatchKernel(BatchKernel):
         return int(code)
 
     def reduce_groups(self, run: EncodedRun) -> List[Tuple[int, int]]:
-        import numpy as np
-
         group_of_pair, left, right = _group_pairs(run)
         if len(left) == 0:
             return []

@@ -14,7 +14,9 @@ bound exactly:
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
+
+import numpy as np
 
 from repro.core.mapping_schema import MappingSchema, SchemaFamily
 from repro.core.problem import Problem
@@ -38,8 +40,6 @@ def _encode_words(records, b: int) -> ColumnBatch:
     ``[0, 2^b)`` with ``b`` small enough that reducer codes stay exact
     int64 arithmetic.
     """
-    import numpy as np
-
     if b > 62:
         raise BatchEncodingError(f"b={b} exceeds exact int64 code arithmetic")
     if not hasattr(np, "bitwise_count"):  # numpy < 2.0: no popcount ufunc
@@ -66,8 +66,6 @@ def _group_pairs(run: EncodedRun):
     out group-major in the run's order and nested-loop order inside each
     group — the scalar all-pairs reducers' iteration order exactly.
     """
-    import numpy as np
-
     group_ids = np.repeat(np.arange(run.num_groups, dtype=np.int64), run.sizes)
     groups, words = unique_sorted_within_groups(group_ids, run.values.column("word"))
     sizes = np.bincount(groups, minlength=run.num_groups)
@@ -85,8 +83,6 @@ def _single_bit_positions(differences):
     Powers of two up to ``2^62`` are exact in float64, so ``frexp``'s
     exponent recovers the position without a per-element Python loop.
     """
-    import numpy as np
-
     _, exponents = np.frexp(differences.astype(np.float64))
     return exponents.astype(np.int64) - 1
 
@@ -243,12 +239,7 @@ class SplittingBatchKernel(BatchKernel):
     def encode(self, records) -> ColumnBatch:
         return _encode_words(records, self.schema.b)
 
-    def decode_records(self, values: ColumnBatch) -> List[int]:
-        return values.column("word").tolist()
-
     def map_batch(self, batch: ColumnBatch):
-        import numpy as np
-
         schema = self.schema
         words = batch.column("word")
         seg_len, total = schema.segment_length, schema.b
@@ -270,8 +261,6 @@ class SplittingBatchKernel(BatchKernel):
         return (code >> self._residual_bits, code % (1 << self._residual_bits))
 
     def reduce_groups(self, run: EncodedRun) -> List[Tuple[int, int]]:
-        import numpy as np
-
         group_of_pair, left, right = _group_pairs(run)
         if len(left) == 0:
             return []

@@ -37,6 +37,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.core.mapping_schema import MappingSchema, SchemaFamily
 from repro.core.problem import Problem
 from repro.datagen.relations import RelationInstance, multiway_join_oracle
@@ -45,7 +47,6 @@ from repro.mapreduce.columnar import (
     BatchEncodingError,
     BatchKernel,
     ColumnBatch,
-    require_numpy,
 )
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.partitioner import attribute_bucket
@@ -590,7 +591,6 @@ def _separable_loads(
     and no boxed float per reducer — because the planner's schema cache
     retains one profile per certified candidate.
     """
-    np = require_numpy()
     loads = 0.0
     for relation in query.relations:
         bound = None
@@ -620,7 +620,6 @@ def _lexicographic_order(table):
     ``np.lexsort`` runs one radix-friendly stable pass per int64 column —
     far faster than ``np.unique(axis=0)``'s void-dtype comparison sort.
     """
-    np = require_numpy()
     return np.lexsort(tuple(table[:, i] for i in range(table.shape[1] - 1, -1, -1)))
 
 
@@ -632,7 +631,6 @@ def _pack_rows(table):
     order.  Returns ``(codes, mins, spans)``, or ``None`` when the spans
     overflow exact int64 arithmetic (the caller then takes a lexsort path).
     """
-    np = require_numpy()
     mins = table.min(axis=0)
     spans = [int(v) for v in (table.max(axis=0) - mins + 1).tolist()]
     capacity = 1
@@ -649,7 +647,6 @@ def _pack_rows(table):
 
 def _unpack_codes(codes, mins, spans):
     """Inverse of :func:`_pack_rows` for an array of packed codes."""
-    np = require_numpy()
     columns = [None] * len(spans)
     for index in range(len(spans) - 1, -1, -1):
         columns[index] = codes % spans[index] + mins[index]
@@ -659,7 +656,6 @@ def _unpack_codes(codes, mins, spans):
 
 def _sorted_unique_rows(table):
     """Lexicographically sorted, deduplicated rows (``sorted(set(...))``)."""
-    np = require_numpy()
     if len(table) == 0 or table.shape[1] == 0:
         return table[:1]
     packed = _pack_rows(table)
@@ -686,7 +682,6 @@ def _row_group_codes(table):
     ``np.unique(..., axis=0, return_inverse=True)`` would produce, without
     its void-dtype sort.
     """
-    np = require_numpy()
     packed = _pack_rows(table)
     if packed is not None:
         distinct, inverse = np.unique(packed[0], return_inverse=True)
@@ -714,7 +709,6 @@ def _vectorized_oracle_join(attribute_lists, fragments):
     inserting sorted tuples, and the stable argsort below keeps that same
     within-key order.
     """
-    np = require_numpy()
     attributes = list(attribute_lists[0])
     rows = fragments[0]
     for rel_attrs, table in zip(attribute_lists[1:], fragments[1:]):
@@ -763,7 +757,6 @@ def _vectorized_oracle_join(attribute_lists, fragments):
 def _bucket_column(attribute: str, column, share: int):
     """``attribute_bucket`` per row: the rule is memoized per value, so it is
     evaluated per distinct value (``stable_hash`` is not vectorizable)."""
-    np = require_numpy()
     if share == 1:
         return np.zeros(len(column), dtype=np.int64)
     distinct, inverse = np.unique(column, return_inverse=True)
@@ -784,8 +777,8 @@ class SharesBatchKernel(BatchKernel):
     significant, matching ``itertools.product`` emission order); each
     relation's replication pattern collapses to one precomputed array of
     free-coordinate code offsets added to a per-tuple base code.  The
-    per-group reduce rebuilds the sorted fragments with ``np.unique`` and
-    runs :func:`_vectorized_oracle_join`, then keeps the rows this grid
+    whole-run reduce rebuilds the sorted fragments of every group at once
+    and runs :func:`_vectorized_oracle_join`, then keeps the rows each grid
     point owns.
     """
 
@@ -799,14 +792,12 @@ class SharesBatchKernel(BatchKernel):
         self._value_columns = tuple(f"v{index}" for index in range(self._max_arity))
         #: relation name -> (relation id, arity, padding tuple)
         self._specs: Dict[str, Tuple[int, int, Tuple[int, ...]]] = {}
-        self._by_id: List[Tuple[str, int]] = []
         for relation_id, relation in enumerate(query.relations):
             self._specs[relation.name] = (
                 relation_id,
                 relation.arity,
                 (0,) * (self._max_arity - relation.arity),
             )
-            self._by_id.append((relation.name, relation.arity))
         # Mixed radix over query.attributes; the last attribute gets radix 1
         # so ascending codes enumerate grid points in itertools.product order.
         self._radix: Dict[str, int] = {}
@@ -820,9 +811,8 @@ class SharesBatchKernel(BatchKernel):
     def _code_space(self) -> int:
         return self._grid_size
 
-    # -- encode / decode -------------------------------------------------
+    # -- encode ----------------------------------------------------------
     def encode(self, records: Sequence[Any]) -> ColumnBatch:
-        np = require_numpy()
         if self._max_arity == 0 or self._code_space() >= self._CODE_LIMIT:
             raise BatchEncodingError(
                 "query shape outside the columnar layout (zero-arity "
@@ -855,23 +845,11 @@ class SharesBatchKernel(BatchKernel):
         columns["rel"] = np.asarray(relation_ids, dtype=np.int64)
         return ColumnBatch(columns)
 
-    def decode_records(self, values: ColumnBatch) -> List[Any]:
-        relation_ids = values.column("rel").tolist()
-        columns = [values.column(name).tolist() for name in self._value_columns]
-        records: List[Tuple[str, Tuple[int, ...]]] = []
-        for row, relation_id in enumerate(relation_ids):
-            name, arity = self._by_id[relation_id]
-            records.append(
-                (name, tuple(columns[index][row] for index in range(arity)))
-            )
-        return records
-
     def _buckets(self, attribute: str, column) -> Any:
         return _bucket_column(attribute, column, self.schema.shares[attribute])
 
     def _main_base(self, batch: ColumnBatch, relation, rows) -> Any:
         """Code contribution of a tuple's own (fixed) grid coordinates."""
-        np = require_numpy()
         base = np.zeros(len(rows), dtype=np.int64)
         for position, attribute in enumerate(relation.attributes):
             column = batch.column(f"v{position}")[rows]
@@ -881,7 +859,6 @@ class SharesBatchKernel(BatchKernel):
     def _tables(self) -> Tuple[List[Any], Any]:
         """Per-relation free-coordinate code blocks, in product order."""
         if self._tables_cache is None:
-            np = require_numpy()
             query = self.schema.query
             free_codes: List[Any] = []
             for relation in query.relations:
@@ -904,7 +881,6 @@ class SharesBatchKernel(BatchKernel):
 
     # -- map -------------------------------------------------------------
     def map_batch(self, batch: ColumnBatch):
-        np = require_numpy()
         free_codes, replication = self._tables()
         relation_ids = batch.column("rel")
         emissions = replication[relation_ids]
@@ -940,38 +916,6 @@ class SharesBatchKernel(BatchKernel):
         return self._decode_main(int(code))
 
     # -- reduce ----------------------------------------------------------
-    def _owner_mask(self, key, attributes: List[str], rows) -> Any:
-        np = require_numpy()
-        keep = np.ones(len(rows), dtype=bool)
-        for index, attribute in enumerate(self.schema.query.attributes):
-            column = rows[:, attributes.index(attribute)]
-            keep &= self._buckets(attribute, column) == key[index]
-        return keep
-
-    def reduce_group(self, key, code: int, values: ColumnBatch):
-        np = require_numpy()
-        query = self.schema.query
-        relation_ids = values.column("rel")
-        attribute_lists: List[List[str]] = []
-        fragments: List[Any] = []
-        for relation_id, relation in enumerate(query.relations):
-            mask = relation_ids == relation_id
-            columns = [
-                values.column(f"v{position}")[mask]
-                for position in range(relation.arity)
-            ]
-            table = _sorted_unique_rows(np.stack(columns, axis=1))
-            attribute_lists.append(list(relation.attributes))
-            fragments.append(table)
-        attributes, rows = _vectorized_oracle_join(attribute_lists, fragments)
-        if len(rows) == 0:
-            return []
-        rows = rows[self._owner_mask(key, attributes, rows)]
-        if len(rows) == 0:
-            return []
-        permutation = [attributes.index(a) for a in query.attributes]
-        return [tuple(row) for row in rows[:, permutation].tolist()]
-
     def reduce_groups(self, run):
         """One vectorized pass over every group of the run.
 
@@ -981,7 +925,6 @@ class SharesBatchKernel(BatchKernel):
         is sorted by (group, tuple), which makes the joined rows group-major
         in run order — exactly the order a per-group loop would emit.
         """
-        np = require_numpy()
         query = self.schema.query
         group_of_pair = np.repeat(
             np.arange(run.num_groups, dtype=np.int64), run.sizes
@@ -1009,7 +952,6 @@ class SharesBatchKernel(BatchKernel):
 
     def _owner_mask_run(self, run, attributes: List[Any], rows) -> Any:
         """Vectorized ``reducer_of_output(assignment) == key`` over all groups."""
-        np = require_numpy()
         group_column = rows[:, attributes.index(_GROUP_COLUMN)]
         codes = run.codes
         keep = np.ones(len(rows), dtype=bool)
@@ -1052,7 +994,6 @@ class SkewAwareSharesBatchKernel(SharesBatchKernel):
         return _bucket_column(attribute, column, self.schema.heavy_shares[attribute])
 
     def _sub_base(self, batch: ColumnBatch, relation, rows) -> Any:
-        np = require_numpy()
         base = np.zeros(len(rows), dtype=np.int64)
         for position, attribute in enumerate(relation.attributes):
             if attribute == self.schema.skew_attribute:
@@ -1063,7 +1004,6 @@ class SkewAwareSharesBatchKernel(SharesBatchKernel):
 
     def _heavy_ranks(self, column) -> Any:
         """Heavy-value rank per row, ``-1`` for values that are not heavy."""
-        np = require_numpy()
         distinct, inverse = np.unique(column, return_inverse=True)
         lookup = np.fromiter(
             (self._heavy_rank.get(value, -1) for value in distinct.tolist()),
@@ -1075,7 +1015,6 @@ class SkewAwareSharesBatchKernel(SharesBatchKernel):
     def _sub_tables(self) -> List[Any]:
         """Per-relation free sub-coordinate code blocks, in product order."""
         if self._sub_tables_cache is None:
-            np = require_numpy()
             schema = self.schema
             blocks: List[Any] = []
             for relation in schema.query.relations:
@@ -1095,7 +1034,6 @@ class SkewAwareSharesBatchKernel(SharesBatchKernel):
 
     # -- map -------------------------------------------------------------
     def map_batch(self, batch: ColumnBatch):
-        np = require_numpy()
         schema = self.schema
         query = schema.query
         main_free, _ = self._tables()
@@ -1193,24 +1131,7 @@ class SkewAwareSharesBatchKernel(SharesBatchKernel):
         return ("heavy", self._ordered_heavy[heavy_rank]) + tuple(reversed(point))
 
     # -- reduce ----------------------------------------------------------
-    def _owner_mask(self, key, attributes: List[str], rows) -> Any:
-        np = require_numpy()
-        schema = self.schema
-        skew_column = rows[:, attributes.index(schema.skew_attribute)]
-        if key[0] == "main":
-            keep = self._heavy_ranks(skew_column) < 0
-            for index, attribute in enumerate(schema.query.attributes):
-                column = rows[:, attributes.index(attribute)]
-                keep &= self._buckets(attribute, column) == key[1 + index]
-            return keep
-        keep = skew_column == key[1]
-        for index, attribute in enumerate(schema.sub_attributes):
-            column = rows[:, attributes.index(attribute)]
-            keep &= self._sub_buckets(attribute, column) == key[2 + index]
-        return keep
-
     def _owner_mask_run(self, run, attributes: List[Any], rows) -> Any:
-        np = require_numpy()
         schema = self.schema
         group_column = rows[:, attributes.index(_GROUP_COLUMN)]
         codes = run.codes

@@ -11,8 +11,9 @@ pairing its group with each opposite-side group, so the replication rate is
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, List, Tuple
+
+import numpy as np
 
 from repro.core.mapping_schema import MappingSchema, SchemaFamily
 from repro.core.problem import Problem
@@ -35,8 +36,6 @@ def encode_element_records(records, n: int) -> ColumnBatch:
     coercing ints or decimals to float64 silently would let the decoded
     records drift from the originals and break bit identity.
     """
-    import numpy as np
-
     tags: List[int] = []
     row_ids: List[int] = []
     column_ids: List[int] = []
@@ -72,19 +71,6 @@ def encode_element_records(records, n: int) -> ColumnBatch:
     )
 
 
-def decode_element_records(values: ColumnBatch) -> List[ElementRecord]:
-    """Inverse of :func:`encode_element_records` (bit-identical records)."""
-    return [
-        ("R" if tag == 0 else "S", i, j, value)
-        for tag, i, j, value in zip(
-            values.column("m").tolist(),
-            values.column("i").tolist(),
-            values.column("j").tolist(),
-            values.column("val").tolist(),
-        )
-    ]
-
-
 def accumulate_tiles(groups, num_groups, tags, row_ids, column_ids, values, starts, shape):
     """Per-tile products of many tiles at once, in the scalar reducers' order.
 
@@ -99,8 +85,6 @@ def accumulate_tiles(groups, num_groups, tags, row_ids, column_ids, values, star
     no-op on every total this accumulation can produce.  Returns
     ``(totals, contributed)``, each of shape ``(num_groups, rows, columns)``.
     """
-    import numpy as np
-
     row_start, column_start, middle_start = starts
     rows, columns, middles = shape
     left = np.zeros((num_groups, rows, middles))
@@ -295,12 +279,7 @@ class OnePhaseTilingBatchKernel(BatchKernel):
     def encode(self, records) -> ColumnBatch:
         return encode_element_records(records, self.schema.n)
 
-    def decode_records(self, values: ColumnBatch) -> List[ElementRecord]:
-        return decode_element_records(values)
-
     def map_batch(self, batch: ColumnBatch):
-        import numpy as np
-
         schema = self.schema
         groups = schema.num_groups
         size = schema.group_size
@@ -322,8 +301,6 @@ class OnePhaseTilingBatchKernel(BatchKernel):
         return (code // self.schema.num_groups, code % self.schema.num_groups)
 
     def reduce_group(self, key: TileId, code: int, values: ColumnBatch):
-        import numpy as np
-
         schema = self.schema
         size = schema.group_size
         row_start = key[0] * size

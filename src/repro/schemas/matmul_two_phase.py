@@ -14,7 +14,9 @@ every ``q < n²``.
 from __future__ import annotations
 
 import math
-from typing import Callable, Hashable, Iterator, List, Optional, Tuple
+from typing import Callable, Hashable, Iterator, List, Tuple
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.mapreduce.columnar import (
@@ -24,10 +26,8 @@ from repro.mapreduce.columnar import (
     EncodedRun,
 )
 from repro.mapreduce.job import JobChain, MapReduceJob
-from repro.problems.matmul import MatrixMultiplicationProblem
 from repro.schemas.matmul_one_phase import (
     accumulate_tiles,
-    decode_element_records,
     encode_element_records,
 )
 
@@ -239,12 +239,7 @@ class CubePartialSumBatchKernel(BatchKernel):
     def encode(self, records) -> ColumnBatch:
         return encode_element_records(records, self.algorithm.n)
 
-    def decode_records(self, values: ColumnBatch) -> List[ElementRecord]:
-        return decode_element_records(values)
-
     def map_batch(self, batch: ColumnBatch):
-        import numpy as np
-
         algorithm = self.algorithm
         row_groups = algorithm.num_row_groups
         middle_groups = algorithm.num_middle_groups
@@ -274,8 +269,6 @@ class CubePartialSumBatchKernel(BatchKernel):
         return self.algorithm.cube_keys[int(code)]
 
     def reduce_groups(self, run: EncodedRun):
-        import numpy as np
-
         algorithm = self.algorithm
         s = algorithm.s
         tiles, middles = np.divmod(run.codes, algorithm.num_middle_groups)
@@ -327,8 +320,6 @@ class PartialSumAggregationBatchKernel(BatchKernel):
         self.algorithm = algorithm
 
     def encode(self, records) -> ColumnBatch:
-        import numpy as np
-
         row_ids: List[int] = []
         column_ids: List[int] = []
         values: List[float] = []
@@ -362,9 +353,6 @@ class PartialSumAggregationBatchKernel(BatchKernel):
             }
         )
 
-    def decode_records(self, values: ColumnBatch) -> List[float]:
-        return values.column("val").tolist()
-
     def map_batch(self, batch: ColumnBatch):
         codes = batch.column("i") * self.algorithm.n + batch.column("k")
         return codes, None, batch
@@ -379,11 +367,6 @@ class PartialSumAggregationBatchKernel(BatchKernel):
             (i, k, sum(partials[start:stop]))
             for (i, k), start, stop in zip(run.keys, starts, starts[1:])
         ]
-
-    def reduce_group(self, key: Tuple[int, int], code: int, values: ColumnBatch):
-        # Never reached by ``reduce_runs`` (``reduce_groups`` always answers);
-        # the per-group form the whole-run reduce is tested against.
-        return [(key[0], key[1], sum(values.column("val").tolist()))]
 
 
 class _DecodedKeys(dict):

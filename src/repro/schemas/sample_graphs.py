@@ -192,7 +192,7 @@ class PartitionSampleGraphSchema(SchemaFamily):
                 yield (reducer_id, edge)
 
         def reducer(reducer_id: BucketMultiset, edges: List[Edge]):
-            import networkx as nx  # not captured from job(): a module cannot ship to the pool
+            import networkx as nx
 
             graph = nx.Graph()
             graph.add_edges_from(set(edges))

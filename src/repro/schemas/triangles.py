@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, List, Tuple
 
+import numpy as np
+
 from repro.core.mapping_schema import MappingSchema, SchemaFamily
 from repro.core.problem import Problem
 from repro.exceptions import ConfigurationError
@@ -206,8 +208,6 @@ class TriangleBatchKernel(BatchKernel):
 
     def _buckets_of(self, nodes) -> "object":
         """Bucket index of every node of an array."""
-        import numpy as np
-
         schema, cache = self.schema, self._bucket_cache
         if not schema.hash_nodes:
             return np.minimum(nodes // schema.group_size, schema.num_buckets - 1)
@@ -226,8 +226,6 @@ class TriangleBatchKernel(BatchKernel):
         return ColumnBatch.from_int_tuples(records, ("u", "v"))
 
     def map_batch(self, batch: ColumnBatch):
-        import numpy as np
-
         k = self.schema.num_buckets
         u, v = batch.column("u"), batch.column("v")
         num_edges = len(u)
@@ -250,8 +248,6 @@ class TriangleBatchKernel(BatchKernel):
 
     # -- reduce ----------------------------------------------------------
     def reduce_group(self, key, code: int, values: ColumnBatch):
-        import numpy as np
-
         u, v = values.column("u"), values.column("v")
         if len(u) == 0:
             return []

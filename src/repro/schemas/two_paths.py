@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
+import numpy as np
+
 from repro.core.mapping_schema import MappingSchema, SchemaFamily
 from repro.core.problem import Problem
 from repro.exceptions import ConfigurationError
@@ -170,8 +172,6 @@ class TwoPathBatchKernel(BatchKernel):
 
     def _buckets_of(self, nodes):
         """Bucket indices of an array of *distinct* node values."""
-        import numpy as np
-
         schema, cache = self.schema, self._bucket_cache
         if not schema.hash_nodes:
             return np.minimum(nodes // schema.group_size, schema.num_buckets - 1)
@@ -192,8 +192,6 @@ class TwoPathBatchKernel(BatchKernel):
             )
         batch = ColumnBatch.from_int_tuples(records, ("u", "v"))
         if len(batch) > 0:
-            import numpy as np
-
             low = min(int(batch.column("u").min()), int(batch.column("v").min()))
             high = max(int(batch.column("u").max()), int(batch.column("v").max()))
             if low < 0 or high >= self.schema.n:
@@ -203,8 +201,6 @@ class TwoPathBatchKernel(BatchKernel):
         return batch
 
     def map_batch(self, batch: ColumnBatch):
-        import numpy as np
-
         k = self.schema.num_buckets
         u, v = batch.column("u"), batch.column("v")
         unique_nodes, inverse = np.unique(np.concatenate((u, v)), return_inverse=True)
@@ -233,8 +229,6 @@ class TwoPathBatchKernel(BatchKernel):
         return (code // (k * k), frozenset(((code // k) % k, code % k)))
 
     def reduce_group(self, key: ReducerId, code: int, values: ColumnBatch):
-        import numpy as np
-
         k = self.schema.num_buckets
         middle = code // (k * k)
         bucket_i, bucket_j = (code // k) % k, code % k

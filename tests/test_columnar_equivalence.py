@@ -13,10 +13,8 @@ cascade.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +34,8 @@ from repro.schemas.matmul_one_phase import OnePhaseTilingSchema
 from repro.schemas.matmul_two_phase import TwoPhaseMatMulAlgorithm
 from repro.schemas.triangles import PartitionTriangleSchema
 from repro.schemas.two_paths import TwoPathSchema
+
+from kernel_oracle import decode_element_records, partial_sum_reduce_group
 
 
 def examples(count: int):
@@ -228,8 +228,9 @@ class TestMatmulKernels:
     @examples(40)
     def test_two_phase_whole_run_reduces(self, shape, seed, keep):
         """Each phase's whole-run ``reduce_groups`` equals its per-group
-        oracle (``reduce_group`` for the sums, the scalar reducer for the
-        cubes), as lists with ``repr``-equal floats, on sparse matrices."""
+        oracle (``kernel_oracle``'s sum for the sums, the scalar reducer on
+        decoded records for the cubes), as lists with ``repr``-equal floats,
+        on sparse matrices."""
         import random
 
         from repro.datagen.matrices import multiplication_records, random_matrix
@@ -250,7 +251,7 @@ class TestMatmulKernels:
         per_group = [
             output
             for index, key in enumerate(run.keys if run is not None else [])
-            for output in first.reducer(key, kernel.decode_records(run.group_values(index)))
+            for output in first.reducer(key, decode_element_records(run.group_values(index)))
         ]
         assert whole == per_group and repr(whole) == repr(per_group)
         run = self._encoded_run(second.batch_kernel, whole)
@@ -262,7 +263,9 @@ class TestMatmulKernels:
         per_group = [
             output
             for index, key in enumerate(run.keys)
-            for output in kernel.reduce_group(key, code_list[index], run.group_values(index))
+            for output in partial_sum_reduce_group(
+                key, code_list[index], run.group_values(index)
+            )
         ]
         assert whole == per_group and repr(whole) == repr(per_group)
 

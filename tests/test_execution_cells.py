@@ -7,19 +7,25 @@ workloads under both shuffle backends, fed either a list or a one-shot
 iterator (which the record plane streams and the batch plane must
 materialize exactly once), and pins the one place the plane is decided:
 every decline is counted under its reason in ``plane_declined_total`` and
-still yields the oracle's result.
+still yields the oracle's result.  A kernel that raises fails the job
+loudly and leaves no spill file behind.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import os
 
+import numpy as np
 import pytest
 
 from repro.datagen import gnm_random_graph
+from repro.exceptions import ExecutionError
 from repro.datagen.matrices import multiplication_records, random_matrix
 from repro.datagen.relations import RelationInstance, skewed_chain_join_instance
 from repro.mapreduce import (
+    BatchKernel,
     ClusterConfig,
     InMemoryShuffle,
     MapReduceEngine,
@@ -156,14 +162,6 @@ class TestPlaneDeclines:
         assert result.metrics == oracle.metrics
         return result
 
-    def test_no_numpy(self, make_cell, monkeypatch):
-        from repro.mapreduce import columnar
-
-        monkeypatch.setattr(columnar, "np", None)
-        self._assert_declined(
-            "no-numpy", make_cell, SplittingSchema(6, 3).job(), self.WORDS
-        )
-
     def test_no_kernel(self, make_cell):
         job = MapReduceJob(
             mapper=lambda x: [(x % 3, x)], reducer=lambda k, v: [(k, len(v))]
@@ -201,3 +199,98 @@ class TestPlaneDeclines:
         engine.run(job, records)
         engine.run(SplittingSchema(6, 3).job(), self.WORDS)
         assert "plane_declined_total" not in registry.snapshot()
+
+
+class _FaultyKernel(BatchKernel):
+    """A job's real kernel that raises in ``method``.
+
+    It notes, at the moment it raises, whether ``spill_dir`` held a spill
+    file; an assertion here would itself be wrapped as the job's failure.
+    A map fault first writes the mapped pairs to the backend, as a map
+    phase that fails part-way has.
+    """
+
+    def __init__(self, inner, method, backend, spill_dir):
+        self.inner, self.method = inner, method
+        self.backend, self.spill_dir = backend, spill_dir
+        self.spilled_at_fault = None
+        self.failed_key = None
+
+    def _fail(self):
+        self.spilled_at_fault = bool(os.listdir(self.spill_dir))
+        raise RuntimeError(f"injected fault in {self.method}")
+
+    def encode(self, records):
+        return self.inner.encode(records)
+
+    def key_of_code(self, code):
+        return self.inner.key_of_code(code)
+
+    def map_batch(self, batch):
+        mapped = self.inner.map_batch(batch)
+        if self.method == "map_batch":
+            codes, rows, values = mapped
+            keys = {code: self.key_of_code(code) for code in np.unique(codes).tolist()}
+            self.backend.add_encoded(codes, rows, values, keys)
+            self._fail()
+        return mapped
+
+    def reduce_groups(self, run):
+        if self.method == "reduce_groups":
+            self._fail()
+        return super().reduce_groups(run)
+
+    def reduce_group(self, key, code, values):
+        self.failed_key = key
+        self._fail()
+
+
+class TestKernelFaults:
+    """A batch kernel that raises fails its job with an ``ExecutionError``.
+
+    The error names the job (and, for a per-group kernel, the failing key),
+    keeps the kernel's exception as its cause, and the backend is closed
+    with no spill file left, on both shuffle backends.  The partitioned one
+    has really spilled when the kernel raises.  These six cases behaved the
+    same when the reduce phase tried three strategies in turn (whole run,
+    per group, the scalar reducer on decoded records); they guard the
+    one-call ``reduce_runs``.
+    """
+
+    CASES = {
+        "map_batch": lambda: (
+            SplittingSchema(6, 3).job(), TestPlaneDeclines.WORDS
+        ),
+        "reduce_groups": lambda: (
+            SplittingSchema(6, 3).job(), TestPlaneDeclines.WORDS
+        ),
+        "reduce_group": lambda: (
+            PartitionTriangleSchema(18, 4).job(), gnm_random_graph(18, 40, seed=11)
+        ),
+    }
+
+    @pytest.mark.parametrize("shuffle", ["in-memory", "spilling"])
+    @pytest.mark.parametrize("method", sorted(CASES))
+    def test_kernel_fault_fails_the_job_and_cleans_up(self, method, shuffle, tmp_path):
+        job, inputs = self.CASES[method]()
+        if shuffle == "spilling":
+            backend = PartitionedShuffle(
+                num_partitions=4, buffer_size=2, spill_dir=str(tmp_path)
+            )
+        else:
+            backend = InMemoryShuffle()
+        kernel = _FaultyKernel(job.batch_kernel, method, backend, str(tmp_path))
+        job = dataclasses.replace(job, batch_kernel=kernel)
+        engine = MapReduceEngine(ClusterConfig(data_plane="columnar"))
+        with pytest.raises(ExecutionError) as raised:
+            engine.run(job, inputs, shuffle=backend)
+        message = str(raised.value)
+        assert repr(job.name) in message and method in message
+        cause = raised.value
+        while cause.__cause__ is not None:
+            cause = cause.__cause__
+        assert isinstance(cause, RuntimeError) and "injected fault" in message
+        if method == "reduce_group":
+            assert repr(kernel.failed_key) in message
+        assert kernel.spilled_at_fault is (shuffle == "spilling")
+        assert os.listdir(tmp_path) == []

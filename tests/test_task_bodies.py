@@ -547,7 +547,6 @@ class TestOneRoutingRule:
     @pytest.mark.parametrize("k", [1, 2, 3, 6])
     @pytest.mark.parametrize("hash_nodes", [False, True])
     def test_route_table_on_every_bucket_pair(self, k, hash_nodes):
-        pytest.importorskip("numpy")
         schema = PartitionTriangleSchema(12, k, hash_nodes=hash_nodes)
         kernel = TriangleBatchKernel(schema)
         # One node per bucket; hashed buckets may need ids beyond n.

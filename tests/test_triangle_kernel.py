@@ -23,10 +23,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
